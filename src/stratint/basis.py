@@ -42,6 +42,8 @@ class Interval:
     T: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t) and math.isfinite(self.T)):
+            raise ArgumentError(f"need finite endpoints, got [{self.t}, {self.T}]")
         if not self.T > self.t:
             raise ArgumentError(f"need T > t, got [{self.t}, {self.T}]")
 
@@ -150,18 +152,28 @@ def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
+@functools.lru_cache(maxsize=None)
+def _integration_matrix(n: int) -> np.ndarray:
+    """S with (S @ f)[i] = int_{-1}^{x_i} f for f sampled at the n Gauss nodes x on [-1, 1].
+
+    Values go to Legendre coefficients c_m = (2m + 1)/2 sum_i w_i P_m(x_i) f_i,
+    then int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), with P_{-1} := -P_0 so
+    that m = 0 gives x + 1. Exact for polynomials of degree < n.
+    """
+    x, w = _base_gauss(n)
+    rows = _legendre_rows(n, x)
+    below = np.vstack([-rows[:1], rows[: n - 1]])
+    s = 0.5 * (rows[1:] - below).T @ (rows[:n] * w)
+    s.setflags(write=False)
+    return s
+
+
 def basis_integrals(kind: BasisKind, iv: Interval, max_j: int) -> np.ndarray:
-    """The integrals of phi_0..phi_max_j over [t, T], computed by quadrature."""
+    """The integrals of phi_0..phi_max_j over [t, T]: sqrt(T - t) and then zeros.
+
+    phi_0 = 1/sqrt(T - t) is constant and every other phi_j is orthogonal to it.
+    """
     _check_order(kind, max_j)
-    if kind is BasisKind.LEGENDRE:
-        rule = gauss_rule(max_j // 2 + 1, iv)
-        return phi_matrix(kind, max_j, rule.nodes, iv) @ rule.weights
-    # At least two panels per period of the highest frequency present.
-    r_max = (max_j + 1) // 2
-    panels = max(2, 2 * r_max)
-    edges = np.linspace(iv.t, iv.T, panels + 1)
     out = np.zeros(max_j + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        rule = gauss_rule(16, Interval(a, b))
-        out += phi_matrix(kind, max_j, rule.nodes, iv) @ rule.weights
+    out[0] = math.sqrt(iv.length())
     return out

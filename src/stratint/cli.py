@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -37,7 +39,10 @@ _SUITES = ("golden", "orthonormality", "partitions", "trace", "fastpath")
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Comma-separated ints, e.g. '16,32,64' or a single '128'."""
-    return tuple(int(part) for part in text.strip().split(","))
+    try:
+        return tuple(int(part) for part in text.strip().split(","))
+    except ValueError:
+        raise ArgumentError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -65,13 +70,23 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --out file opened for writing and closed afterwards, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise ArgumentError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    with fh:
+        yield fh
+
+
 def _emit(args: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     """Write the result table as CSV or JSON, to --out or stdout."""
-    if args.out:
-        fh = open(args.out, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
+    with _output(args) as fh:
         if args.format == "csv":
             writer = csv.writer(fh)
             writer.writerow(columns)
@@ -90,9 +105,6 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[list]) -> Non
             }
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
@@ -348,15 +360,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "fastpath": lambda: _suite_fastpath(args.seed),
     }[args.suite]
     checks = suite()
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    failed = sum(1 for _, ok, _ in checks if not ok)
+    with _output(args) as fh:
         for name, ok, detail in checks:
             fh.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-        failed = sum(1 for _, ok, _ in checks if not ok)
         fh.write(f"{len(checks) - failed}/{len(checks)} checks passed\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0 if failed == 0 else 1
 
 

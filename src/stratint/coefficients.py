@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -10,7 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .basis import MAX_LEGENDRE_ORDER, BasisKind, Interval, gauss_rule, phi_matrix
+from .basis import (
+    MAX_LEGENDRE_ORDER,
+    BasisKind,
+    Interval,
+    _integration_matrix,
+    gauss_rule,
+    phi_matrix,
+)
 from .errors import ArgumentError, CacheFormatError, CapabilityError, StaleCacheError
 from .kernel import WeightSpec
 
@@ -28,8 +36,6 @@ MAX_MULTIPLICITY = 4
 _CACHE_MAGIC = b"STCF"
 _CACHE_VERSION = 1
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
-_TRIG_TOL = 1e-12
-_TRIG_PANEL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -94,70 +100,37 @@ def _legendre_tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...]) ->
     return data
 
 
-def _trig_tensor_at(
-    spec: WeightSpec, iv: Interval, orders: tuple[int, ...], panels: int
-) -> np.ndarray:
-    """Nested composite quadrature on a shared grid of `panels` uniform panels."""
-    k = spec.k
-    t = iv.t
-    edges = np.linspace(iv.t, iv.T, panels + 1)
-    base = gauss_rule(16, Interval(-1.0, 1.0))
-    xb, wb = base.nodes, base.weights
-    hw = 0.5 * iv.length() / panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    grid = (mids[:, None] + hw * xb[None, :]).ravel()
-    grid_w = np.broadcast_to(hw * wb, (panels, 16)).ravel()
+def _trig_nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
+    """Gauss node count N for the trigonometric tensor.
 
-    prefixes: list[np.ndarray] = []
-
-    def level_rows(level: int, pts: np.ndarray) -> np.ndarray:
-        """psi_level * phi_j at pts for every j of that level, shape (o+1, npts)."""
-        psi = spec.weights[level - 1].value(pts, t)
-        return psi * phi_matrix(BasisKind.TRIGONOMETRIC, orders[level - 1], pts, iv)
-
-    def eval_f(level: int, pts: np.ndarray) -> np.ndarray:
-        """Cumulative integral F_level(x) = int_t^x psi phi F_{level-1}, any points."""
-        if level == 0:
-            return np.ones(pts.size)
-        q = np.clip(((pts - iv.t) / (2.0 * hw)).astype(int), 0, panels - 1)
-        left = edges[q]
-        halfseg = 0.5 * (pts - left)
-        y = np.clip(left[:, None] + halfseg[:, None] * (xb + 1.0), iv.t, iv.T)
-        yw = halfseg[:, None] * wb
-        rows = level_rows(level, y.ravel())
-        inner = eval_f(level - 1, y.ravel())
-        integrand = (inner[..., None, :] * rows).reshape(
-            inner.shape[:-1] + (orders[level - 1] + 1, pts.size, 16)
-        )
-        partial = np.einsum("...pm,pm->...p", integrand, yw)
-        return prefixes[level - 1][..., q] + partial
-
-    f_grid = np.ones(grid.size)
-    for level in range(1, k):
-        integrand = (f_grid[..., None, :] * level_rows(level, grid)) * grid_w
-        per_panel = integrand.reshape(integrand.shape[:-1] + (panels, 16)).sum(-1)
-        pref = np.zeros(per_panel.shape[:-1] + (panels + 1,))
-        np.cumsum(per_panel, axis=-1, out=pref[..., 1:])
-        prefixes.append(pref)
-        f_grid = eval_f(level, grid)
-
-    integrand = f_grid[..., None, :] * level_rows(k, grid)
-    return integrand @ grid_w
+    In z on [-1, 1] the deepest integrand is a polynomial of degree
+    sum deg psi_l + k - 1 times trigonometric terms of angular frequency at most
+    pi * sum r_l, where r_l = (o_l + 1) // 2. Its Legendre series has decayed to
+    rounding level once the degree passes both by a margin.
+    """
+    freq = math.pi * sum((o + 1) // 2 for o in orders)
+    return math.ceil(freq) + sum(w.degree for w in spec.weights) + spec.k + 16
 
 
-def _trig_tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...]) -> np.ndarray:
-    """Double the shared panel count until two iterates agree to 1e-12."""
-    r_max = max((o + 1) // 2 for o in orders)
-    panels = max(2, 2 * r_max)
-    prev = _trig_tensor_at(spec, iv, orders, panels)
-    while panels < _TRIG_PANEL_CAP:
-        panels *= 2
-        cur = _trig_tensor_at(spec, iv, orders, panels)
-        tol = _TRIG_TOL * max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) < tol:
-            return cur
-        prev = cur
-    return prev
+def _trig_tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> np.ndarray:
+    """Nested integration by collocation at the n nodes of one Gauss-Legendre rule.
+
+    F_l = int_t^x psi_l phi_{j_l} F_{l-1} is held by its values at the nodes,
+    shape (o_1 + 1, ..., o_l + 1, n); each level is one product with the
+    spectral integration matrix, and the outermost level is the rule itself.
+    """
+    rule = gauss_rule(n, iv)
+    to_nodes = 0.5 * iv.length() * _integration_matrix(n).T
+
+    def level_rows(level: int) -> np.ndarray:
+        """psi_level * phi_j at the nodes for every j of that level, shape (o + 1, n)."""
+        psi = spec.weights[level].value(rule.nodes, iv.t)
+        return psi * phi_matrix(BasisKind.TRIGONOMETRIC, orders[level], rule.nodes, iv)
+
+    f = np.ones(n)
+    for level in range(spec.k - 1):
+        f = (f[..., None, :] * level_rows(level)) @ to_nodes
+    return f @ (level_rows(spec.k - 1) * rule.weights).T
 
 
 def compute_tensor(
@@ -169,7 +142,7 @@ def compute_tensor(
     if kind is BasisKind.LEGENDRE:
         data = _legendre_tensor(spec, iv, orders)
     else:
-        data = _trig_tensor(spec, iv, orders)
+        data = _trig_tensor(spec, iv, orders, _trig_nodes(spec, orders))
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 

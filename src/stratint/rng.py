@@ -35,7 +35,9 @@ def normal_stream(
         raise ArgumentError(f"seed must fit in 64 bits, got {seed}")
     if stream < 0 or component < 0 or domain < 0:
         raise ArgumentError("stream, component and domain must be >= 0")
-    bits = np.random.Philox(key=[seed, stream], counter=[0, 0, component, domain])
+    # A uint64 array keeps seeds >= 2**63 exact; a plain list would pass through float64.
+    key = np.array([seed, stream], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=[0, 0, component, domain])
     gen = np.random.Generator(bits)
     words = gen.integers(0, 2**64, size=count, dtype=np.uint64)
     # Top 53 bits give a uniform on (0, 1) bounded away from both endpoints.

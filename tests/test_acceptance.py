@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import stratint
 from stratint import (
     BasisKind,
     Interval,
@@ -293,7 +294,10 @@ def test_criterion_9_cli_reproducibility():
              "--seed", "7"],
             ["sde", "--ladder", "16,32,64,128", "--n", "20", "--seed", "7"],
         ]
+        # The child process imports the same package as the tests, installed or not.
+        src = os.path.dirname(os.path.dirname(stratint.__file__))
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for args in invocations:
             runs = [
                 subprocess.run(base + args, capture_output=True, env=env)

@@ -18,6 +18,7 @@ from stratint import (
     gauss_rule,
     phi_matrix,
 )
+from stratint.basis import _base_gauss, _integration_matrix
 
 from oracles import phi_independent
 
@@ -29,6 +30,9 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     with pytest.raises(ArgumentError):
         Interval(2.0, 1.0)
+    for t, T in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)):
+        with pytest.raises(ArgumentError):
+            Interval(t, T)
     assert Interval(0.5, 2.0).length() == 1.5
 
 
@@ -114,9 +118,20 @@ def test_gauss_rule_weight_sum():
 @pytest.mark.parametrize("iv", INTERVALS)
 def test_basis_integrals_column(kind, iv):
     got = basis_integrals(kind, iv, 15)
-    want = np.zeros(16)
-    want[0] = math.sqrt(iv.length())
-    assert np.max(np.abs(got - want)) < 1e-13
+    assert got.shape == (16,)
+    assert got[0] == pytest.approx(math.sqrt(iv.length()), rel=1e-15)
+    # phi_j for j >= 1 is orthogonal to the constant phi_0: no quadrature noise
+    assert not np.any(got[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 144, 650])
+def test_integration_matrix_exact_on_monomials(n):
+    x, _ = _base_gauss(n)
+    s = _integration_matrix(n)
+    d = np.arange(n)[:, None]
+    got = (x**d) @ s.T
+    want = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 @given(

@@ -8,11 +8,16 @@ import sys
 import numpy as np
 import pytest
 
+import stratint
+
 BIN = [sys.executable, "-m", "stratint.cli"]
+# The child process imports the same package as the tests, installed or not.
+SRC = os.path.dirname(os.path.dirname(stratint.__file__))
 
 
 def run(*args, env=None, check=True):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     proc = subprocess.run(
@@ -122,6 +127,34 @@ def test_bad_spec_usage_error():
     proc = run("sample", "--spec", "0,0", "--orders", "4", check=False)
     assert proc.returncode == 2
     assert b"error" in proc.stderr.lower()
+
+
+def test_bad_int_list_usage_error():
+    proc = run("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "2,", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"'2,'" in proc.stderr
+
+
+def test_non_finite_interval_usage_error():
+    for bad in (["0", "inf"], ["nan", "1"]):
+        proc = run("coeffs", "--basis", "legendre", "--exps", "0", "--orders", "2",
+                   "--interval", *bad, check=False)
+        assert proc.returncode == 2, bad
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:")
+
+
+@pytest.mark.parametrize("command", [
+    ["coeffs", "--basis", "legendre", "--exps", "1", "--orders", "2"],
+    ["verify", "--suite", "partitions"],
+])
+def test_unwritable_out_usage_error(tmp_path, command):
+    target = os.fspath(tmp_path / "missing" / "rows.csv")
+    proc = run(*command, "--out", target, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
 
 
 def test_converge_rows():

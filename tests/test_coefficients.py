@@ -21,6 +21,7 @@ from stratint import (
     compute_coeff,
     compute_tensor,
 )
+from stratint.coefficients import _trig_nodes, _trig_tensor
 
 from oracles import (
     legendre_k1_golden,
@@ -94,6 +95,28 @@ def test_k4_volume(kind):
     got = compute_coeff(kind, spec, iv, (0, 0, 0, 0))
     want = L**4 / 24.0 / (L * L)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+# (weight exponents, order per axis) up to k=1 o=400, k=2 o=160, k=3 o=24, k=4 o=8
+TRIG_RULE_CASES = [
+    ((3,), 400), ((0,), 57), ((2,), 1),
+    ((1, 3), 160), ((0, 2), 33),
+    ((0, 2, 3), 24), ((3, 1, 0), 5),
+    ((1, 2, 0, 3), 8), ((3, 3, 3, 3), 3),
+]
+
+
+@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(2.5, 3.75), Interval(-3.0, 97.0)])
+@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
+def test_trig_node_rule_converged(iv, exps, order):
+    # the tensor at the rule's node count already equals the one at twice as many
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    n = _trig_nodes(spec, orders)
+    got = _trig_tensor(spec, iv, orders, n)
+    ref = _trig_tensor(spec, iv, orders, 2 * n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders).data, got)
 
 
 def test_tensor_corner_matches_compute_coeff():

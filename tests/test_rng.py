@@ -1,5 +1,7 @@
 """Counter-based normal streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,25 @@ def test_validation():
     with pytest.raises(ArgumentError):
         normal_stream(0, 0, 0, -1)
     assert normal_stream(0, 0, 0, 0).shape == (0,)
+
+
+def test_seeds_above_2_63_stay_distinct():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = normal_stream(2**63 + 5, 0, 1, 8)
+        b = normal_stream(2**63 + 6, 0, 1, 8)
+        top = normal_stream(2**64 - 1, 0, 1, 8)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(b, top)
+
+
+def test_frozen_values_below_2_63():
+    # drawn before the key became a uint64 array: seeds below 2**63 keep their streams
+    want = [-0.048982517409837285, 0.18495875260625444, 0.011387309856851486,
+            1.4020163273899482]
+    assert normal_stream(2**63 - 1, 2, 1, 4).tolist() == want
+    want = [0.08918336806138849, -1.4476497886255815, 0.05464484990599225]
+    assert normal_stream(2**62 + 7, 0, 3, 3, domain=DOMAIN_PATH).tolist() == want
 
 
 def test_domain_constants():
