@@ -46,11 +46,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    """Like _parse_int_list, but a bare digit string like '00' splits per
-    digit; exponents and component indices are single digits in practice."""
+    """Like _parse_int_list, but a bare digit string like '10' is refused:
+    it could mean one exponent or index, or one per digit."""
     text = text.strip()
     if "," not in text and len(text) > 1 and text.isdigit():
-        return tuple(int(ch) for ch in text)
+        raise ArgumentError(f"ambiguous {text!r}: separate the entries with commas, e.g. "
+                            f"{','.join(text)!r}")
     return _parse_int_list(text)
 
 
@@ -121,10 +122,17 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
             tensor = cache_load(args.cache, kind, spec, iv, orders)
         except (StaleCacheError, CacheFormatError):
             tensor = None
+        except OSError as exc:
+            raise ArgumentError(f"cannot read --cache {args.cache!r}: {exc.strerror}") from None
     if tensor is None:
         tensor = compute_tensor(kind, spec, iv, orders)
         if args.cache:
-            cache_store(args.cache, tensor)
+            try:
+                cache_store(args.cache, tensor)
+            except OSError as exc:
+                raise ArgumentError(
+                    f"cannot write --cache {args.cache!r}: {exc.strerror}"
+                ) from None
     columns = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
     rows = [list(idx) + [float(tensor.data[idx])] for idx in np.ndindex(tensor.data.shape)]
     _emit(args, columns, rows)
@@ -149,6 +157,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ArgumentError(f"--n must be >= 1, got {args.n}")
     basis, k = CLOSED_FORM_NAMES[args.name]
     iv = Interval(args.interval[0], args.interval[1])
     indices = _parse_ints(args.indices) if args.indices else ((1,) if k == 1 else (1, 2))

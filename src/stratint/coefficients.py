@@ -9,7 +9,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .basis import (
     MAX_LEGENDRE_ORDER,
@@ -32,6 +31,8 @@ __all__ = [
 ]
 
 MAX_MULTIPLICITY = 4
+# Rough peak memory of one tensor build; larger requests raise CapabilityError.
+MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
 _CACHE_VERSION = 1
@@ -63,74 +64,68 @@ def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> Non
         raise CapabilityError(f"Legendre orders supported up to {MAX_LEGENDRE_ORDER}, got {orders}")
 
 
-def _poly_u_to_leg(coeffs_u: tuple[float, ...], half: float) -> np.ndarray:
-    """Legendre series in z of a polynomial in u = half * (z + 1), Horner form."""
-    u_leg = np.array([half, half])
-    acc = np.array([float(coeffs_u[-1])])
-    for c in coeffs_u[-2::-1]:
-        acc = npleg.legadd(npleg.legmul(acc, u_leg), [float(c)])
-    return acc
+def _nodes(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> int:
+    """Gauss node count N for the collocation in _tensor.
 
-
-def _legendre_tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...]) -> np.ndarray:
-    """Exact nested integration in Legendre-series space on z in [-1, 1]."""
-    length = iv.length()
-    half = 0.5 * length
-    k = spec.k
-    psi_leg = [_poly_u_to_leg(w.coeffs, half) for w in spec.weights]
-    scales = [np.sqrt((2.0 * np.arange(o + 1) + 1.0) / length) for o in orders]
-    data = np.zeros(tuple(o + 1 for o in orders))
-
-    def rec(level: int, series: np.ndarray, idx: tuple[int, ...]) -> None:
-        if level == k - 1:
-            # Against an orthonormal phi_j the outer integral reads off one
-            # series entry: int P_j * W = W[j] * 2 / (2j + 1).
-            w = npleg.legmul(psi_leg[level], series)
-            n = min(orders[level] + 1, len(w))
-            j = np.arange(n)
-            data[idx + (slice(0, n),)] = half * scales[level][:n] * w[:n] * (2.0 / (2.0 * j + 1.0))
-            return
-        for j in range(orders[level] + 1):
-            phi = np.zeros(j + 1)
-            phi[j] = scales[level][j]
-            inner = npleg.legmul(psi_leg[level], npleg.legmul(phi, series))
-            rec(level + 1, half * npleg.legint(inner, lbnd=-1), idx + (j,))
-
-    rec(0, np.array([1.0]), ())
-    return data
-
-
-def _trig_nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
-    """Gauss node count N for the trigonometric tensor.
-
-    In z on [-1, 1] the deepest integrand is a polynomial of degree
-    sum deg psi_l + k - 1 times trigonometric terms of angular frequency at most
-    pi * sum r_l, where r_l = (o_l + 1) // 2. Its Legendre series has decayed to
-    rounding level once the degree passes both by a margin.
+    Legendre: inner integrands have degree < N, where the integration matrix is
+    exact, and the last one degree <= 2N - 1, where the rule is. Trigonometric:
+    in z on [-1, 1] the deepest integrand is a polynomial of degree sum deg psi_l
+    + k - 1 times terms of angular frequency up to pi * sum (o_l + 1) // 2; its
+    Legendre series is at rounding level once N passes both by a margin.
     """
-    freq = math.pi * sum((o + 1) // 2 for o in orders)
-    return math.ceil(freq) + sum(w.degree for w in spec.weights) + spec.k + 16
+    degree = sum(w.degree for w in spec.weights) + spec.k
+    if kind is BasisKind.LEGENDRE:
+        return sum(orders) + degree
+    return math.ceil(math.pi * sum((o + 1) // 2 for o in orders)) + degree + 16
 
 
-def _trig_tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> np.ndarray:
+def _tensor(
+    kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int
+) -> np.ndarray:
     """Nested integration by collocation at the n nodes of one Gauss-Legendre rule.
 
     F_l = int_t^x psi_l phi_{j_l} F_{l-1} is held by its values at the nodes,
-    shape (o_1 + 1, ..., o_l + 1, n); each level is one product with the
-    spectral integration matrix, and the outermost level is the rule itself.
+    shape (o_1 + 1, ..., o_l + 1, n); each level is one product with the spectral
+    integration matrix, the outermost level is the rule itself. C depends on [t, T]
+    only through T - t; nodes on [0, T - t] keep rounding of order eps * |t| out.
     """
+    iv = Interval(0.0, iv.length())
     rule = gauss_rule(n, iv)
-    to_nodes = 0.5 * iv.length() * _integration_matrix(n).T
 
     def level_rows(level: int) -> np.ndarray:
         """psi_level * phi_j at the nodes for every j of that level, shape (o + 1, n)."""
-        psi = spec.weights[level].value(rule.nodes, iv.t)
-        return psi * phi_matrix(BasisKind.TRIGONOMETRIC, orders[level], rule.nodes, iv)
+        psi = spec.weights[level].value(rule.nodes, 0.0)
+        return psi * phi_matrix(kind, orders[level], rule.nodes, iv)
 
     f = np.ones(n)
-    for level in range(spec.k - 1):
+    for level in range(spec.k - 1):  # inside the loop: k = 1 needs no integration matrix
+        to_nodes = 0.5 * iv.length() * _integration_matrix(n).T
         f = (f[..., None, :] * level_rows(level)) @ to_nodes
     return f @ (level_rows(spec.k - 1) * rule.weights).T
+
+
+def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
+    """Mask of the Legendre coefficients that vanish by degree and parity alone.
+
+    Each nested integral in z on [-1, 1] is tracked by the span lo..hi of its
+    Legendre series and its parity (0 even, 1 odd, 2 mixed). P_j P_m spans
+    |j - m|..j + m with parity j + m; a weight of degree d >= 1 widens the span
+    by d and mixes the parity; int_{-1}^z P_m = (P_{m+1} - P_{m-1}) / (2m + 1)
+    flips the parity for m >= 1, while P_0 integrates to P_1 + P_0. The outer
+    integral keeps only the P_0 entry: zero when lo > 0 or the parity is odd.
+    """
+    lo = hi = par = np.zeros((), dtype=np.int64)
+    for level, (w, o) in enumerate(zip(spec.weights, orders)):
+        j = np.arange(o + 1)
+        lo, hi, par = lo[..., None], hi[..., None], par[..., None]
+        lo, hi = np.maximum(np.maximum(lo - j, j - hi), 0), hi + j
+        par = np.where(par == 2, 2, (par + j) % 2)
+        if w.degree:
+            lo, hi, par = np.maximum(lo - w.degree, 0), hi + w.degree, np.full_like(par, 2)
+        if level < spec.k - 1:
+            par = np.where((par == 2) | ((lo == 0) & (par == 0)), 2, 1 - par)
+            lo, hi = np.maximum(lo - 1, 0), hi + 1
+    return (lo > 0) | (par == 1)
 
 
 def compute_tensor(
@@ -139,10 +134,14 @@ def compute_tensor(
     """Every coefficient with j_l <= orders[l-1], as one read-only array."""
     orders = tuple(int(o) for o in orders)
     _validate(kind, spec, orders)
+    n = _nodes(kind, spec, orders)
+    # the deepest level's two work arrays, the result (no larger) and the N x N matrices
+    work = math.prod(o + 1 for o in orders[:-1]) * n
+    if 8 * (3 * work + n * n) > MAX_TENSOR_BYTES:
+        raise CapabilityError(f"orders {orders} need over {MAX_TENSOR_BYTES >> 30} GiB to build")
+    data = _tensor(kind, spec, iv, orders, n)
     if kind is BasisKind.LEGENDRE:
-        data = _legendre_tensor(spec, iv, orders)
-    else:
-        data = _trig_tensor(spec, iv, orders, _trig_nodes(spec, orders))
+        data[_structural_zeros(spec, orders)] = 0.0
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 

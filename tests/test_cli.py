@@ -157,6 +157,37 @@ def test_unwritable_out_usage_error(tmp_path, command):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cache", ["missing/t.stcf", "."])
+def test_unusable_cache_usage_error(tmp_path, cache):
+    # a path in a missing directory cannot be written, a directory cannot be read
+    proc = run("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "2",
+               "--cache", os.fspath(tmp_path / cache), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"--cache" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_converge_needs_rows(n):
+    proc = run("converge", "--n", n, "--p-ref", "4", "--p-ladder", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+
+
+@pytest.mark.parametrize("command", [
+    ["coeffs", "--basis", "legendre", "--exps", "10", "--orders", "2"],
+    ["sample", "--spec", "00:12", "--n", "2"],
+])
+def test_bare_digit_string_usage_error(command):
+    proc = run(*command, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+    assert b"comma" in proc.stderr
+
+
 def test_converge_rows():
     out = run("converge", "--p-ladder", "1,2,4", "--p-ref", "16", "--n", "200",
               "--seed", "3").stdout.decode()

@@ -21,7 +21,8 @@ from stratint import (
     compute_coeff,
     compute_tensor,
 )
-from stratint.coefficients import _trig_nodes, _trig_tensor
+from stratint import coefficients
+from stratint.coefficients import _nodes, _structural_zeros, _tensor
 
 from oracles import (
     legendre_k1_golden,
@@ -106,17 +107,79 @@ TRIG_RULE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(2.5, 3.75), Interval(-3.0, 97.0)])
-@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
-def test_trig_node_rule_converged(iv, exps, order):
+RULE_INTERVALS = [Interval(0.0, 1.0), Interval(2.5, 3.75), Interval(-3.0, 97.0)]
+
+
+def _check_node_rule(kind, iv, exps, order):
     # the tensor at the rule's node count already equals the one at twice as many
     spec = WeightSpec.from_exponents(exps)
     orders = (order,) * len(exps)
-    n = _trig_nodes(spec, orders)
-    got = _trig_tensor(spec, iv, orders, n)
-    ref = _trig_tensor(spec, iv, orders, 2 * n)
+    n = _nodes(kind, spec, orders)
+    got = _tensor(kind, spec, iv, orders, n)
+    ref = _tensor(kind, spec, iv, orders, 2 * n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders).data, got)
+    if kind is BasisKind.LEGENDRE:
+        got[_structural_zeros(spec, orders)] = 0.0
+    assert np.array_equal(compute_tensor(kind, spec, iv, orders).data, got)
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
+def test_trig_node_rule_converged(iv, exps, order):
+    _check_node_rule(BasisKind.TRIGONOMETRIC, iv, exps, order)
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
+def test_legendre_node_rule_converged(iv, exps, order):
+    _check_node_rule(BasisKind.LEGENDRE, iv, exps, order)
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", [
+    ((0,), 24), ((3,), 24), ((1,), 7),
+    ((0, 0), 16), ((2, 1), 16), ((0, 3), 16), ((3, 3), 12),
+    ((0, 0, 0), 8), ((1, 0, 2), 8), ((0, 3, 1), 8),
+    ((0, 0, 0, 0), 5), ((0, 1, 0, 0), 5), ((3, 0, 0, 2), 5),
+])
+def test_structural_zeros_sound(iv, exps, order):
+    # every entry the support rule zeroes is rounding noise in the unmasked collocation
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    raw = _tensor(BasisKind.LEGENDRE, spec, iv, orders, _nodes(BasisKind.LEGENDRE, spec, orders))
+    zero = _structural_zeros(spec, orders)
+    assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+def test_legendre_k2_zeros_exact(iv):
+    data = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 0)), iv, (40, 40)).data
+    j1, j2 = np.indices(data.shape)
+    assert np.all(np.diag(data)[1:] == 0.0)
+    assert np.all(data[abs(j1 - j2) >= 2] == 0.0)
+
+
+@pytest.mark.parametrize("kind,exps,order", [
+    (BasisKind.TRIGONOMETRIC, (0,), 10**7),
+    (BasisKind.LEGENDRE, (0, 0, 0, 0), 512),
+])
+def test_oversized_request_refused_before_allocating(monkeypatch, kind, exps, order):
+    def no_rule(*args):
+        raise AssertionError("gauss_rule called")
+
+    monkeypatch.setattr(coefficients, "gauss_rule", no_rule)
+    with pytest.raises(CapabilityError):
+        compute_tensor(kind, WeightSpec.from_exponents(exps), Interval(0.0, 1.0),
+                       (order,) * len(exps))
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_tensor_depends_on_length_only(kind):
+    # far from 0 the nodes still sit on [0, T - t], so t adds no rounding
+    spec = WeightSpec.from_exponents((2, 0))
+    near = compute_tensor(kind, spec, Interval(0.0, 1.25), (12, 12)).data
+    far = compute_tensor(kind, spec, Interval(1e6, 1e6 + 1.25), (12, 12)).data
+    assert np.array_equal(near, far)
 
 
 def test_tensor_corner_matches_compute_coeff():
