@@ -35,6 +35,8 @@ __all__ = ["main", "build_parser"]
 
 _PROBLEMS = {"gbm": gbm, "two-noise": two_noise}
 _SUITES = ("golden", "orthonormality", "partitions", "trace", "fastpath")
+# converge draws its rows as batched tables of at most this many streams
+_CONVERGE_BLOCK = 2048
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -166,12 +168,14 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m = max(indices)
     max_j = 2 * args.p_ref if basis is BasisKind.TRIGONOMETRIC else args.p_ref
     sq = np.zeros(len(ladder))
-    for r in range(args.n):
-        table = draw_table(m, max_j, basis, iv, args.seed, stream=r)
+    for lo in range(0, args.n, _CONVERGE_BLOCK):
+        rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
+        table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
         ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
         for li, p in enumerate(ladder):
             d = sample_closed_form(args.name, table, iv, p, indices) - ref
-            sq[li] += d * d
+            # a running sum in row order, as if each d * d were added in turn
+            sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
     rows = [[int(p), float(sq[li] / args.n)] for li, p in enumerate(ladder)]
     _emit(args, ["p", "mse"], rows)
     return 0

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,11 @@ _BATCH_CHUNK = 256
 
 @dataclass(frozen=True)
 class GaussianTable:
-    """Variates zeta_j^(i) in rows 1..m; row 0 holds the deterministic dt column int phi_j."""
+    """Variates zeta_j^(i) in rows 1..m; row 0 holds the deterministic dt column int phi_j.
+
+    `values` is (m + 1, max_j + 1) for one stream, or (n, m + 1, max_j + 1)
+    for a batch, where `stream` holds the n stream numbers.
+    """
 
     m: int
     max_j: int
@@ -39,7 +45,7 @@ class GaussianTable:
     basis: BasisKind
     iv: Interval
     seed: int
-    stream: int = 0
+    stream: int | Sequence[int] = 0
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -79,17 +85,25 @@ class TruncationOrders:
 
 
 def draw_table(
-    m: int, max_j: int, basis: BasisKind, iv: Interval, seed: int, stream: int = 0
+    m: int,
+    max_j: int,
+    basis: BasisKind,
+    iv: Interval,
+    seed: int,
+    stream: int | Sequence[int] = 0,
 ) -> GaussianTable:
-    """Deterministic table for (seed, stream): m rows of N(0,1) plus the dt row."""
+    """Deterministic table for (seed, stream): m rows of N(0,1) plus the dt row.
+
+    A sequence or range of streams gives a batch of shape (n, m + 1, max_j + 1)
+    whose row r is the table of stream[r].
+    """
     if m < 1:
         raise ArgumentError(f"need m >= 1 Wiener components, got {m}")
     if max_j < 0:
         raise ArgumentError(f"need max_j >= 0, got {max_j}")
-    values = np.empty((m + 1, max_j + 1))
-    values[0] = basis_integrals(basis, iv, max_j)
-    for i in range(1, m + 1):
-        values[i] = normal_stream(seed, stream, i, max_j + 1, DOMAIN_TABLE)
+    noise = [normal_stream(seed, stream, i, max_j + 1, DOMAIN_TABLE) for i in range(1, m + 1)]
+    dt = np.broadcast_to(basis_integrals(basis, iv, max_j), noise[0].shape)
+    values = np.stack([dt, *noise], axis=-2)
     return GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
                          seed=seed, stream=stream)
 
@@ -116,6 +130,8 @@ def sample_truncated(
     """
     k = ispec.spec.k
     _check_provenance(ispec, tensor, table)
+    if table.values.ndim != 2:
+        raise ArgumentError("sample_truncated takes the table of one stream, not a batch")
     if len(orders.p) != k:
         raise ArgumentError(f"need {k} truncation orders, got {len(orders.p)}")
     if any(p > o for p, o in zip(orders.p, tensor.orders)):
@@ -136,65 +152,85 @@ def _gate(cond: bool, value: float) -> float:
     return value if cond else 0.0
 
 
+def _rowsum(terms: np.ndarray) -> np.ndarray:
+    """np.sum of each 1-D row along the last axis.
+
+    A batch row then has the bytes of the same series summed from one table.
+    np.sum(axis=-1) does not: the terms come out of `a[..., idx]` column-major,
+    and numpy then adds across rows in a grouping that differs from the 1-D
+    pairwise sum once a row has 8 or more terms.
+    """
+    if terms.ndim == 1:
+        return np.sum(terms)
+    rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
+    return np.array([np.sum(row) for row in rows]).reshape(terms.shape[:-1])
+
+
 def _leg_k1(a: np.ndarray, length: float, p: int, kind: str) -> float:
     if kind == "I0":
-        return math.sqrt(length) * a[0]
+        return np.sqrt(length) * a[..., 0]
     if kind == "I1":
-        s = a[0] + _gate(p >= 1, a[1] / math.sqrt(3.0))
+        s = a[..., 0] + _gate(p >= 1, a[..., 1] / math.sqrt(3.0))
         return -0.5 * length**1.5 * s
     if kind == "I2":
-        s = a[0] + _gate(p >= 1, 0.5 * math.sqrt(3.0) * a[1])
-        s += _gate(p >= 2, a[2] / (2.0 * math.sqrt(5.0)))
+        s = a[..., 0] + _gate(p >= 1, 0.5 * math.sqrt(3.0) * a[..., 1])
+        s += _gate(p >= 2, a[..., 2] / (2.0 * math.sqrt(5.0)))
         return length**2.5 / 3.0 * s
-    s = a[0] + _gate(p >= 1, 0.6 * math.sqrt(3.0) * a[1])
-    s += _gate(p >= 2, a[2] / math.sqrt(5.0)) + _gate(p >= 3, a[3] / (5.0 * math.sqrt(7.0)))
+    s = a[..., 0] + _gate(p >= 1, 0.6 * math.sqrt(3.0) * a[..., 1])
+    s += (_gate(p >= 2, a[..., 2] / math.sqrt(5.0))
+          + _gate(p >= 3, a[..., 3] / (5.0 * math.sqrt(7.0))))
     return -0.25 * length**3.5 * s
 
 
-def _i00(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
+def _i00(a: np.ndarray, b: np.ndarray, length: float | np.ndarray, p: int) -> float:
     i = np.arange(1, p + 1)
-    band = np.sum((a[i - 1] * b[i] - a[i] * b[i - 1]) / np.sqrt(4.0 * i * i - 1.0))
-    return 0.5 * length * (a[0] * b[0] + band)
+    band = _rowsum(
+        (a[..., i - 1] * b[..., i] - a[..., i] * b[..., i - 1]) / np.sqrt(4.0 * i * i - 1.0)
+    )
+    return 0.5 * length * (a[..., 0] * b[..., 0] + band)
 
 
 def _i01(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, a[0] * b[1] / math.sqrt(3.0))
+    br = _gate(p >= 1, a[..., 0] * b[..., 1] / math.sqrt(3.0))
     if p >= 2:
         i = np.arange(p - 1)
-        br += np.sum(
-            ((i + 2) * a[i] * b[i + 2] - (i + 1) * a[i + 2] * b[i])
+        br += _rowsum(
+            ((i + 2) * a[..., i] * b[..., i + 2] - (i + 1) * a[..., i + 2] * b[..., i])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
         )
     i = np.arange(p + 1)
-    br -= np.sum(a[i] * b[i] / ((2.0 * i - 1) * (2 * i + 3)))
+    br -= _rowsum(a[..., i] * b[..., i] / ((2.0 * i - 1) * (2 * i + 3)))
     return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
 
 
 def _i10(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, b[0] * a[1] / math.sqrt(3.0))
+    br = _gate(p >= 1, b[..., 0] * a[..., 1] / math.sqrt(3.0))
     if p >= 2:
         i = np.arange(p - 1)
-        br += np.sum(
-            ((i + 1) * b[i + 2] * a[i] - (i + 2) * b[i] * a[i + 2])
+        br += _rowsum(
+            ((i + 1) * b[..., i + 2] * a[..., i] - (i + 2) * b[..., i] * a[..., i + 2])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
         )
     i = np.arange(p + 1)
-    br += np.sum(a[i] * b[i] / ((2.0 * i - 1) * (2 * i + 3)))
+    br += _rowsum(a[..., i] * b[..., i] / ((2.0 * i - 1) * (2 * i + 3)))
     return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
 
 
 def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = a[0] * b[0] / 3.0 + _gate(p >= 2, 2.0 * b[2] * a[0] / (3.0 * math.sqrt(5.0)))
+    br = a[..., 0] * b[..., 0] / 3.0
+    br += _gate(p >= 2, 2.0 * b[..., 2] * a[..., 0] / (3.0 * math.sqrt(5.0)))
     if p >= 3:
         i = np.arange(p - 2)
-        br += np.sum(
-            ((i + 2.0) * (i + 3) * b[i + 3] * a[i] - (i + 1.0) * (i + 2) * b[i] * a[i + 3])
+        br += _rowsum(
+            ((i + 2.0) * (i + 3) * b[..., i + 3] * a[..., i]
+             - (i + 1.0) * (i + 2) * b[..., i] * a[..., i + 3])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
         )
     if p >= 1:
         i = np.arange(p)
-        br += np.sum(
-            ((i * i + i - 3.0) * b[i + 1] * a[i] - (i * i + 3.0 * i - 1) * b[i] * a[i + 1])
+        br += _rowsum(
+            ((i * i + i - 3.0) * b[..., i + 1] * a[..., i]
+             - (i * i + 3.0 * i - 1) * b[..., i] * a[..., i + 1])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
         )
     return (
@@ -205,17 +241,20 @@ def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 
 def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = a[0] * b[0] / 3.0 + _gate(p >= 2, 2.0 * b[0] * a[2] / (3.0 * math.sqrt(5.0)))
+    br = a[..., 0] * b[..., 0] / 3.0
+    br += _gate(p >= 2, 2.0 * b[..., 0] * a[..., 2] / (3.0 * math.sqrt(5.0)))
     if p >= 3:
         i = np.arange(p - 2)
-        br += np.sum(
-            ((i + 1.0) * (i + 2) * b[i + 3] * a[i] - (i + 2.0) * (i + 3) * b[i] * a[i + 3])
+        br += _rowsum(
+            ((i + 1.0) * (i + 2) * b[..., i + 3] * a[..., i]
+             - (i + 2.0) * (i + 3) * b[..., i] * a[..., i + 3])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
         )
     if p >= 1:
         i = np.arange(p)
-        br += np.sum(
-            ((i * i + 3.0 * i - 1) * b[i + 1] * a[i] - (i * i + i - 3.0) * b[i] * a[i + 1])
+        br += _rowsum(
+            ((i * i + 3.0 * i - 1) * b[..., i + 1] * a[..., i]
+             - (i * i + i - 3.0) * b[..., i] * a[..., i + 1])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
         )
     return (
@@ -226,17 +265,17 @@ def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 
 def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, a[1] * b[1] / 3.0)
+    br = _gate(p >= 1, a[..., 1] * b[..., 1] / 3.0)
     if p >= 3:
         i = np.arange(p - 2)
-        br += np.sum(
-            (i + 1.0) * (i + 3) * (b[i + 3] * a[i] - b[i] * a[i + 3])
+        br += _rowsum(
+            (i + 1.0) * (i + 3) * (b[..., i + 3] * a[..., i] - b[..., i] * a[..., i + 3])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
         )
     if p >= 1:
         i = np.arange(p)
-        br += np.sum(
-            (i + 1.0) ** 2 * (b[i + 1] * a[i] - b[i] * a[i + 1])
+        br += _rowsum(
+            (i + 1.0) ** 2 * (b[..., i + 1] * a[..., i] - b[..., i] * a[..., i + 1])
             / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
         )
     return (
@@ -248,65 +287,49 @@ def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 def _i1t(a: np.ndarray, length: float, p: int) -> float:
     r = np.arange(1, p + 1)
-    s = a[0] - math.sqrt(2.0) / math.pi * np.sum(a[2 * r - 1] / r)
+    s = a[..., 0] - math.sqrt(2.0) / math.pi * _rowsum(a[..., 2 * r - 1] / r)
     return -0.5 * length**1.5 * s
 
 
 def _i2t(a: np.ndarray, length: float, p: int) -> float:
     r = np.arange(1, p + 1)
-    s = a[0] / 3.0
-    s += np.sum(a[2 * r] / (r * r)) / (math.sqrt(2.0) * math.pi**2)
-    s -= np.sum(a[2 * r - 1] / r) / (math.sqrt(2.0) * math.pi)
+    s = a[..., 0] / 3.0
+    s += _rowsum(a[..., 2 * r] / (r * r)) / (math.sqrt(2.0) * math.pi**2)
+    s -= _rowsum(a[..., 2 * r - 1] / r) / (math.sqrt(2.0) * math.pi)
     return length**2.5 * s
 
 
 def _i00t(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    s = a[0] * b[0]
+    s = a[..., 0] * b[..., 0]
     if p >= 1:
         r = np.arange(1, p + 1)
-        s += np.sum(
-            (a[2 * r] * b[2 * r - 1] - a[2 * r - 1] * b[2 * r]
-             + math.sqrt(2.0) * (a[2 * r - 1] * b[0] - a[0] * b[2 * r - 1])) / r
+        a0, b0 = a[..., :1], b[..., :1]
+        s += _rowsum(
+            (a[..., 2 * r] * b[..., 2 * r - 1] - a[..., 2 * r - 1] * b[..., 2 * r]
+             + math.sqrt(2.0) * (a[..., 2 * r - 1] * b0 - a0 * b[..., 2 * r - 1])) / r
         ) / math.pi
     return 0.5 * length * s
 
 
-# name -> weight exponents (l_1 innermost), matching the digits in the name
-CLOSED_FORM_EXPONENTS = {
-    "I0": (0,),
-    "I1": (1,),
-    "I2": (2,),
-    "I3": (3,),
-    "I00": (0, 0),
-    "I01": (0, 1),
-    "I10": (1, 0),
-    "I02": (0, 2),
-    "I20": (2, 0),
-    "I11": (1, 1),
-    "I1t": (1,),
-    "I2t": (2,),
-    "I00t": (0, 0),
+# name -> (basis, weight exponents l_1.. innermost first, evaluator on the
+# table rows of its component indices); the digits in the name are the exponents
+_CLOSED_FORMS = {
+    "I0": (BasisKind.LEGENDRE, (0,), functools.partial(_leg_k1, kind="I0")),
+    "I1": (BasisKind.LEGENDRE, (1,), functools.partial(_leg_k1, kind="I1")),
+    "I2": (BasisKind.LEGENDRE, (2,), functools.partial(_leg_k1, kind="I2")),
+    "I3": (BasisKind.LEGENDRE, (3,), functools.partial(_leg_k1, kind="I3")),
+    "I00": (BasisKind.LEGENDRE, (0, 0), _i00),
+    "I01": (BasisKind.LEGENDRE, (0, 1), _i01),
+    "I10": (BasisKind.LEGENDRE, (1, 0), _i10),
+    "I02": (BasisKind.LEGENDRE, (0, 2), _i02),
+    "I20": (BasisKind.LEGENDRE, (2, 0), _i20),
+    "I11": (BasisKind.LEGENDRE, (1, 1), _i11),
+    "I1t": (BasisKind.TRIGONOMETRIC, (1,), _i1t),
+    "I2t": (BasisKind.TRIGONOMETRIC, (2,), _i2t),
+    "I00t": (BasisKind.TRIGONOMETRIC, (0, 0), _i00t),
 }
-
-# name -> (basis, multiplicity)
-CLOSED_FORM_NAMES = {
-    "I0": (BasisKind.LEGENDRE, 1),
-    "I1": (BasisKind.LEGENDRE, 1),
-    "I2": (BasisKind.LEGENDRE, 1),
-    "I3": (BasisKind.LEGENDRE, 1),
-    "I00": (BasisKind.LEGENDRE, 2),
-    "I01": (BasisKind.LEGENDRE, 2),
-    "I10": (BasisKind.LEGENDRE, 2),
-    "I02": (BasisKind.LEGENDRE, 2),
-    "I20": (BasisKind.LEGENDRE, 2),
-    "I11": (BasisKind.LEGENDRE, 2),
-    "I1t": (BasisKind.TRIGONOMETRIC, 1),
-    "I2t": (BasisKind.TRIGONOMETRIC, 1),
-    "I00t": (BasisKind.TRIGONOMETRIC, 2),
-}
-
-_PAIR_FUNCS = {"I00": _i00, "I01": _i01, "I10": _i10, "I02": _i02,
-               "I20": _i20, "I11": _i11, "I00t": _i00t}
+CLOSED_FORM_EXPONENTS = {name: exps for name, (_, exps, _) in _CLOSED_FORMS.items()}
+CLOSED_FORM_NAMES = {name: (basis, len(exps)) for name, (basis, exps, _) in _CLOSED_FORMS.items()}
 
 
 def sample_closed_form(
@@ -315,15 +338,17 @@ def sample_closed_form(
     iv: Interval,
     p: int,
     indices: tuple[int, ...] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Evaluate one of the printed series at truncation p (all indices <= p; trig <= 2p).
 
     Chained names substitute their referenced sub-integrals truncated at the
-    same p, so the value is a pure function of (table, p).
+    same p, so the value is a pure function of (table, p). A batched table
+    gives one value per row, each equal to the value of that row's own table.
     """
-    if name not in CLOSED_FORM_NAMES:
+    if name not in _CLOSED_FORMS:
         raise ArgumentError(f"unknown closed form {name!r}")
-    basis, k = CLOSED_FORM_NAMES[name]
+    basis, exps, evaluate = _CLOSED_FORMS[name]
+    k = len(exps)
     if p < 0:
         raise ArgumentError(f"truncation order must be >= 0, got {p}")
     if table.basis is not basis:
@@ -339,16 +364,8 @@ def sample_closed_form(
         raise ArgumentError(f"{name} needs {k} component indices, got {len(indices)}")
     if any(not 1 <= i <= table.m for i in indices):
         raise ArgumentError(f"component indices must be in 1..{table.m}, got {indices}")
-    length = iv.length()
-    a = table.values[indices[0]]
-    if k == 1:
-        if name == "I1t":
-            return _i1t(a, length, p)
-        if name == "I2t":
-            return _i2t(a, length, p)
-        return _leg_k1(a, length, p, name)
-    b = table.values[indices[1]]
-    return _PAIR_FUNCS[name](a, b, length, p)
+    rows = [table.values[..., i, :] for i in indices]
+    return evaluate(*rows, iv.length(), p)
 
 
 def _normalize_orders(

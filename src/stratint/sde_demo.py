@@ -7,10 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisKind, Interval
+from .basis import Interval
 from .errors import ArgumentError
-from .rng import DOMAIN_PATH, normal_stream
-from .sampler import draw_table, sample_closed_form
+from .rng import DOMAIN_PATH, DOMAIN_TABLE, normal_stream
+# draw_table and sample_closed_form stay module attributes here, where
+# perfbench/tracer.py wraps them; integrate evaluates I00 through _i00.
+from .sampler import _i00, draw_table, sample_closed_form  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -114,28 +116,38 @@ def _milstein_step(
 def integrate(
     problem: SdeProblem, scheme: str, steps: int, seed: int, p: int = 10
 ) -> np.ndarray:
-    """Advance from x0 to t_end in `steps` steps, one fresh table per step."""
+    """Advance from x0 to t_end in `steps` steps, one fresh table per step.
+
+    Step s reads the table rows of stream s (those of draw_table(..., stream=s)
+    on its own interval); all steps are drawn and their Levy areas evaluated
+    in one batch before the state is advanced.
+    """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}, pick one of {SCHEMES}")
     if steps < 1:
         raise ArgumentError(f"need steps >= 1, got {steps}")
+    if p < 0:
+        raise ArgumentError(f"need p >= 0, got {p}")
     x = np.array(problem.x0, dtype=float)
     m = problem.m
+    hs = [
+        Interval(problem.t_end * s / steps, problem.t_end * (s + 1) / steps).length()
+        for s in range(steps)
+    ]
+    h = np.array(hs)
+    # z[s, i - 1] is the row of Wiener component i in the table of step s
+    z = np.stack(
+        [normal_stream(seed, range(steps), i, p + 1, DOMAIN_TABLE) for i in range(1, m + 1)],
+        axis=1,
+    )
+    dw = np.sqrt(h)[:, None] * z[..., 0]
+    if scheme == "milstein":
+        areas = _i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p)
     for step in range(steps):
-        t0 = problem.t_end * step / steps
-        t1 = problem.t_end * (step + 1) / steps
-        iv = Interval(t0, t1)
-        h = iv.length()
-        table = draw_table(m, p, BasisKind.LEGENDRE, iv, seed, stream=step)
-        dw = np.sqrt(h) * table.values[1:, 0]
         if scheme == "euler":
-            x = _euler_step(problem, x, h, dw)
-            continue
-        areas = np.empty((m, m))
-        for i1 in range(m):
-            for i2 in range(m):
-                areas[i1, i2] = sample_closed_form("I00", table, iv, p, (i1 + 1, i2 + 1))
-        x = _milstein_step(problem, x, h, dw, areas)
+            x = _euler_step(problem, x, hs[step], dw[step])
+        else:
+            x = _milstein_step(problem, x, hs[step], dw[step], areas[step])
     return x
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stratint
+from stratint import cli
 
 BIN = [sys.executable, "-m", "stratint.cli"]
 # The child process imports the same package as the tests, installed or not.
@@ -195,6 +196,25 @@ def test_converge_rows():
     assert lines[0] == "p,mse"
     mses = [float(l.split(",")[1]) for l in lines[1:]]
     assert mses == sorted(mses, reverse=True)
+
+
+def test_converge_frozen_bytes():
+    # recorded when every row drew its own table and evaluated its own closed forms
+    out = run("converge", "--p-ladder", "1,2,4", "--p-ref", "16", "--n", "50",
+              "--seed", "0").stdout
+    assert out == (b"p,mse\r\n1,0.092736876372392626\r\n2,0.056881432977873646\r\n"
+                   b"4,0.026990601611579033\r\n")
+
+
+def test_converge_blocks_keep_bytes(tmp_path, monkeypatch):
+    # rows are drawn in blocks of streams; the squared errors still add up in row order
+    argv = ["converge", "--name", "I01", "--p-ladder", "0,3,9", "--p-ref", "12", "--n", "30",
+            "--seed", "5"]
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    assert cli.main(argv + ["--out", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_CONVERGE_BLOCK", 7)
+    assert cli.main(argv + ["--out", str(blocks)]) == 0
+    assert blocks.read_bytes() == whole.read_bytes()
 
 
 def test_sde_rows():

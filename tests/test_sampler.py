@@ -224,3 +224,51 @@ def test_table_provenance_frozen():
     assert isinstance(table, GaussianTable)
     with pytest.raises(ValueError):
         table.values[0, 0] = 2.0
+
+
+def test_draw_table_batch_rows_are_stream_tables():
+    for basis, iv in ((BasisKind.LEGENDRE, IV2), (BasisKind.TRIGONOMETRIC, IV)):
+        batch = draw_table(3, 9, basis, iv, seed=2**63 + 4, stream=range(5, 12))
+        assert batch.values.shape == (7, 4, 10)
+        assert batch.stream == range(5, 12)
+        for r, stream in enumerate(range(5, 12)):
+            one = draw_table(3, 9, basis, iv, seed=2**63 + 4, stream=stream)
+            assert batch.values[r].tobytes() == one.values.tobytes()
+    assert draw_table(2, 4, BasisKind.LEGENDRE, IV, seed=1, stream=range(0)).values.shape == (
+        0, 3, 5)
+
+
+def test_sample_truncated_refuses_a_batch():
+    spec = WeightSpec.from_exponents((0, 0))
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV)
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV, (4, 4))
+    batch = draw_table(2, 4, BasisKind.LEGENDRE, IV, seed=1, stream=range(3))
+    with pytest.raises(ArgumentError):
+        sample_truncated(ispec, tensor, batch, TruncationOrders.uniform(2, 4))
+
+
+def test_closed_form_registry_views():
+    for name, exps in CLOSED_FORM_EXPONENTS.items():
+        basis, k = CLOSED_FORM_NAMES[name]
+        assert len(exps) == k
+        assert tuple(int(c) for c in name[1:].rstrip("t")) == exps
+        assert (basis is BasisKind.TRIGONOMETRIC) == name.endswith("t")
+    assert CLOSED_FORM_NAMES.keys() == CLOSED_FORM_EXPONENTS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_NAMES))
+def test_closed_form_batch_rows_equal_single_tables(name):
+    # p = 7, 8, 10 and 128 put 8 or more terms in a band sum, where a 2-D
+    # np.sum would group the additions differently from the 1-D one
+    basis, k = CLOSED_FORM_NAMES[name]
+    max_j = 2 * 128 if basis is BasisKind.TRIGONOMETRIC else 128
+    singles = [draw_table(2, max_j, basis, IV2, seed=6, stream=r) for r in range(50)]
+    index_choices = [(1,), (2,)] if k == 1 else [(1, 2), (2, 1), (1, 1)]
+    for n in (1, 2, 9, 50):
+        batch = draw_table(2, max_j, basis, IV2, seed=6, stream=range(n))
+        for p in (0, 1, 7, 8, 10, 128):
+            for indices in index_choices:
+                got = sample_closed_form(name, batch, IV2, p, indices)
+                assert got.shape == (n,)
+                want = [sample_closed_form(name, t, IV2, p, indices) for t in singles[:n]]
+                assert got.tobytes() == np.array(want).tobytes()

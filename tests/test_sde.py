@@ -58,6 +58,8 @@ def test_integrate_validation():
         integrate(gbm(), "heun", steps=8, seed=0)
     with pytest.raises(ArgumentError):
         integrate(gbm(), "euler", steps=0, seed=0)
+    with pytest.raises(ArgumentError):
+        integrate(gbm(), "milstein", steps=8, seed=0, p=-1)
 
 
 def test_chunk_increment_identities():
@@ -106,3 +108,9 @@ def test_convergence_study_validation():
         convergence_study(gbm(), "milstein", [16, 23, 32, 64], n_paths=4, seed=0)
     with pytest.raises(ArgumentError):
         convergence_study(gbm(), "milstein", [16, 32, 64, 128], n_paths=0, seed=0)
+
+
+def test_integrate_frozen_values():
+    # recorded when every step drew its own table and evaluated its own Levy areas
+    x = integrate(two_noise(), "milstein", 16, seed=3)
+    assert x.tolist() == [0.4779849572564772, 0.45040152314348425]
