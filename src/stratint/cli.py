@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from . import __version__
 from .basis import BasisKind, Interval, gauss_rule, phi_matrix
 from .coefficients import CoeffTensor, cache_load, cache_store, compute_tensor
 from .errors import ArgumentError, CacheFormatError, CapabilityError, DomainError, StaleCacheError
+from .golden import legendre_k1, legendre_k2, trigonometric
 from .kernel import WeightSpec
 from .oracle import enumerate_pair_partitions, truncated_moment
 from .sampler import (
@@ -37,6 +39,9 @@ _PROBLEMS = {"gbm": gbm, "two-noise": two_noise}
 _SUITES = ("golden", "orthonormality", "partitions", "trace", "fastpath")
 # converge draws its rows as batched tables of at most this many streams
 _CONVERGE_BLOCK = 2048
+# CSV rows are formatted and written this many at a time, so the text of a
+# large table is never held whole
+_EMIT_BLOCK = 4096
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -67,12 +72,6 @@ def _parse_spec(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return exps, indices
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 @contextlib.contextmanager
 def _output(args: argparse.Namespace) -> Iterator[TextIO]:
     """The --out file opened for writing and closed afterwards, or stdout."""
@@ -87,14 +86,22 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
         yield fh
 
 
-def _emit(args: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
-    """Write the result table as CSV or JSON, to --out or stdout."""
+def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray]) -> None:
+    """Write the result table, given as one 1-D integer or float array per column,
+    as CSV or JSON, to --out or stdout.
+
+    The CSV is what csv.writer writes for rows of ints and format(v, ".17g")
+    strings: header cells quoted as in RFC 4180, lines ended by "\r\n". No
+    value holds a comma, quote or newline, so the body needs no quoting.
+    """
     with _output(args) as fh:
         if args.format == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            csv.writer(fh).writerow(names)
+            # "%d" and "%.17g" print a Python int and float as str and format(v, ".17g") do
+            line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\r\n"
+            for lo in range(0, len(columns[0]), _EMIT_BLOCK):
+                block = zip(*(c[lo:lo + _EMIT_BLOCK].tolist() for c in columns))
+                fh.write("".join(map(line.__mod__, block)))
         else:
             flags = {
                 k: v
@@ -103,8 +110,8 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[list]) -> Non
             }
             doc = {
                 "metadata": {"seed": args.seed, "version": __version__, "flags": flags},
-                "columns": columns,
-                "rows": [[v for v in row] for row in rows],
+                "columns": names,
+                "rows": list(zip(*(c.tolist() for c in columns))),
             }
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -135,9 +142,11 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
                 raise ArgumentError(
                     f"cannot write --cache {args.cache!r}: {exc.strerror}"
                 ) from None
-    columns = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
-    rows = [list(idx) + [float(tensor.data[idx])] for idx in np.ndindex(tensor.data.shape)]
-    _emit(args, columns, rows)
+    names = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
+    shape = tensor.data.shape
+    # the smallest unsigned type keeps the index columns no larger than the data
+    index = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(spec.k, -1)
+    _emit(args, names, [*index, tensor.data.ravel()])
     return 0
 
 
@@ -153,8 +162,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         orders.append(TruncationOrders.uniform(wspec.k, args.orders))
     m = max(1, max(max(s.indices) for s in ispecs))
     out = sample_batch(ispecs, tensors, m, orders, args.seed, args.n, threads=args.threads)
-    rows = [[float(v) for v in row] for row in out]
-    _emit(args, list(args.spec), rows)
+    _emit(args, list(args.spec), list(out.T))
     return 0
 
 
@@ -176,8 +184,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             d = sample_closed_form(args.name, table, iv, p, indices) - ref
             # a running sum in row order, as if each d * d were added in turn
             sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
-    rows = [[int(p), float(sq[li] / args.n)] for li, p in enumerate(ladder)]
-    _emit(args, ["p", "mse"], rows)
+    _emit(args, ["p", "mse"], [np.array(ladder), sq / args.n])
     return 0
 
 
@@ -185,78 +192,27 @@ def cmd_sde(args: argparse.Namespace) -> int:
     problem = _PROBLEMS[args.problem]()
     ladder = _parse_int_list(args.ladder)
     res = convergence_study(problem, args.scheme, ladder, args.n, args.seed, p=args.p)
-    rows = [
-        [int(n), float(h), float(r), float(res.slope)]
-        for n, h, r in zip(res.step_counts, res.h, res.rms)
-    ]
-    _emit(args, ["steps", "h", "rms", "slope"], rows)
+    slope = np.full(len(res.h), float(res.slope))
+    _emit(args, ["steps", "h", "rms", "slope"], [np.array(res.step_counts), res.h, res.rms, slope])
     return 0
-
-
-def _legendre_k1_golden(iv: Interval) -> list[tuple[str, np.ndarray]]:
-    length = iv.length()
-    i1 = np.zeros(13)
-    i1[0] = -0.5 * length**1.5
-    i1[1] = -0.5 * length**1.5 / math.sqrt(3.0)
-    i2 = np.zeros(13)
-    i2[0] = length**2.5 / 3.0
-    i2[1] = length**2.5 * math.sqrt(3.0) / 6.0
-    i2[2] = length**2.5 / (6.0 * math.sqrt(5.0))
-    i3 = np.zeros(13)
-    i3[0] = -0.25 * length**3.5
-    i3[1] = -0.15 * math.sqrt(3.0) * length**3.5
-    i3[2] = -0.25 * length**3.5 / math.sqrt(5.0)
-    i3[3] = -0.05 * length**3.5 / math.sqrt(7.0)
-    return [("1", i1), ("2", i2), ("3", i3)]
-
-
-def _legendre_k2_golden(iv: Interval, top: int) -> np.ndarray:
-    length = iv.length()
-    want = np.zeros((top + 1, top + 1))
-    want[0, 0] = 0.5 * length
-    for i in range(1, top + 1):
-        mag = 0.5 * length / math.sqrt(4.0 * i * i - 1.0)
-        want[i - 1, i] = mag
-        want[i, i - 1] = -mag
-    return want
-
-
-def _trig_golden(iv: Interval, r_top: int) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
-    length = iv.length()
-    top = 2 * r_top
-    t1 = np.zeros(top + 1)
-    t1[0] = -0.5 * length**1.5
-    t2 = np.zeros(top + 1)
-    t2[0] = length**2.5 / 3.0
-    pair = np.zeros((top + 1, top + 1))
-    pair[0, 0] = 0.5 * length
-    for r in range(1, r_top + 1):
-        t1[2 * r - 1] = length**1.5 * math.sqrt(2.0) / (2.0 * math.pi * r)
-        t2[2 * r - 1] = -(length**2.5) / (math.sqrt(2.0) * math.pi * r)
-        t2[2 * r] = length**2.5 / (math.sqrt(2.0) * math.pi**2 * r * r)
-        pair[2 * r, 2 * r - 1] = 0.5 * length / (math.pi * r)
-        pair[2 * r - 1, 2 * r] = -0.5 * length / (math.pi * r)
-        pair[2 * r - 1, 0] = math.sqrt(2.0) * 0.5 * length / (math.pi * r)
-        pair[0, 2 * r - 1] = -math.sqrt(2.0) * 0.5 * length / (math.pi * r)
-    return [("1", (1,), t1), ("2", (2,), t2), ("00", (0, 0), pair)]
 
 
 def _suite_golden() -> list[tuple[str, bool, str]]:
     checks = []
     for iv in (Interval(0.0, 1.0), Interval(2.5, 3.75)):
         tag = f"[{iv.t},{iv.T}]"
-        for exp_str, want in _legendre_k1_golden(iv):
+        for exp_str, want in legendre_k1(iv):
             spec = WeightSpec.from_exponents(tuple(int(c) for c in exp_str))
             got = compute_tensor(BasisKind.LEGENDRE, spec, iv, (12,)).data
             err = float(np.max(np.abs(got - want)))
             checks.append((f"legendre k=1 exps={exp_str} {tag}", err < 1e-10, f"max err {err:.3g}"))
-        want = _legendre_k2_golden(iv, 10)
+        want = legendre_k2(iv, 10)
         got = compute_tensor(
             BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 0)), iv, (10, 10)
         ).data
         err = float(np.max(np.abs(got - want)))
         checks.append((f"legendre k=2 pattern {tag}", err < 1e-10, f"max err {err:.3g}"))
-        for exp_str, exps, want in _trig_golden(iv, 10):
+        for exp_str, exps, want in trigonometric(iv, 10):
             spec = WeightSpec.from_exponents(exps)
             got = compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, (20,) * len(exps)).data
             err = float(np.max(np.abs(got - want)))
@@ -389,7 +345,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     def dfl(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--seed", type=int, default=dfl(int(os.environ.get("STRAT_SEED", "0"))),
+    # main reads STRAT_SEED on every call, so a parser built once sees the current value
+    parser.add_argument("--seed", type=int, default=dfl(None),
                         help="RNG seed (default: STRAT_SEED env var or 0)")
     parser.add_argument("--format", choices=("csv", "json"), default=dfl("csv"))
     parser.add_argument("--out", default=dfl(None), help="output path (default stdout)")
@@ -397,6 +354,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of `stratint`. An omitted --seed parses as None, which
+    main replaces with STRAT_SEED or 0."""
     parser = argparse.ArgumentParser(
         prog="stratint",
         description="Iterated Stratonovich integrals via Fourier coefficient expansions.",
@@ -446,10 +405,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _env_seed() -> int:
+    text = os.environ.get("STRAT_SEED", "0")
     try:
+        return int(text)
+    except ValueError:
+        raise ArgumentError(f"STRAT_SEED must be an integer, got {text!r}") from None
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
     except (ArgumentError, DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

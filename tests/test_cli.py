@@ -1,5 +1,9 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import argparse
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -204,6 +208,98 @@ def test_converge_frozen_bytes():
               "--seed", "0").stdout
     assert out == (b"p,mse\r\n1,0.092736876372392626\r\n2,0.056881432977873646\r\n"
                    b"4,0.026990601611579033\r\n")
+
+
+_SAMPLE3 = ("sample", "--spec", "0:1", "--spec", "0,0:1,2", "--spec", "0,0,0:1,2,1", "--seed", "3")
+# SHA-256 of the whole stdout, recorded when every row went through csv.writer
+# one at a time; the JSON digests also pin the metadata block, version included.
+FROZEN_STDOUT = {
+    "coeffs-legendre-csv": (
+        ("coeffs", "--basis", "legendre", "--exps", "1,0,2", "--orders", "16",
+         "--interval", "1.25", "2.0", "--seed", "0"),
+        "7c23fc8e1d9fa7fa66cb53e16d04d32cfa74e0283f799a72fbf6f2c200e3e4bf"),
+    "coeffs-legendre-json": (
+        ("coeffs", "--basis", "legendre", "--exps", "1,0,2", "--orders", "16",
+         "--interval", "1.25", "2.0", "--seed", "0", "--format", "json"),
+        "b04114d596a993314703808691c18681b3460a6525e042d68b121194d471c67f"),
+    "coeffs-trigonometric-csv": (
+        ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "40", "--seed", "0"),
+        "a70e9b72e46941a94e5a41bed768e4e78154f614b84993f1afe248a7d26bc9d8"),
+    # the header cells hold commas, so csv quotes them
+    "sample-csv": (_SAMPLE3 + ("--n", "200"),
+                   "9b1eb325abea97c2c3cc217d2ab083837384009068c56ddfa977f0e1cead00f8"),
+    "sample-no-rows-csv": (_SAMPLE3 + ("--n", "0"),
+                           "7549f1a15336de09f18bb3bbb247c4a04ec220b9c8f61b77fb11cc76898cd9c4"),
+    "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
+                "6a16862d5d8ced657f74df15b61a8032ec20ec31e610e905bf7a0ef37f483504"),
+    "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
+                  "--format", "json"),
+                 "2093c84cef6347df96981ccf38c2b5e37e6f4811bd196d1711df9b6ff846473c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_STDOUT))
+def test_frozen_stdout_bytes(name):
+    argv, digest = FROZEN_STDOUT[name]
+    assert hashlib.sha256(run(*argv).stdout).hexdigest() == digest
+
+
+def _rowwise(args, names, rows):
+    """What the CLI wrote when it passed one row at a time to csv.writer."""
+    fh = io.StringIO(newline="")
+    if args.format == "csv":
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+    else:
+        doc = {"metadata": {"seed": args.seed, "version": stratint.__version__,
+                            "flags": {"seed": args.seed}},
+               "columns": names, "rows": rows}
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, 9, cli._EMIT_BLOCK, 2 * cli._EMIT_BLOCK + 1])
+def test_emit_matches_rowwise_writer(tmp_path, fmt, n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e22, 0.1]
+    for at in (0, cli._EMIT_BLOCK - 4):  # at the start, and across the first block edge
+        values[at:at + len(special)] = special[:max(0, n - at)]
+    index = np.arange(n)
+    small = (index % 256).astype(np.uint8)
+    names = ["j", "0,0:1,2", 'a"b', "value"]
+    rows = [[int(a), int(b), float(v), float(v)] for a, b, v in zip(index, small, values)]
+    out = tmp_path / "table"
+    args = argparse.Namespace(format=fmt, out=str(out), seed=0)
+    cli._emit(args, names, [index, small, values, values])
+    assert out.read_bytes() == _rowwise(args, names, rows)
+
+
+def test_env_seed_read_on_every_call(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    argv = ["sample", "--spec", "0:1", "--orders", "4", "--n", "3", "--out", str(out)]
+    got = []
+    for seed in ("1", "2", "1"):
+        monkeypatch.setenv("STRAT_SEED", seed)
+        assert cli.main(argv) == 0
+        got.append(out.read_bytes())
+        # the parser is built once per process, yet the next call sees the new value
+        monkeypatch.setattr(cli, "build_parser", None)
+    assert got[0] != got[1]
+    assert got[0] == got[2]
+
+
+def test_bad_env_seed_usage_error():
+    proc = run("verify", "--suite", "partitions", env={"STRAT_SEED": "abc"}, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+    assert b"STRAT_SEED" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_converge_blocks_keep_bytes(tmp_path, monkeypatch):

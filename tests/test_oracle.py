@@ -400,3 +400,37 @@ def test_pathwise_agreement_small():
     rms = math.sqrt(sq / n)
     # truncation floor ~ L/sqrt(4*193) plus discretization noise
     assert rms < 0.08
+
+
+@st.composite
+def _mixed_specs(draw):
+    """Weights, component indices (0 is dt), basis and interval of one integral."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    exps = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    indices = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    basis = draw(st.sampled_from(list(BasisKind)))
+    t = draw(st.sampled_from([0.0, 1.5]))
+    return exps, indices, basis, Interval(t, t + draw(st.sampled_from([0.5, 1.25])))
+
+
+@given(case=_mixed_specs(), seed=st.integers(0, 2**32))
+@settings(derandomize=True, deadline=None, max_examples=12)
+def test_sampled_moments_match_exact_moments(case, seed):
+    # two routes to E[X] and E[X^2]: Monte Carlo rows of the generic
+    # contraction, and pair-partition sums over the tensor
+    exps, indices, basis, iv = case
+    k, p, n = len(exps), 3, 2000
+    tensor = compute_tensor(basis, WeightSpec.from_exponents(exps), iv, (p,) * k)
+    ispec = IntegralSpec(spec=tensor.spec, indices=indices, basis=basis, iv=iv)
+    orders = TruncationOrders.uniform(k, p)
+    m = max(1, *indices)
+    x = np.array([
+        sample_truncated(ispec, tensor, draw_table(m, p, basis, iv, seed, stream=r), orders)
+        for r in range(n)
+    ])
+    first = truncated_moment(ispec, tensor, orders)
+    second = truncated_moment([ispec] * 2, [tensor] * 2, [orders] * 2)
+    for values, want in ((x, first), (x * x, second)):
+        se = float(np.std(values, ddof=1)) / math.sqrt(n)
+        # the slack covers rows that are all dt, where X is a constant
+        assert abs(float(np.mean(values)) - want) <= 5.0 * se + 1e-12 * (1.0 + abs(want))
