@@ -2,6 +2,16 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# The package's matrix products are small, and a multithreaded BLAS only slows
+# them, ~2x on a busy host. So when numpy is not loaded yet, its BLAS and
+# OpenMP default to one thread; a value already in the environment is kept.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .basis import (
     MAX_LEGENDRE_ORDER,
     BasisKind,

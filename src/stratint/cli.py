@@ -86,6 +86,17 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
         yield fh
 
 
+def _json_values(column: np.ndarray) -> list:
+    """A column's values as json.dump spells them when put through "%s": ints and
+    finite floats as their repr, and NaN, Infinity and -Infinity as strings."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            v = values[i]
+            values[i] = "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    return values
+
+
 def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray]) -> None:
     """Write the result table, given as one 1-D integer or float array per column,
     as CSV or JSON, to --out or stdout.
@@ -93,6 +104,8 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray])
     The CSV is what csv.writer writes for rows of ints and format(v, ".17g")
     strings: header cells quoted as in RFC 4180, lines ended by "\r\n". No
     value holds a comma, quote or newline, so the body needs no quoting.
+    The JSON is what json.dump(doc, indent=2, sort_keys=True) writes, plus "\n",
+    with the rows in blocks as for CSV.
     """
     with _output(args) as fh:
         if args.format == "csv":
@@ -111,10 +124,18 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray])
             doc = {
                 "metadata": {"seed": args.seed, "version": __version__, "flags": flags},
                 "columns": names,
-                "rows": list(zip(*(c.tolist() for c in columns))),
             }
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # "rows" sorts last, so it follows the rest of the document (which
+            # ends "\n}"); it is written in blocks, laid out as json.dump lays it
+            fh.write(json.dumps(doc, indent=2, sort_keys=True)[:-2] + ',\n  "rows": [')
+            row = "\n    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ],"
+            n = len(columns[0])
+            for lo in range(0, n, _EMIT_BLOCK):
+                text = "".join(map(row.__mod__, zip(*(_json_values(c[lo:lo + _EMIT_BLOCK])
+                                                        for c in columns))))
+                # the last row takes no comma
+                fh.write(text if lo + _EMIT_BLOCK < n else text[:-1])
+            fh.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:

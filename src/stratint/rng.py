@@ -7,7 +7,6 @@ import threading
 from collections.abc import Iterable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ArgumentError
 
@@ -33,6 +32,10 @@ _U_MAX = np.nextafter(1.0, 0.0)
 # returns; a re-key skips the OS entropy that each construction draws.
 _local = threading.local()
 
+# scipy.special.ndtri, imported by the first draw: importing scipy.special
+# costs more than the rest of the package, and only draws need it.
+_ndtri = None
+
 
 def _coordinate(name: str, value: object) -> int:
     try:
@@ -46,10 +49,14 @@ def _coordinate(name: str, value: object) -> int:
 
 def _normals(words: np.ndarray) -> np.ndarray:
     """Standard normals from raw 64-bit words: top 53 bits -> uniform on (0, 1) -> ndtri."""
+    global _ndtri
+    if _ndtri is None:
+        # the import lock makes a first draw on several threads at once safe
+        from scipy.special import ndtri as _ndtri
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2POW53
     # Only the all-ones top word rounds up to 1.0 (ndtri would give +inf).
     np.minimum(u, _U_MAX, out=u)
-    return ndtri(u)
+    return _ndtri(u)
 
 
 def normal_stream(

@@ -279,6 +279,44 @@ def test_emit_matches_rowwise_writer(tmp_path, fmt, n):
     assert out.read_bytes() == _rowwise(args, names, rows)
 
 
+def _json_dump_emit(args, names, columns):
+    """The JSON branch of _emit as it was when json.dump wrote the whole document."""
+    flags = {k: v for k, v in sorted(vars(args).items())
+             if k not in ("func", "out", "format") and not k.startswith("_")}
+    doc = {
+        "metadata": {"seed": args.seed, "version": stratint.__version__, "flags": flags},
+        "columns": names,
+        "rows": list(zip(*(c.tolist() for c in columns))),
+    }
+    fh = io.StringIO(newline="")
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._EMIT_BLOCK, 2 * cli._EMIT_BLOCK + 1])
+def test_json_emit_matches_json_dump(tmp_path, n):
+    rng = np.random.default_rng(n + 1)
+    values = rng.standard_normal(n)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22]
+    # across the first block edge, and ending the last block
+    for at in (cli._EMIT_BLOCK - 3, n - len(special)):
+        lo = max(0, at)
+        values[lo:lo + len(special)] = special[:max(0, n - lo)]
+    index = np.arange(n)
+    names = ["j_1", "0,0:1,2", "é\t\"x\""]
+    out = tmp_path / "table.json"
+    # flags of every kind a real command line gives: ints, floats, tuples, None, strings
+    args = argparse.Namespace(format="json", out=str(out), seed=2**64 - 1, func=None,
+                              _hidden=1, basis="legendre", interval=(0.25, 1e-310),
+                              cache=None, orders="4,4", spec=["0:1", "1,0:1,2"], threads=2)
+    cli._emit(args, names, [index, values, values[::-1].copy()])
+    text = out.read_bytes()
+    assert text == _json_dump_emit(args, names, [index, values, values[::-1].copy()])
+    if n > len(special):
+        assert b"NaN" in text and b"-Infinity" in text and b"5e-324" in text
+
+
 def test_env_seed_read_on_every_call(tmp_path, monkeypatch):
     out = tmp_path / "rows.csv"
     argv = ["sample", "--spec", "0:1", "--orders", "4", "--n", "3", "--out", str(out)]
