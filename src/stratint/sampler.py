@@ -141,44 +141,39 @@ def sample_truncated(
     if max(ispec.indices) > table.m:
         raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
     box = tensor.data[tuple(slice(0, p + 1) for p in orders.p)]
-    factor = np.array([1.0])
-    for i_l, p_l in zip(ispec.indices, orders.p):
-        factor = np.multiply.outer(factor, table.values[i_l, : p_l + 1])
-    terms = box * factor.reshape(factor.shape[1:])
-    return math.fsum(np.ravel(terms, order="F").tolist())
-
-
-def _gate(cond: bool, value: float) -> float:
-    return value if cond else 0.0
+    rows = [table.values[i_l, : p_l + 1] for i_l, p_l in zip(ispec.indices, orders.p)]
+    factor = rows[0]
+    for row in rows[1:]:
+        factor = np.multiply.outer(factor, row)
+    return math.fsum((box * factor).ravel().tolist())
 
 
 def _rowsum(terms: np.ndarray) -> np.ndarray:
-    """np.sum of each 1-D row along the last axis.
+    """np.sum of each 1-D row along the last axis, for a whole batch in one call.
 
     A batch row then has the bytes of the same series summed from one table.
-    np.sum(axis=-1) does not: the terms come out of `a[..., idx]` column-major,
-    and numpy then adds across rows in a grouping that differs from the 1-D
-    pairwise sum once a row has 8 or more terms.
+    The terms come out of `a[..., idx]` column-major; summed in that layout,
+    numpy adds across rows, in a grouping that differs from the 1-D pairwise
+    sum once a row has 8 or more terms. On a C-contiguous copy numpy hands
+    each row whole to the pairwise sum of a 1-D np.sum, so the copy is what
+    keeps the bytes.
     """
-    if terms.ndim == 1:
-        return np.sum(terms)
-    rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
-    return np.array([np.sum(row) for row in rows]).reshape(terms.shape[:-1])
+    return np.ascontiguousarray(terms).sum(axis=-1)
 
 
 def _leg_k1(a: np.ndarray, length: float, p: int, kind: str) -> float:
     if kind == "I0":
         return np.sqrt(length) * a[..., 0]
     if kind == "I1":
-        s = a[..., 0] + _gate(p >= 1, a[..., 1] / math.sqrt(3.0))
+        s = a[..., 0] + (a[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0)
         return -0.5 * length**1.5 * s
     if kind == "I2":
-        s = a[..., 0] + _gate(p >= 1, 0.5 * math.sqrt(3.0) * a[..., 1])
-        s += _gate(p >= 2, a[..., 2] / (2.0 * math.sqrt(5.0)))
+        s = a[..., 0] + (0.5 * math.sqrt(3.0) * a[..., 1] if p >= 1 else 0.0)
+        s += a[..., 2] / (2.0 * math.sqrt(5.0)) if p >= 2 else 0.0
         return length**2.5 / 3.0 * s
-    s = a[..., 0] + _gate(p >= 1, 0.6 * math.sqrt(3.0) * a[..., 1])
-    s += (_gate(p >= 2, a[..., 2] / math.sqrt(5.0))
-          + _gate(p >= 3, a[..., 3] / (5.0 * math.sqrt(7.0))))
+    s = a[..., 0] + (0.6 * math.sqrt(3.0) * a[..., 1] if p >= 1 else 0.0)
+    s += ((a[..., 2] / math.sqrt(5.0) if p >= 2 else 0.0)
+          + (a[..., 3] / (5.0 * math.sqrt(7.0)) if p >= 3 else 0.0))
     return -0.25 * length**3.5 * s
 
 
@@ -191,7 +186,7 @@ def _i00(a: np.ndarray, b: np.ndarray, length: float | np.ndarray, p: int) -> fl
 
 
 def _i01(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, a[..., 0] * b[..., 1] / math.sqrt(3.0))
+    br = a[..., 0] * b[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0
     if p >= 2:
         i = np.arange(p - 1)
         br += _rowsum(
@@ -204,7 +199,7 @@ def _i01(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 
 def _i10(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, b[..., 0] * a[..., 1] / math.sqrt(3.0))
+    br = b[..., 0] * a[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0
     if p >= 2:
         i = np.arange(p - 1)
         br += _rowsum(
@@ -218,7 +213,7 @@ def _i10(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br = a[..., 0] * b[..., 0] / 3.0
-    br += _gate(p >= 2, 2.0 * b[..., 2] * a[..., 0] / (3.0 * math.sqrt(5.0)))
+    br += 2.0 * b[..., 2] * a[..., 0] / (3.0 * math.sqrt(5.0)) if p >= 2 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
         br += _rowsum(
@@ -242,7 +237,7 @@ def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br = a[..., 0] * b[..., 0] / 3.0
-    br += _gate(p >= 2, 2.0 * b[..., 0] * a[..., 2] / (3.0 * math.sqrt(5.0)))
+    br += 2.0 * b[..., 0] * a[..., 2] / (3.0 * math.sqrt(5.0)) if p >= 2 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
         br += _rowsum(
@@ -265,7 +260,7 @@ def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 
 def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = _gate(p >= 1, a[..., 1] * b[..., 1] / 3.0)
+    br = a[..., 1] * b[..., 1] / 3.0 if p >= 1 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
         br += _rowsum(
@@ -389,8 +384,9 @@ def sample_batch(
 ) -> np.ndarray:
     """n joint samples of all ispecs, one fresh table per row, keyed by (seed, row).
 
-    Row r is a pure function of (seed, r), so the output is byte-identical for
-    any thread count.
+    Tables are drawn as one batch per block of rows, and row r reads the
+    table of stream r. Row r is a pure function of (seed, r), so the output
+    is byte-identical for any thread count.
     """
     if not ispecs:
         raise ArgumentError("need at least one integral spec")
@@ -410,8 +406,10 @@ def sample_batch(
     out = np.empty((n, len(ispecs)))
 
     def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            table = draw_table(m, max_j, basis, iv, seed, stream=r)
+        block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
+        for r, values in enumerate(block.values, start=lo):
+            table = GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
+                                  seed=seed, stream=r)
             for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
                 out[r, c] = sample_truncated(ispec, tensor, table, o)
 

@@ -202,6 +202,12 @@ def test_converge_rows():
     assert mses == sorted(mses, reverse=True)
 
 
+def test_converge_at_the_reference_order():
+    # p = p_ref reads every index of the table, and no index past it
+    proc = run("converge", "--name", "I2", "--p-ladder", "1", "--p-ref", "1", "--n", "2")
+    assert proc.stdout.startswith(b"p,mse\r\n1,")
+
+
 def test_converge_frozen_bytes():
     # recorded when every row drew its own table and evaluated its own closed forms
     out = run("converge", "--p-ladder", "1,2,4", "--p-ref", "16", "--n", "50",

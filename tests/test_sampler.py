@@ -1,5 +1,6 @@
 """Gaussian tables, truncated sampling, closed forms, batching."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from stratint import (
     sample_closed_form,
     sample_truncated,
 )
+from stratint import sampler
 from stratint.rng import DOMAIN_TABLE, normal_stream
 
 IV = Interval(0.0, 1.0)
@@ -203,6 +205,59 @@ def test_sample_batch_thread_invariance():
     assert np.array_equal(one, four)
 
 
+def test_sample_batch_draws_once_per_block(monkeypatch):
+    streams = []
+
+    def counting(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return draw_table(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "draw_table", counting)
+    spec = WeightSpec.from_exponents((0, 0))
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV)
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV, (4, 4))
+    sample_batch([ispec], [tensor], 2, TruncationOrders.uniform(2, 4), seed=5, n=600)
+    assert len(streams) == math.ceil(600 / sampler._BATCH_CHUNK) == 3
+    assert streams == [range(0, 256), range(256, 512), range(512, 600)]
+
+
+# weight exponents, component indices (0 is dt), tensor orders, truncation orders
+_FROZEN_SPECS = (
+    ((0,), (1,), (12,), (10,)),
+    ((0, 1), (0, 2), (8, 8), (8, 5)),
+    ((1, 0, 2), (1, 0, 2), (5, 5, 5), (4, 5, 3)),
+    ((0, 2, 0, 1), (2, 1, 0, 1), (3, 3, 3, 3), (3, 2, 1, 3)),
+)
+# SHA-256 of the rows of n = 1, 7, 300 at threads=1, then n = 600 at threads=2,
+# recorded when every row drew its own table
+FROZEN_BATCH = {
+    ("legendre", 0.5, 1.75):
+        "2b845c4da888ad4f0421d4697d1d9a948152f1ddc8a16e867ac1acdb7d5f3284",
+    ("legendre", 2.5, 3.0):
+        "bb600c3949d6e6769fc80e84cbe129409abacf29d70951262ed6766747b7fc90",
+    ("trigonometric", 0.5, 1.75):
+        "db8e66f1642a31cfbd3f290976da61d89237b4ebb8ce4a9f932a06d910ac6c12",
+    ("trigonometric", 2.5, 3.0):
+        "c5ecf128d7ee9b646f0c6180103a21dab0cff541d456fc395dabaf7bb9fd0bdc",
+}
+
+
+@pytest.mark.parametrize("basis, t, end", sorted(FROZEN_BATCH))
+def test_sample_batch_frozen_bytes(basis, t, end):
+    basis, iv = BasisKind(basis), Interval(t, end)
+    ispecs, tensors, orders = [], [], []
+    for exps, indices, tensor_orders, p in _FROZEN_SPECS:
+        spec = WeightSpec.from_exponents(exps)
+        ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=basis, iv=iv))
+        tensors.append(compute_tensor(basis, spec, iv, tensor_orders))
+        orders.append(TruncationOrders(p))
+    digest = hashlib.sha256()
+    for n, threads in ((1, 1), (7, 1), (300, 1), (600, 2)):
+        rows = sample_batch(ispecs, tensors, 2, orders, seed=17, n=n, threads=threads)
+        digest.update(rows.tobytes())
+    assert digest.hexdigest() == FROZEN_BATCH[basis.value, t, end]
+
+
 def test_sample_batch_multiple_integrals():
     s1 = WeightSpec.from_exponents((0,))
     s2 = WeightSpec.from_exponents((0, 0))
@@ -259,16 +314,64 @@ def test_closed_form_registry_views():
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_NAMES))
 def test_closed_form_batch_rows_equal_single_tables(name):
     # p = 7, 8, 10 and 128 put 8 or more terms in a band sum, where a 2-D
-    # np.sum would group the additions differently from the 1-D one
+    # np.sum would group the additions differently from the 1-D one; p = 129
+    # and 130 put more than numpy's 128-element pairwise block in one
     basis, k = CLOSED_FORM_NAMES[name]
-    max_j = 2 * 128 if basis is BasisKind.TRIGONOMETRIC else 128
-    singles = [draw_table(2, max_j, basis, IV2, seed=6, stream=r) for r in range(50)]
+    max_j = 2 * 130 if basis is BasisKind.TRIGONOMETRIC else 130
+    singles = [draw_table(2, max_j, basis, IV2, seed=6, stream=r) for r in range(257)]
     index_choices = [(1,), (2,)] if k == 1 else [(1, 2), (2, 1), (1, 1)]
-    for n in (1, 2, 9, 50):
+    for n in (1, 2, 9, 50, 257):
         batch = draw_table(2, max_j, basis, IV2, seed=6, stream=range(n))
-        for p in (0, 1, 7, 8, 10, 128):
+        for p in (0, 1, 7, 8, 10, 128, 129, 130):
             for indices in index_choices:
                 got = sample_closed_form(name, batch, IV2, p, indices)
                 assert got.shape == (n,)
                 want = [sample_closed_form(name, t, IV2, p, indices) for t in singles[:n]]
                 assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_NAMES))
+def test_closed_form_on_the_smallest_table(name):
+    # a table that holds exactly the indices p needs gives the value of a deeper one
+    basis, k = CLOSED_FORM_NAMES[name]
+    depth = 2 if basis is BasisKind.TRIGONOMETRIC else 1
+    index_choices = [(1,), (2,)] if k == 1 else [(1, 2), (2, 1), (1, 1)]
+    for p in range(5):
+        small = draw_table(2, depth * p, basis, IV2, seed=8, stream=range(5))
+        deep = draw_table(2, depth * p + 3, basis, IV2, seed=8, stream=range(5))
+        for indices in index_choices:
+            got = sample_closed_form(name, small, IV2, p, indices)
+            want = sample_closed_form(name, deep, IV2, p, indices)
+            assert got.tobytes() == want.tobytes()
+
+
+# SHA-256 of each closed form on one batch of 40 tables, over p and index
+# choices, recorded when every row was reduced by its own np.sum
+FROZEN_CLOSED_FORMS = {
+    "I0": "ca9f4dad76443bbb8a778ea9a0b4594267ee3e71073125455608f638f96267f3",
+    "I00": "427c19734efd4d9ff949d424808e7440da5a3a7aa4e09c47652a20be29437c25",
+    "I00t": "ca1d0cee6d68befefd1251ef779948158cfa973897446ffabc0fd3d8401acd97",
+    "I01": "b7ecba88ab01abac2a2ae2fd47d9cd804ec87337bc69aad19418bd2a61d8b8e5",
+    "I02": "d7ace51aedb6175d6f2d1e27d10b3bf85f2f0dfb1def973da3cb47604412736a",
+    "I1": "b849012f58eba4e7b06f08f8d8c62c8ce3b9c0d70e4782a6c2c17f8e0d62e2a0",
+    "I10": "3264ce804725945886c578df2910aefdc70e07e6b2998d02e23b98614d72cf44",
+    "I11": "ddad4c803616c76a94990d948c1b00fb1cdc2b2745b4549edfd3b7705833e7ef",
+    "I1t": "3e9f30318216e4511aa49046225b53ea761d1ca5d1b523ed21b479ff88cbda38",
+    "I2": "e70b0026105451240cec5eac727f0aeedaf6f9d83bf26b061f37210806cb6c5f",
+    "I20": "16d5b5d15fa9acade13856a1e7a9af4e75efe79f71bf976cacfb237bf82803d3",
+    "I2t": "d899586362b487137b2995a5933f00169f9510a8e12579930220ba2764a32300",
+    "I3": "9fc4b563bb6c855997242223ea4dc6690a4d5ebdd796e933ba39063ca4a1f200",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CLOSED_FORMS))
+def test_closed_form_frozen_bytes(name):
+    basis, k = CLOSED_FORM_NAMES[name]
+    max_j = 2 * 130 if basis is BasisKind.TRIGONOMETRIC else 130
+    batch = draw_table(2, max_j, basis, IV2, seed=23, stream=range(40))
+    index_choices = [(1,), (2,)] if k == 1 else [(1, 2), (2, 1), (1, 1)]
+    digest = hashlib.sha256()
+    for p in (0, 1, 2, 3, 5, 8, 13, 130):
+        for indices in index_choices:
+            digest.update(sample_closed_form(name, batch, IV2, p, indices).tobytes())
+    assert digest.hexdigest() == FROZEN_CLOSED_FORMS[name]

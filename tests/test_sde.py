@@ -1,5 +1,6 @@
 """SDE demo: schemes, shipped problems, convergence machinery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -114,3 +115,26 @@ def test_integrate_frozen_values():
     # recorded when every step drew its own table and evaluated its own Levy areas
     x = integrate(two_noise(), "milstein", 16, seed=3)
     assert x.tolist() == [0.4779849572564772, 0.45040152314348425]
+
+
+# SHA-256 of the end states over (steps, p) = (1, 10), (37, 0), (300, 10),
+# (64, 130), recorded when the Levy areas were reduced one row at a time
+FROZEN_INTEGRATE = {
+    ("gbm", "euler"):
+        "107d1a3f965b39bc3641d56cc055f0ccfd481437dcc47ec6c07952fd40a20509",
+    ("gbm", "milstein"):
+        "4a1841ecd95ae839bb54c90d8a87510628c5414c35f5a81d48f6f5020ec74bdb",
+    ("two_noise", "euler"):
+        "3140ea1bd4193f836e53af560d07d78be59c5d0e1696385215cd9e19620b459f",
+    ("two_noise", "milstein"):
+        "e28908cd83792f3ff4d29ccf50e8f0ba26e43d9ef51de9ba91b3a726296c183f",
+}
+
+
+@pytest.mark.parametrize("problem, scheme", sorted(FROZEN_INTEGRATE))
+def test_integrate_frozen_bytes(problem, scheme):
+    make = {"gbm": gbm, "two_noise": two_noise}[problem]
+    digest = hashlib.sha256()
+    for steps, p in ((1, 10), (37, 0), (300, 10), (64, 130)):
+        digest.update(integrate(make(), scheme, steps, seed=31, p=p).tobytes())
+    assert digest.hexdigest() == FROZEN_INTEGRATE[problem, scheme]
