@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
@@ -142,39 +142,25 @@ def discretize_ito(ispec: IntegralSpec, path: MeshPath) -> float:
     return float(np.sum(acc))
 
 
-def _merge_weights(a: WeightPoly, b: WeightPoly) -> WeightPoly:
-    prod = nppoly.polymul(np.array(a.coeffs), np.array(b.coeffs))
-    return WeightPoly(tuple(float(c) for c in prod))
-
-
 def strat_reference(ispec: IntegralSpec, path: MeshPath) -> float:
-    """Ito discretization plus deterministic/reduced midpoint corrections, k <= 3."""
-    k = ispec.spec.k
-    if k > 3:
-        raise CapabilityError(f"reference corrections implemented for k <= 3, got {k}")
+    """Ito discretization plus, per adjacent pair i_l == i_{l+1} != 0, half the
+    reference with that pair merged into one dt level of weight psi_l psi_{l+1}."""
+    return _strat(ispec, path, 0)
+
+
+def _strat(ispec: IntegralSpec, path: MeshPath, start: int) -> float:
+    # Merging only pairs from `start` on counts each set once (Kloeden & Platen 5.2).
+    w, idx, iv = ispec.spec.weights, ispec.indices, ispec.iv
+    if start and len(w) == 1:  # a merged pair alone: exact Gauss rule
+        rule = gauss_rule(w[0].degree // 2 + 1, iv)
+        return rule.integrate(np.asarray(w[0].value(rule.nodes, iv.t)))
     total = discretize_ito(ispec, path)
-    if k == 1:
-        return total
-    w = ispec.spec.weights
-    idx = ispec.indices
-    if k == 2:
-        if idx[0] == idx[1] != 0:
-            merged = _merge_weights(w[0], w[1])
-            rule = gauss_rule(merged.degree // 2 + 1, ispec.iv)
-            total += 0.5 * rule.integrate(np.asarray(merged.value(rule.nodes, ispec.iv.t)))
-        return total
-    if idx[0] == idx[1] != 0:
-        reduced = IntegralSpec(
-            spec=WeightSpec((_merge_weights(w[0], w[1]), w[2])),
-            indices=(0, idx[2]), basis=ispec.basis, iv=ispec.iv,
-        )
-        total += 0.5 * discretize_ito(reduced, path)
-    if idx[1] == idx[2] != 0:
-        reduced = IntegralSpec(
-            spec=WeightSpec((w[0], _merge_weights(w[1], w[2]))),
-            indices=(idx[0], 0), basis=ispec.basis, iv=ispec.iv,
-        )
-        total += 0.5 * discretize_ito(reduced, path)
+    for l in range(start, len(w) - 1):
+        if idx[l] == idx[l + 1] != 0:
+            psi = WeightPoly(tuple(float(c) for c in nppoly.polymul(w[l].coeffs, w[l + 1].coeffs)))
+            merged = WeightSpec((*w[:l], psi, *w[l + 2 :]))
+            reduced = replace(ispec, spec=merged, indices=(*idx[:l], 0, *idx[l + 2 :]))
+            total += 0.5 * _strat(reduced, path, l + 1)
     return total
 
 

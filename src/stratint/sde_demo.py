@@ -207,6 +207,8 @@ def convergence_study(
         raise ArgumentError(f"need >= 4 distinct positive levels, got {step_counts}")
     if n_paths < 1:
         raise ArgumentError(f"need n_paths >= 1, got {n_paths}")
+    if p < 0:
+        raise ArgumentError(f"need p >= 0, got {p}")
     n_ref = 16 * levels[-1]
     if any(n_ref % n != 0 for n in levels):
         raise ArgumentError(f"every level must divide the reference count {n_ref}")

@@ -181,6 +181,14 @@ def test_converge_needs_rows(n):
     assert proc.stderr.startswith(b"error:")
 
 
+def test_sde_negative_p_usage_error():
+    proc = run("sde", "--p", "-1", "--n", "2", "--ladder", "2,4,8,16", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", [
     ["coeffs", "--basis", "legendre", "--exps", "10", "--orders", "2"],
     ["sample", "--spec", "00:12", "--n", "2"],

@@ -20,6 +20,8 @@ from stratint import (
     cache_store,
     compute_coeff,
     compute_tensor,
+    eval_K_star,
+    phi_matrix,
 )
 from stratint import coefficients
 from stratint.coefficients import _nodes, _structural_zeros, _tensor
@@ -200,6 +202,21 @@ def test_parseval_box_sum(iv):
     got = float(np.sum(tensor.data**2))
     want = L * L / 4.0 + (L * L / 2.0) * p / (2.0 * p + 1.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("exps", [(0, 0), (1, 2)])
+def test_square_partial_sums_converge_pointwise(kind, exps):
+    # the paper's claim: the square sums of C_{j1 j2} phi_j1(t1) phi_j2(t2)
+    # converge to K*, with the factor 1/2 on the diagonal
+    iv, p = Interval(0.0, 1.0), 256
+    spec = WeightSpec.from_exponents(exps)
+    c = compute_tensor(kind, spec, iv, (p, p)).data
+    for times in ((0.3, 0.7), (0.7, 0.3), (0.5, 0.5), (0.2, 0.2)):
+        phi = phi_matrix(kind, p, np.array(times), iv)
+        got = float(phi[:, 0] @ c @ phi[:, 1])
+        # worst gap 1.1e-3 for Legendre, 4.0e-3 for trigonometric
+        assert got == pytest.approx(eval_K_star(spec, times, iv.t), abs=5e-3), times
 
 
 def test_validation_errors():

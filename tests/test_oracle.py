@@ -1,6 +1,10 @@
 """Discretization oracle, pair partitions, and exact moments."""
 
+import ast
+import hashlib
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from hypothesis import strategies as st
 from stratint import (
     ArgumentError,
     BasisKind,
-    CapabilityError,
     Interval,
     IntegralSpec,
     MeshPath,
@@ -22,6 +25,7 @@ from stratint import (
     draw_path,
     draw_table,
     enumerate_pair_partitions,
+    phi_matrix,
     sample_truncated,
     strat_reference,
     table_from_path,
@@ -184,10 +188,69 @@ def test_strat_k3_mixed_indices():
     assert strat_reference(spec2, path) == discretize_ito(spec2, path)
 
 
-def test_strat_capability():
-    path = draw_path(1, 8, IV, seed=0)
-    with pytest.raises(CapabilityError):
-        strat_reference(_ispec((0,) * 4, (1,) * 4), path)
+# SHA-256 of strat_reference over k = 1..3, exponents and indices 0-2, on one
+# 64-step path per interval, recorded with the hand-written k = 2 and k = 3 rules
+FROZEN_STRAT = {
+    (0.0, 1.0): "5c632281628f7634a86f0757e8430219114f52dc967eb5b6cd94841951a80fc4",
+    (2.5, 3.75): "08e8077af981be5736fad70d80ca303f3d695f70976a63fe001089e8e621324f",
+}
+
+
+@pytest.mark.parametrize("t, end", sorted(FROZEN_STRAT))
+def test_strat_frozen_bytes(t, end):
+    iv = Interval(t, end)
+    path = draw_path(2, 64, iv, seed=11)
+    digest = hashlib.sha256()
+    for k in (1, 2, 3):
+        for exps in itertools.product(range(3), repeat=k):
+            for indices in itertools.product(range(3), repeat=k):
+                value = strat_reference(_ispec(exps, indices, iv), path)
+                digest.update(np.float64(value).tobytes())
+    assert digest.hexdigest() == FROZEN_STRAT[t, end]
+
+
+def test_strat_k4_pathwise():
+    # the expansion coupled to the path tends to the Stratonovich reference,
+    # not to the Ito discretization, once adjacent indices repeat
+    n, steps, orders = 100, 2**11, (2, 4, 8)
+    paths = [draw_path(2, steps, IV, seed=41, stream=r) for r in range(n)]
+    phi = phi_matrix(BasisKind.LEGENDRE, 8, paths[0].mesh[:-1], IV)
+    tables = [table_from_path(path, 8, BasisKind.LEGENDRE, phi) for path in paths]
+    sq_ref, sq_ito = 0.0, 0.0
+    for exps in ((0, 0, 0, 0), (0, 1, 0, 2)):
+        tensor = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents(exps), IV, (8,) * 4)
+        for indices in ((1, 1, 2, 2), (2, 1, 1, 2), (1, 1, 1, 2)):
+            ispec = _ispec(exps, indices)
+            ref_err, ito_err = np.zeros(len(orders)), 0.0
+            for path, table in zip(paths, tables):
+                ref, ito = strat_reference(ispec, path), discretize_ito(ispec, path)
+                for n_p, p in enumerate(orders):
+                    v = sample_truncated(ispec, tensor, table, TruncationOrders.uniform(4, p))
+                    ref_err[n_p] += (ref - v) ** 2
+                ito_err += (ito - v) ** 2  # v is I_8, the last order
+            assert ref_err[-1] < ref_err[0], (exps, indices)
+            assert ref_err[-1] < ito_err, (exps, indices)
+            sq_ref += ref_err[-1]
+            sq_ito += ito_err
+    # pooled rms at p = 8: 0.049 against 0.133
+    assert math.sqrt(sq_ref) < 0.5 * math.sqrt(sq_ito)
+    # no adjacent equal pair, no correction
+    spec = _ispec((0, 0, 0, 0), (1, 2, 1, 2))
+    assert strat_reference(spec, paths[0]) == discretize_ito(spec, paths[0])
+
+
+def test_strat_k4_converges_to_closed_value():
+    # I*_(0000) with all four indices equal is W^4/24; every set of pairs is corrected
+    spec = _ispec((0, 0, 0, 0), (1, 1, 1, 1))
+    sq = np.zeros(3)
+    for r in range(50):
+        fine = draw_path(1, 2**12, IV, seed=43, stream=r)
+        w = float(fine.increments[1].sum())
+        for n_f, factor in enumerate((16, 4, 1)):
+            sq[n_f] += (strat_reference(spec, coarsen_path(fine, factor)) - w**4 / 24.0) ** 2
+    rms = np.sqrt(sq / 50)  # 0.019, 0.0099, 0.0060 on 2^8, 2^10, 2^12 steps
+    assert rms[2] < rms[1] < rms[0]
+    assert rms[2] < 0.5 * rms[0]
 
 
 def test_strat_converges_to_closed_value():
@@ -204,8 +267,6 @@ def test_table_from_path_matches_manual():
     path = draw_path(2, 64, IV2, seed=21)
     table = table_from_path(path, 6, BasisKind.LEGENDRE)
     assert table.values.shape == (3, 7)
-    from stratint import phi_matrix
-
     phi = phi_matrix(BasisKind.LEGENDRE, 6, path.mesh[:-1], IV2)
     want = path.increments[1] @ phi.T
     assert np.allclose(table.values[1], want, atol=1e-13)
@@ -434,3 +495,18 @@ def test_sampled_moments_match_exact_moments(case, seed):
         se = float(np.std(values, ddof=1)) / math.sqrt(n)
         # the slack covers rows that are all dt, where X is a constant
         assert abs(float(np.mean(values)) - want) <= 5.0 * se + 1e-12 * (1.0 + abs(want))
+
+
+def test_test_oracles_stay_independent():
+    # tests/oracles.py is the second route; it must never import the library
+    source = os.path.join(os.path.dirname(__file__), "oracles.py")
+    with open(source) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported if name.split(".")[0] in ("stratint", "")]

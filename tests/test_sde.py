@@ -109,6 +109,8 @@ def test_convergence_study_validation():
         convergence_study(gbm(), "milstein", [16, 23, 32, 64], n_paths=4, seed=0)
     with pytest.raises(ArgumentError):
         convergence_study(gbm(), "milstein", [16, 32, 64, 128], n_paths=0, seed=0)
+    with pytest.raises(ArgumentError):
+        convergence_study(gbm(), "milstein", [16, 32, 64, 128], n_paths=4, seed=0, p=-1)
 
 
 def test_integrate_frozen_values():
