@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -191,15 +192,7 @@ def enumerate_pair_partitions(k: int, r: int) -> list[PairPartition]:
     return out
 
 
-def _moment_positions(
-    ispecs: list[IntegralSpec], orders: list[TruncationOrders]
-) -> list[tuple[int, int, int, int]]:
-    """Flatten to (operand, axis, component, p) per tensor axis."""
-    out = []
-    for op, (ispec, o) in enumerate(zip(ispecs, orders)):
-        for axis, (comp, p) in enumerate(zip(ispec.indices, o.p)):
-            out.append((op, axis, comp, p))
-    return out
+_LABELS = "abcdefgh"  # one per pair or dt axis; total multiplicity <= 8
 
 
 def truncated_moment(
@@ -207,8 +200,16 @@ def truncated_moment(
     tensors: CoeffTensor | list[CoeffTensor],
     orders: TruncationOrders | list[TruncationOrders],
 ) -> float:
-    """Exact E[X] or E[X Y] of truncated expansions via pair-partition matching."""
-    if isinstance(ispecs, IntegralSpec):
+    """Exact E[X] or E[X Y] of truncated expansions via pair-partition matching.
+
+    Isserlis' rule pairs only axes of one Wiener component, so the matchings
+    are the products of each component's own pairings.
+    """
+    single = [isinstance(ispecs, IntegralSpec), isinstance(tensors, CoeffTensor),
+              isinstance(orders, TruncationOrders)]
+    if any(single):
+        if not all(single):
+            raise ArgumentError("pass one spec, tensor and orders, or a list of each")
         ispecs, tensors, orders = [ispecs], [tensors], [orders]
     ispecs, tensors, orders = list(ispecs), list(tensors), list(orders)
     if len(ispecs) not in (1, 2) or len(tensors) != len(ispecs) or len(orders) != len(ispecs):
@@ -225,41 +226,43 @@ def truncated_moment(
         if len(o.p) != ispec.spec.k or any(p > q for p, q in zip(o.p, tensor.orders)):
             raise ArgumentError(f"orders {o.p} exceed tensor orders {tensor.orders}")
 
-    positions = _moment_positions(ispecs, orders)
-    gauss = [n for n, (_, _, comp, _) in enumerate(positions) if comp != 0]
-    if len(gauss) % 2 == 1:
+    # The axes of all operands in one row; spans[op] is the slice of op's axes.
+    comps = [c for ispec in ispecs for c in ispec.indices]
+    tops = [p for o in orders for p in o.p]
+    ends = list(itertools.accumulate(len(ispec.indices) for ispec in ispecs))
+    spans = list(zip([0, *ends], ends))
+    groups: dict[int, list[int]] = {}
+    for n, comp in enumerate(comps):
+        groups.setdefault(comp, []).append(n)
+    dt_pos = groups.pop(0, [])
+    if any(len(group) % 2 for group in groups.values()):
         return 0.0
-    dt_pos = [n for n, (_, _, comp, _) in enumerate(positions) if comp == 0]
-    dt_values = basis_integrals(basis, iv, max((positions[n][3] for n in dt_pos), default=0))
+    pairings = {n: enumerate_pair_partitions(n, n // 2) for n in {len(g) for g in groups.values()}}
+    per_group = [
+        [[(group[a - 1], group[b - 1]) for a, b in m.pairs] for m in pairings[len(group)]]
+        for group in groups.values()
+    ]
+    # Pairs take the first labels in order of their first axis and dt axes the
+    # next ones, as in one matching of all Gaussian axes; that fixes each einsum
+    # string and so its bits.
+    n_pairs = (len(comps) - len(dt_pos)) // 2
+    dt_labels = list(_LABELS[n_pairs : n_pairs + len(dt_pos)])
+    labels = [""] * len(comps)
+    dt_operands = []
+    if dt_pos:
+        dt_values = basis_integrals(basis, iv, max(tops[n] for n in dt_pos))
+        for n, lab in zip(dt_pos, dt_labels):
+            labels[n] = lab
+            dt_operands.append(dt_values[: tops[n] + 1])
 
     contributions = []
-    for matching in enumerate_pair_partitions(len(gauss), len(gauss) // 2):
-        keep = True
-        for a, b in matching.pairs:
-            if positions[gauss[a - 1]][2] != positions[gauss[b - 1]][2]:
-                keep = False
-                break
-        if not keep:
-            continue
-        labels = [""] * len(positions)
-        trims = [list(o.p) for o in orders]
-        next_label = iter("abcdefghijklmnop")
-        for a, b in matching.pairs:
-            na, nb = gauss[a - 1], gauss[b - 1]
-            lab = next(next_label)
+    for choice in itertools.product(*per_group):
+        trims = list(tops)
+        for lab, (na, nb) in zip(_LABELS, sorted(itertools.chain.from_iterable(choice))):
             labels[na] = labels[nb] = lab
-            p = min(positions[na][3], positions[nb][3])
-            trims[positions[na][0]][positions[na][1]] = p
-            trims[positions[nb][0]][positions[nb][1]] = p
-        for n in dt_pos:
-            labels[n] = next(next_label)
-        operands = []
-        terms = []
-        for op, tensor in enumerate(tensors):
-            operands.append(tensor.data[tuple(slice(0, p + 1) for p in trims[op])])
-            terms.append("".join(labels[n] for n, pos in enumerate(positions) if pos[0] == op))
-        for n in dt_pos:
-            operands.append(dt_values[: positions[n][3] + 1])
-            terms.append(labels[n])
-        contributions.append(float(np.einsum(",".join(terms) + "->", *operands)))
+            trims[na] = trims[nb] = min(tops[na], tops[nb])
+        operands = [t.data[tuple(slice(0, p + 1) for p in trims[lo:hi])]
+                    for t, (lo, hi) in zip(tensors, spans)]
+        terms = ["".join(labels[lo:hi]) for lo, hi in spans] + dt_labels
+        contributions.append(float(np.einsum(",".join(terms) + "->", *operands, *dt_operands)))
     return math.fsum(contributions)

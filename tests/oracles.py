@@ -169,3 +169,44 @@ def i00_prefix(a, b, L):
 def truncation_law(L, p, p_ref):
     """E[(I*_(00)(p_ref) - I*_(00)(p))^2] for distinct indices."""
     return L * L / 4.0 * (1.0 / (2.0 * p + 1.0) - 1.0 / (2.0 * p_ref + 1.0))
+
+
+def _pairings(axes):
+    """Every partition of the list `axes` into disordered pairs."""
+    if not axes:
+        yield ()
+        return
+    first, rest = axes[0], axes[1:]
+    for n, other in enumerate(rest):
+        for tail in _pairings(rest[:n] + rest[n + 1:]):
+            yield ((first, other),) + tail
+
+
+def isserlis_moment(arrays, components, L):
+    """E[prod_op sum_J arrays[op][J] prod_l zeta^(components[op][l])_(J_l)].
+
+    arrays[op] holds one factor's coefficients, already cut to its truncation
+    orders; components[op] gives each axis its Wiener component, 0 for dt.
+    zeta^(0)_j is the integral of phi_j over the interval of length L, which is
+    sqrt(L) at j = 0 and zero above for both bases. By Isserlis' rule the
+    Gaussian part is a sum over every pairing of all Gaussian axes of the
+    product of E[zeta^(i)_j zeta^(i')_j'] = [i == i'][j == j']; each pairing
+    is summed over the whole outer-product index grid under equality masks.
+    """
+    full = np.asarray(arrays[0], dtype=float)
+    for a in arrays[1:]:
+        full = np.multiply.outer(full, a)
+    comps = [c for cs in components for c in cs]
+    grids = np.indices(full.shape, sparse=True)
+    for axis, c in enumerate(comps):
+        if c == 0:
+            full = full * np.where(grids[axis] == 0, math.sqrt(L), 0.0)
+    total = 0.0
+    for pairing in _pairings([axis for axis, c in enumerate(comps) if c != 0]):
+        if any(comps[a] != comps[b] for a, b in pairing):
+            continue  # independent zero-mean factors
+        mask = np.ones(full.shape, dtype=bool)
+        for a, b in pairing:
+            mask &= grids[a] == grids[b]
+        total += float(np.sum(full, where=mask))
+    return total

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratint import (
@@ -25,6 +25,7 @@ from stratint import (
     draw_path,
     draw_table,
     enumerate_pair_partitions,
+    oracle,
     phi_matrix,
     sample_truncated,
     strat_reference,
@@ -32,7 +33,7 @@ from stratint import (
     truncated_moment,
 )
 
-from oracles import slow_discretize, truncation_law
+from oracles import isserlis_moment, slow_discretize, truncation_law
 
 IV = Interval(0.0, 1.0)
 IV2 = Interval(2.5, 3.75)
@@ -440,6 +441,119 @@ def test_k1_second_moment():
     orders = TruncationOrders.uniform(1, 30)
     m = truncated_moment([ispec] * 2, [t0] * 2, [orders] * 2)
     assert m == pytest.approx(1.0, rel=1e-13)  # E[I0^2] = L on [0,1]
+
+
+def test_moment_rejects_mixed_single_and_list():
+    tensor = _tensor((0, 0), box=4)
+    ispec = _ispec((0, 0), (1, 2))
+    orders = TruncationOrders.uniform(2, 4)
+    with pytest.raises(ArgumentError):
+        truncated_moment(ispec, [tensor], orders)
+    with pytest.raises(ArgumentError):
+        truncated_moment([ispec], tensor, [orders])
+
+
+def test_moment_enumerates_within_components(monkeypatch):
+    # Isserlis pairs only axes of one component: distinct components need one
+    # pairing each, while a repeated component still gets every one of its 105
+    built = []
+
+    def counting(k, r):
+        out = enumerate_pair_partitions(k, r)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle, "enumerate_pair_partitions", counting)
+    tensor = _tensor((0, 0, 0, 0), box=2)
+    orders = TruncationOrders.uniform(4, 2)
+
+    def built_for(indices):
+        built.clear()
+        ispec = _ispec((0, 0, 0, 0), indices)
+        truncated_moment([ispec] * 2, [tensor] * 2, [orders] * 2)
+        return sum(built)
+
+    assert built_for((1, 2, 3, 4)) <= 4  # 105 when all eight axes are paired at once
+    assert built_for((1, 1, 1, 1)) == 105
+
+
+@st.composite
+def _moment_operand(draw):
+    """Weights, components (0 is dt) and per-axis truncation orders of one factor."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    exps = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    indices = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    orders = tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    return exps, indices, orders
+
+
+@given(
+    operands=st.lists(_moment_operand(), min_size=1, max_size=2),
+    basis=st.sampled_from(list(BasisKind)),
+    iv=st.sampled_from([IV, IV2]),
+)
+@example(operands=[((0, 0, 0, 0), (1, 1, 1, 1), (3, 3, 3, 3))] * 2,
+         basis=BasisKind.LEGENDRE, iv=IV)
+@example(operands=[((0, 1, 2, 0), (1, 1, 1, 1), (3, 2, 1, 3)),
+                   ((2, 0, 1, 1), (1, 1, 1, 1), (1, 3, 3, 2))],
+         basis=BasisKind.TRIGONOMETRIC, iv=IV2)
+@example(operands=[((1, 0, 2), (0, 1, 0), (2, 3, 1)), ((0, 2, 1), (1, 0, 0), (3, 2, 0))],
+         basis=BasisKind.LEGENDRE, iv=IV2)
+@settings(derandomize=True, deadline=None, max_examples=40)
+def test_moments_match_isserlis_brute_force(operands, basis, iv):
+    ispecs, tensors, orders, arrays, components = [], [], [], [], []
+    for exps, indices, p in operands:
+        tensor = _tensor(exps, iv, 3, basis)
+        ispecs.append(_ispec(exps, indices, iv, basis))
+        tensors.append(tensor)
+        orders.append(TruncationOrders(p))
+        arrays.append(tensor.data[tuple(slice(0, q + 1) for q in p)])
+        components.append(indices)
+    got = truncated_moment(ispecs, tensors, orders)
+    want = isserlis_moment(arrays, components, iv.length())
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _frozen_moment_cases():
+    """(basis, interval, operands) over k1, k2 in 1..4, spread over exponents and
+    components 0-2, with orders that differ between the two operands."""
+    n = 0
+    for basis, iv in itertools.product(BasisKind, (IV, IV2)):
+        for k1, k2 in itertools.product(range(1, 5), repeat=2):
+            for _ in range(3):
+                operands = []
+                for k in (k1, k2):
+                    n += 1
+                    code = n * 2654435761 % 9**k
+                    digits = [code // 3**d % 3 for d in range(2 * k)]
+                    p = tuple((n + 2 * axis) % 4 for axis in range(k))
+                    operands.append((tuple(digits[:k]), tuple(digits[k:]), p))
+                yield basis, iv, operands
+        # one component repeated on every axis
+        yield basis, iv, [((0, 1, 2, 0), (1, 1, 1, 1), (3, 2, 1, 3)),
+                          ((2, 0, 1, 1), (1, 1, 1, 1), (1, 3, 3, 2))]
+
+
+# SHA-256 of float.hex of E[X] and E[XY] over _frozen_moment_cases, recorded
+# while every pairing of all Gaussian axes was enumerated and mixed ones dropped
+FROZEN_MOMENTS = "5305641ea1d9ee843629da38eef40864b5d352f078bc71dbcd5fe8f4dc147b38"
+
+
+def test_truncated_moment_frozen_bytes():
+    tensors = {}
+    digest = hashlib.sha256()
+    for basis, iv, operands in _frozen_moment_cases():
+        ispecs, ops, orders = [], [], []
+        for exps, indices, p in operands:
+            if (basis, iv, exps) not in tensors:
+                tensors[basis, iv, exps] = _tensor(exps, iv, 3, basis)
+            ispecs.append(_ispec(exps, indices, iv, basis))
+            ops.append(tensors[basis, iv, exps])
+            orders.append(TruncationOrders(p))
+        for value in (truncated_moment(ispecs[0], ops[0], orders[0]),
+                      truncated_moment(ispecs, ops, orders)):
+            digest.update(float.hex(value).encode())
+    assert digest.hexdigest() == FROZEN_MOMENTS
 
 
 # ---------------------------------------------- oracle vs sampler MC
