@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from collections.abc import Sequence
@@ -29,6 +28,9 @@ __all__ = [
 ]
 
 _BATCH_CHUNK = 256
+# sample_truncated contracts a batch this many terms at a time (one row at
+# least), so its transient arrays stay near one row's size whatever n is
+_CONTRACT_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,13 @@ def draw_table(
         raise ArgumentError(f"need m >= 1 Wiener components, got {m}")
     if max_j < 0:
         raise ArgumentError(f"need max_j >= 0, got {max_j}")
-    noise = [normal_stream(seed, stream, i, max_j + 1, DOMAIN_TABLE) for i in range(1, m + 1)]
-    dt = np.broadcast_to(basis_integrals(basis, iv, max_j), noise[0].shape)
-    values = np.stack([dt, *noise], axis=-2)
+    # the first component's draw gives the batch shape, as normal_stream reads `stream`
+    first = normal_stream(seed, stream, 1, max_j + 1, DOMAIN_TABLE)
+    values = np.empty(first.shape[:-1] + (m + 1, max_j + 1))
+    values[..., 0, :] = basis_integrals(basis, iv, max_j)
+    values[..., 1, :] = first
+    for i in range(2, m + 1):
+        values[..., i, :] = normal_stream(seed, stream, i, max_j + 1, DOMAIN_TABLE)
     return GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
                          seed=seed, stream=stream)
 
@@ -122,16 +128,15 @@ def sample_truncated(
     tensor: CoeffTensor,
     table: GaussianTable,
     orders: TruncationOrders,
-) -> float:
+) -> float | np.ndarray:
     """Box-truncated expansion sum C_{j_k..j_1} prod zeta, exactly rounded.
 
     Terms are accumulated with math.fsum, so the result does not depend on
-    summation order; the canonical order is j_k outermost.
+    summation order; the canonical order is j_k outermost. A batched table
+    gives one value per row, each equal to the value of that row's own table.
     """
     k = ispec.spec.k
     _check_provenance(ispec, tensor, table)
-    if table.values.ndim != 2:
-        raise ArgumentError("sample_truncated takes the table of one stream, not a batch")
     if len(orders.p) != k:
         raise ArgumentError(f"need {k} truncation orders, got {len(orders.p)}")
     if any(p > o for p, o in zip(orders.p, tensor.orders)):
@@ -140,12 +145,23 @@ def sample_truncated(
         raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(orders.p)}")
     if max(ispec.indices) > table.m:
         raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
+    values = table.values if table.values.ndim == 3 else table.values[None]
     box = tensor.data[tuple(slice(0, p + 1) for p in orders.p)]
-    rows = [table.values[i_l, : p_l + 1] for i_l, p_l in zip(ispec.indices, orders.p)]
-    factor = rows[0]
-    for row in rows[1:]:
-        factor = np.multiply.outer(factor, row)
-    return math.fsum((box * factor).ravel().tolist())
+    step = max(1, _CONTRACT_TERMS // box.size)
+    sums = []
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        # each term is C * ((zeta_a * zeta_b) * zeta_c), the product order of
+        # an outer product; row r's factor lies along the leading axis
+        factor = block[:, ispec.indices[0], : orders.p[0] + 1]
+        for i_l, p_l in zip(ispec.indices[1:], orders.p[1:]):
+            row = block[:, i_l, : p_l + 1]
+            factor = factor[..., None] * row.reshape(len(block), *(1,) * (factor.ndim - 1), -1)
+        # a row's slice of a memoryview hands fsum one float at a time, so no
+        # list of Python floats is built
+        terms = memoryview((box * factor).reshape(-1))
+        sums += (math.fsum(terms[r:r + box.size]) for r in range(0, len(terms), box.size))
+    return sums[0] if table.values.ndim == 2 else np.array(sums)
 
 
 def _rowsum(terms: np.ndarray) -> np.ndarray:
@@ -385,8 +401,9 @@ def sample_batch(
     """n joint samples of all ispecs, one fresh table per row, keyed by (seed, row).
 
     Tables are drawn as one batch per block of rows, and row r reads the
-    table of stream r. Row r is a pure function of (seed, r), so the output
-    is byte-identical for any thread count.
+    table of stream r, so row r is a pure function of (seed, r). `threads`
+    is checked and accepted for compatibility; it changes neither the output
+    nor the work done.
     """
     if not ispecs:
         raise ArgumentError("need at least one integral spec")
@@ -404,20 +421,9 @@ def sample_batch(
     per_spec = _normalize_orders(ispecs, orders)
     max_j = max(max(o.p) for o in per_spec)
     out = np.empty((n, len(ispecs)))
-
-    def fill(lo: int, hi: int) -> None:
+    for lo in range(0, n, _BATCH_CHUNK):
+        hi = min(lo + _BATCH_CHUNK, n)
         block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
-        for r, values in enumerate(block.values, start=lo):
-            table = GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
-                                  seed=seed, stream=r)
-            for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
-                out[r, c] = sample_truncated(ispec, tensor, table, o)
-
-    chunks = [(lo, min(lo + _BATCH_CHUNK, n)) for lo in range(0, n, _BATCH_CHUNK)]
-    if threads == 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            fill(lo, hi)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: fill(*c), chunks))
+        for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
+            out[lo:hi, c] = sample_truncated(ispec, tensor, block, o)
     return out

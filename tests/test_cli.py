@@ -244,11 +244,17 @@ FROZEN_STDOUT = {
                    "9b1eb325abea97c2c3cc217d2ab083837384009068c56ddfa977f0e1cead00f8"),
     "sample-no-rows-csv": (_SAMPLE3 + ("--n", "0"),
                            "7549f1a15336de09f18bb3bbb247c4a04ec220b9c8f61b77fb11cc76898cd9c4"),
+    # 600 rows span three table blocks; this digest and verify-fastpath's were
+    # recorded when each row was contracted from its own single table
+    "sample-three-blocks-csv": (_SAMPLE3 + ("--n", "600", "--threads", "2"),
+                                "2ed273639d7d0f4dbd650e747c82c42dfc6ed11641f7dd48a4c7bbd436cefa5d"),
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
                 "6a16862d5d8ced657f74df15b61a8032ec20ec31e610e905bf7a0ef37f483504"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
                  "2093c84cef6347df96981ccf38c2b5e37e6f4811bd196d1711df9b6ff846473c"),
+    "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
+                        "9268f393139e3cbc6bf308b2a0ea501a6c27050b9c9ebcdfe402d55612d015f6"),
 }
 
 

@@ -66,7 +66,7 @@ print(json.dumps({"before": before, "after": loaded(), "z": z.tobytes().hex()}))
 
 
 def test_first_draw_inside_thread_pool_keeps_bytes():
-    # the first draw of the process happens on two pool threads at once
+    # the first draw of the process happens inside sample_batch(threads=2)
     got = _child("""
 from stratint import BasisKind, Interval, IntegralSpec, TruncationOrders, WeightSpec
 from stratint import compute_tensor, sample_batch

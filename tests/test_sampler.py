@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,13 +294,58 @@ def test_draw_table_batch_rows_are_stream_tables():
         0, 3, 5)
 
 
-def test_sample_truncated_refuses_a_batch():
-    spec = WeightSpec.from_exponents((0, 0))
-    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV)
-    tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV, (4, 4))
-    batch = draw_table(2, 4, BasisKind.LEGENDRE, IV, seed=1, stream=range(3))
-    with pytest.raises(ArgumentError):
-        sample_truncated(ispec, tensor, batch, TruncationOrders.uniform(2, 4))
+# weight exponents, component indices (0 is dt), truncation orders
+_BATCH_SPECS = (
+    ((0,), (0,), (9,)),
+    ((2,), (2,), (16,)),
+    ((0, 1), (0, 2), (7, 12)),
+    ((1, 0, 2), (1, 0, 2), (5, 3, 4)),
+    ((0, 2, 0, 1), (2, 1, 0, 1), (3, 2, 1, 3)),
+    # 9**4 terms, more than one contraction block holds: one row per block
+    ((0, 0, 0, 0), (1, 2, 1, 2), (8, 8, 8, 8)),
+)
+
+
+def test_sample_truncated_batch_rows_equal_single_tables():
+    # n = 0, 1, the contraction block's row count and its neighbours, and 257
+    counts = {}
+    for _, _, p in _BATCH_SPECS:
+        step = max(1, sampler._CONTRACT_TERMS // math.prod(q + 1 for q in p))
+        counts[p] = sorted({0, 1, step - 1, step, step + 1, 257})
+    for basis in BasisKind:
+        singles = [draw_table(2, 16, basis, IV2, seed=4, stream=r)
+                   for r in range(max(map(max, counts.values())))]
+        for exps, indices, p in _BATCH_SPECS:
+            spec = WeightSpec.from_exponents(exps)
+            tensor = compute_tensor(basis, spec, IV2, p)
+            ispec = IntegralSpec(spec=spec, indices=indices, basis=basis, iv=IV2)
+            orders = TruncationOrders(p)
+            want = [sample_truncated(ispec, tensor, t, orders) for t in singles[:max(counts[p])]]
+            assert all(type(v) is float for v in want)
+            for n in counts[p]:
+                batch = draw_table(2, 16, basis, IV2, seed=4, stream=range(n))
+                got = sample_truncated(ispec, tensor, batch, orders)
+                assert got.shape == (n,)
+                assert got.tobytes() == np.array(want[:n]).tobytes(), (basis, exps, n)
+
+
+def test_sample_batch_transient_memory_is_bounded():
+    # the contraction works in blocks of about one row's terms, so a batch
+    # of 256 rows peaks near the memory of a single row
+    spec = WeightSpec.from_exponents((0, 0, 0, 0))
+    ispec = IntegralSpec(spec=spec, indices=(1, 2, 1, 2), basis=BasisKind.LEGENDRE, iv=IV)
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV, (12,) * 4)
+    args = ([ispec], [tensor], 2, TruncationOrders.uniform(4, 12), 9)
+    sample_batch(*args, 1)  # the first draw loads scipy.special
+    peaks = {}
+    for n in (1, 256):
+        tracemalloc.start()
+        try:
+            sample_batch(*args, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] <= 2 * peaks[1], peaks
 
 
 def test_closed_form_registry_views():
