@@ -27,7 +27,6 @@ from .coefficients import (
     CoeffTensor,
     cache_load,
     cache_store,
-    compute_coeff,
     compute_tensor,
 )
 from .errors import (
@@ -85,7 +84,6 @@ __all__ = [
     "CoeffTensor",
     "cache_load",
     "cache_store",
-    "compute_coeff",
     "compute_tensor",
     "ArgumentError",
     "CacheFormatError",

@@ -24,7 +24,6 @@ from .kernel import WeightSpec
 __all__ = [
     "MAX_MULTIPLICITY",
     "CoeffTensor",
-    "compute_coeff",
     "compute_tensor",
     "cache_store",
     "cache_load",
@@ -143,14 +142,6 @@ def compute_tensor(
     if kind is BasisKind.LEGENDRE:
         data[_structural_zeros(spec, orders)] = 0.0
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
-
-
-def compute_coeff(
-    kind: BasisKind, spec: WeightSpec, iv: Interval, js: tuple[int, ...]
-) -> float:
-    """Single coefficient at multi-index (j_1, ..., j_k)."""
-    tensor = compute_tensor(kind, spec, iv, tuple(js))
-    return float(tensor.data[tuple(int(j) for j in js)])
 
 
 def cache_store(path: str, tensor: CoeffTensor) -> None:

@@ -30,7 +30,13 @@ __all__ = [
 _BATCH_CHUNK = 256
 # sample_truncated contracts a batch this many terms at a time (one row at
 # least), so its transient arrays stay near one row's size whatever n is
-_CONTRACT_TERMS = 4096
+_CONTRACT_TERMS = 16384
+# a sub-block of fewer rows is summed by math.fsum row by row: below this the
+# vectorised sum's fixed cost per call exceeds the per-row fsum it saves
+_CERTIFY_ROWS = 8
+# terms whose magnitudes sum below this overflow no partial sum of the TwoSum
+# tree or of math.fsum (whose partials stay within a few times that sum)
+_SAFE_MAGNITUDE = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,13 @@ def sample_truncated(
 ) -> float | np.ndarray:
     """Box-truncated expansion sum C_{j_k..j_1} prod zeta, exactly rounded.
 
-    Terms are accumulated with math.fsum, so the result does not depend on
-    summation order; the canonical order is j_k outermost. A batched table
-    gives one value per row, each equal to the value of that row's own table.
+    Each value equals math.fsum of the row's nonzero terms C * ((zeta_a *
+    zeta_b) * zeta_c), so it does not depend on summation order. A batched
+    table gives one value per row, each equal to the value of that row's own
+    table. Rows are contracted in sub-blocks of _CONTRACT_TERMS terms (one row
+    at least); a sub-block of _CERTIFY_ROWS rows or more is summed by a
+    certified vectorised sum over the coefficient support, with a per-row
+    math.fsum for the rows it cannot certify.
     """
     k = ispec.spec.k
     _check_provenance(ispec, tensor, table)
@@ -148,20 +158,98 @@ def sample_truncated(
     values = table.values if table.values.ndim == 3 else table.values[None]
     box = tensor.data[tuple(slice(0, p + 1) for p in orders.p)]
     step = max(1, _CONTRACT_TERMS // box.size)
-    sums = []
+    if min(step, len(values)) >= _CERTIFY_ROWS:  # the first sub-block is the largest
+        support = np.flatnonzero(box)
+        coeffs = box.reshape(-1, 1)[support]
+    sums = np.empty(len(values))
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
         # each term is C * ((zeta_a * zeta_b) * zeta_c), the product order of
-        # an outer product; row r's factor lies along the leading axis
-        factor = block[:, ispec.indices[0], : orders.p[0] + 1]
+        # an outer product; the row axis is last, so one term's values over
+        # the rows are contiguous
+        factor = block[:, ispec.indices[0], : orders.p[0] + 1].T
         for i_l, p_l in zip(ispec.indices[1:], orders.p[1:]):
-            row = block[:, i_l, : p_l + 1]
-            factor = factor[..., None] * row.reshape(len(block), *(1,) * (factor.ndim - 1), -1)
-        # a row's slice of a memoryview hands fsum one float at a time, so no
-        # list of Python floats is built
-        terms = memoryview((box * factor).reshape(-1))
-        sums += (math.fsum(terms[r:r + box.size]) for r in range(0, len(terms), box.size))
-    return sums[0] if table.values.ndim == 2 else np.array(sums)
+            factor = factor[..., None, :] * block[:, i_l, : p_l + 1].T
+        if len(block) < _CERTIFY_ROWS:
+            sums[lo:lo + step] = _fsum_rows((box[..., None] * factor).reshape(box.size, -1).T)
+        else:
+            terms = factor.reshape(box.size, -1)[support]
+            terms *= coeffs
+            sums[lo:lo + step] = _column_sums(terms)
+    return float(sums[0]) if table.values.ndim == 2 else sums
+
+
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """math.fsum of each row, fed from a slice of a contiguous memoryview.
+
+    The slices hand fsum one float at a time, so no list of Python floats is
+    built.
+    """
+    width = terms.shape[1]
+    flat = memoryview(np.ascontiguousarray(terms).reshape(-1))
+    return [math.fsum(flat[i:i + width]) for i in range(0, len(flat), width)]
+
+
+def _certify(r: np.ndarray, t: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Columns whose exact sum r + t + d, with |d| <= bound, rounds to r.
+
+    A bound of 0 means r is the rounded exact sum. Otherwise the exact sum
+    must lie strictly inside half the gap from r toward zero, which is the
+    smaller gap when |r| is a power of two. A zero r is left to math.fsum,
+    which gives every exact zero sum as +0.0.
+    """
+    half_gap = (np.abs(r) - np.nextafter(np.abs(r), 0.0)) / 2
+    return (r != 0) & ((bound == 0) | (np.abs(t) + bound < half_gap))
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of a (terms, columns) array, bit for bit.
+
+    A TwoSum tree that folds the terms in halves gives each column's rounded
+    sum and its m = n - 1 exact rounding errors, a + b = s + e (Knuth; Ogita,
+    Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005). Any floating sum of
+    the errors differs from their exact sum by at most gamma_{m-1} = (m - 1)
+    u / (1 - (m - 1) u) times their absolute sum, so the compensated sum r
+    is the exactly rounded sum whenever that bound and r's own rounding
+    error keep the exact sum inside r's rounding cell. Columns that _certify
+    rejects, and every column of a block whose terms could overflow a
+    partial sum, go to math.fsum.
+    """
+    n, cols = terms.shape
+    if n == 0:
+        return np.zeros(cols)
+    if not max(terms.max(), -terms.min()) < _SAFE_MAGNITUDE / n:
+        return np.array(_fsum_rows(terms.T))
+    x = terms.copy()
+    errors = np.empty((n - 1, cols))
+    done = 0
+    while len(x) > 1:
+        half = len(x) // 2
+        a, b = x[:half], x[len(x) - half:]
+        s = a + b
+        bv = s - a
+        errors[done:done + half] = (a - (s - bv)) + (b - bv)
+        done += half
+        a[...] = s  # an odd middle term stays in place for the next fold
+        x = x[:len(x) - half]
+    total = x[0]
+    est = errors.sum(axis=0)
+    abs_sum = np.abs(errors, out=errors).sum(axis=0)
+    # 2 (m - 1) u >= gamma_{m-1} / (1 - gamma_{m-1}), which also covers the
+    # rounding of abs_sum; nextafter covers the rounding of the product and
+    # keeps a bound that underflows above zero. One error (n = 2) is its own
+    # exact sum.
+    scale = 2 * max(n - 2, 0) * 2.0**-53
+    bound = np.where((abs_sum == 0) | (scale == 0), 0.0,
+                     np.nextafter(scale * abs_sum, np.inf))
+    r = total + est
+    rv = r - total
+    t = (total - (r - rv)) + (est - rv)
+    ok = _certify(r, t, bound)
+    if not ok.all():
+        bad = ~ok
+        r[bad] = _fsum_rows(terms.T[bad])
+    return r
 
 
 def _rowsum(terms: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from stratint import (
     WeightSpec,
     cache_load,
     cache_store,
-    compute_coeff,
     compute_tensor,
     eval_K_star,
     phi_matrix,
@@ -84,7 +83,7 @@ def test_against_quadrature_oracle(kind, iv):
     ]
     for exps, js in cases:
         spec = WeightSpec.from_exponents(exps)
-        mine = compute_coeff(kind, spec, iv, js)
+        mine = compute_tensor(kind, spec, iv, js).data[js]
         ref = quad_coeff(kind.value, exps, iv.t, iv.T, js)
         assert mine == pytest.approx(ref, abs=2e-8)
 
@@ -95,7 +94,7 @@ def test_k4_volume(kind):
     iv = Interval(2.5, 3.75)
     L = iv.length()
     spec = WeightSpec.from_exponents((0, 0, 0, 0))
-    got = compute_coeff(kind, spec, iv, (0, 0, 0, 0))
+    got = compute_tensor(kind, spec, iv, (0, 0, 0, 0)).data[0, 0, 0, 0]
     want = L**4 / 24.0 / (L * L)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -184,13 +183,13 @@ def test_tensor_depends_on_length_only(kind):
     assert np.array_equal(near, far)
 
 
-def test_tensor_corner_matches_compute_coeff():
+def test_tensor_corner_matches_larger_build():
     iv = Interval(0.0, 1.0)
     spec = WeightSpec.from_exponents((1, 0))
     tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (4, 5))
     assert tensor.data.shape == (5, 6)
-    single = compute_coeff(BasisKind.LEGENDRE, spec, iv, (4, 5))
-    assert single == pytest.approx(tensor.data[4, 5], abs=1e-14)
+    larger = compute_tensor(BasisKind.LEGENDRE, spec, iv, (9, 9))
+    assert tensor.data[4, 5] == pytest.approx(larger.data[4, 5], abs=1e-14)
 
 
 @pytest.mark.parametrize("iv", INTERVALS)

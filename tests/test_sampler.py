@@ -1,11 +1,15 @@
 """Gaussian tables, truncated sampling, closed forms, batching."""
 
+import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratint import (
     CLOSED_FORM_EXPONENTS,
@@ -301,32 +305,208 @@ _BATCH_SPECS = (
     ((0, 1), (0, 2), (7, 12)),
     ((1, 0, 2), (1, 0, 2), (5, 3, 4)),
     ((0, 2, 0, 1), (2, 1, 0, 1), (3, 2, 1, 3)),
-    # 9**4 terms, more than one contraction block holds: one row per block
+    ((0, 0), (1, 2), (20, 20)),
+    # 9**4 terms: sub-blocks of 2 rows, each summed row by row
     ((0, 0, 0, 0), (1, 2, 1, 2), (8, 8, 8, 8)),
+    # 13**4 terms, more than one contraction block holds: one row per block
+    ((0, 0, 0, 0), (1, 2, 1, 2), (12, 12, 12, 12)),
 )
 
 
+def _one_nonzero(tensor):
+    data = np.zeros_like(tensor.data)
+    data[(1,) * data.ndim] = tensor.data[(0,) * data.ndim]
+    return dataclasses.replace(tensor, data=data)
+
+
 def test_sample_truncated_batch_rows_equal_single_tables():
-    # n = 0, 1, the contraction block's row count and its neighbours, and 257
+    # n = 0, 1, the certified sum's row threshold and its neighbours, the
+    # contraction block's row count and its neighbours, and 257; boxes with
+    # an empty support (zeros of either sign) and with one nonzero entry
+    rows = sampler._CERTIFY_ROWS
+    cases = [(exps, indices, p, None) for exps, indices, p in _BATCH_SPECS]
+    cases += [((0, 0), (1, 2), (10, 10), lambda t: dataclasses.replace(t, data=0.0 * t.data)),
+              ((0, 1), (2, 1), (10, 10), _one_nonzero)]
     counts = {}
-    for _, _, p in _BATCH_SPECS:
+    for _, _, p, _ in cases:
         step = max(1, sampler._CONTRACT_TERMS // math.prod(q + 1 for q in p))
-        counts[p] = sorted({0, 1, step - 1, step, step + 1, 257})
+        counts[p] = sorted({0, 1, rows - 1, rows, rows + 1, step - 1, step, step + 1, 257})
     for basis in BasisKind:
-        singles = [draw_table(2, 16, basis, IV2, seed=4, stream=r)
+        singles = [draw_table(2, 20, basis, IV2, seed=4, stream=r)
                    for r in range(max(map(max, counts.values())))]
-        for exps, indices, p in _BATCH_SPECS:
+        for exps, indices, p, edit in cases:
             spec = WeightSpec.from_exponents(exps)
             tensor = compute_tensor(basis, spec, IV2, p)
+            if edit is not None:
+                tensor = edit(tensor)
             ispec = IntegralSpec(spec=spec, indices=indices, basis=basis, iv=IV2)
             orders = TruncationOrders(p)
             want = [sample_truncated(ispec, tensor, t, orders) for t in singles[:max(counts[p])]]
             assert all(type(v) is float for v in want)
             for n in counts[p]:
-                batch = draw_table(2, 16, basis, IV2, seed=4, stream=range(n))
+                batch = draw_table(2, 20, basis, IV2, seed=4, stream=range(n))
                 got = sample_truncated(ispec, tensor, batch, orders)
                 assert got.shape == (n,)
                 assert got.tobytes() == np.array(want[:n]).tobytes(), (basis, exps, n)
+
+
+# The benchmark's sample set: (weight exponents, component indices, order)
+_BENCH_SPECS = {
+    BasisKind.LEGENDRE: (((0,), (1,), 10), ((1,), (1,), 10), ((0, 0), (1, 2), 10),
+                         ((0, 1), (1, 2), 10), ((1, 0), (2, 1), 10), ((0, 0, 0), (1, 2, 1), 6)),
+    BasisKind.TRIGONOMETRIC: (((0,), (1,), 20), ((1,), (1,), 20), ((0, 0), (1, 2), 20),
+                              ((0, 0, 0), (1, 2, 1), 6)),
+}
+# SHA-256 of 2048 rows of that set on [0, 0.01], recorded when each row was
+# summed by its own math.fsum
+FROZEN_BENCH_ROWS = {
+    BasisKind.LEGENDRE: "a0c42adb558b2f23716ed5e0a8d65160c3a4d896254b5a998f2e39194d626c13",
+    BasisKind.TRIGONOMETRIC: "85d817964a0631ed706aed0fa00e6dfdbcbb8f06152dc0f8bc6caf995877a1bb",
+}
+
+
+def _bench_rows_digest(basis):
+    iv = Interval(0.0, 0.01)
+    ispecs, tensors, orders = [], [], []
+    for exps, indices, p in _BENCH_SPECS[basis]:
+        spec = WeightSpec.from_exponents(exps)
+        ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=basis, iv=iv))
+        tensors.append(compute_tensor(basis, spec, iv, (p,) * len(exps)))
+        orders.append(TruncationOrders.uniform(len(exps), p))
+    rows = sample_batch(ispecs, tensors, 2, orders, seed=23, n=2048)
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_sample_batch_frozen_bench_rows(basis):
+    assert _bench_rows_digest(basis) == FROZEN_BENCH_ROWS[basis]
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_sample_batch_bytes_without_certificate(monkeypatch, basis):
+    # every row falls back to math.fsum: the bytes are the certified ones
+    calls = []
+
+    def reject(r, t, bound):
+        calls.append(len(r))
+        return np.zeros(r.shape, dtype=bool)
+
+    monkeypatch.setattr(sampler, "_certify", reject)
+    assert _bench_rows_digest(basis) == FROZEN_BENCH_ROWS[basis]
+    assert sum(calls) == 2048 * len(_BENCH_SPECS[basis])
+
+
+def _fsum_outcome(terms):
+    """math.fsum of each column, or the exception of the first column that raises."""
+    sums = []
+    for column in terms.T:
+        try:
+            sums.append(math.fsum(column.tolist()))
+        except (OverflowError, ValueError) as exc:
+            return type(exc), str(exc)
+    return np.array(sums, dtype=float).tobytes()
+
+
+def _column_sums_outcome(terms):
+    try:
+        return sampler._column_sums(terms).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_TINY = 2.0**-1074
+_MAX = sys.float_info.max
+_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-54, _TINY, -_TINY,
+                     2.0**-1022, 1e-300, -1e-300, 1e300, -1e300])
+
+
+def _floats(rng, size):
+    """Finite floats: any bit pattern, O(1), subnormal, 53-bit integers times
+    scales from 2**-1060 to 1e300, and special values."""
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(float)
+    bits[~np.isfinite(bits)] = 1.0
+    scale = rng.choice([1.0, 2.0**-30, 2.0**-1000, 2.0**-1060, 1e-300, 1e300, 2.0**40], size)
+    choices = [
+        bits,
+        rng.uniform(-4.0, 4.0, size),
+        rng.integers(-2**40, 2**40, size) * _TINY,
+        rng.integers(-2**53, 2**53, size) * 2.0**-53 * scale,
+        rng.choice(_SPECIAL, size),
+    ]
+    return np.choose(rng.integers(0, len(choices), size), choices)
+
+
+def _column(rng, kind):
+    """One column of terms, drawn to hit the certificate's edges."""
+    xs = _floats(rng, rng.integers(0, 13))
+    if kind == "cancel":
+        # pairs that cancel exactly around a small remainder
+        xs = np.concatenate((xs, -xs, _floats(rng, rng.integers(0, 4))))
+    elif kind == "tie":
+        # among pairs that cancel: a plus half an ulp of a, or near it; or
+        # (1 + j 2**-52) + (1 - m 2**-53), exponents one apart, whose sum
+        # 2 + (2j - m) 2**-53 is a tie when it is at least 2
+        scale = rng.choice([-1.0, 1.0]) * 2.0**rng.integers(-1000, 1000)
+        a = rng.uniform(1.0, 2.0) * scale
+        half = math.ulp(a) / 2
+        j = int(rng.integers(1, 2**30))
+        m = (2 * j - 2) % 4 + 4 * int(rng.integers(1, 2**20))
+        pair = rng.choice([[a, rng.choice([half, -half, half / 2, 3 * half])],
+                           [(1 + j * 2.0**-52) * scale, (1 - m * 2.0**-53) * scale]])
+        xs = np.concatenate((pair, xs, -xs))
+    elif kind == "power":
+        # a power of two with small corrections of either sign: t of either sign
+        e = rng.integers(-1000, 1000)
+        q = 2.0**(e - 55)
+        xs = np.concatenate(([2.0**e], rng.integers(-3, 4, rng.integers(1, 5)) * q,
+                             rng.choice([_TINY, -_TINY, q * 2**-60, -q * 2**-60],
+                                        rng.integers(0, 4))))
+    elif kind == "zero":
+        xs = np.concatenate((xs * 0.0, xs, -xs))
+    elif kind == "big":
+        # mixes from 1e300 down, and sums that overflow part way
+        xs = np.concatenate((xs, rng.choice([1e300, -1e300, _MAX, -_MAX, 1e-300],
+                                            rng.integers(0, 5))))
+    return rng.permutation(xs)
+
+
+_KINDS = ("free", "cancel", "tie", "power", "zero", "big")
+
+
+@st.composite
+def _terms(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=16))
+    columns = [_column(rng, kind) for kind in kinds]
+    terms = np.zeros((max(map(len, columns)), len(columns)))
+    for c, column in enumerate(columns):  # zeros below change no exact sum
+        terms[:len(column), c] = column
+    return terms
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_terms())
+def test_column_sums_equal_fsum(terms):
+    assert _column_sums_outcome(terms) == _fsum_outcome(terms)
+
+
+def test_column_sums_edges():
+    cases = [
+        [[1.0, 2.0**-53]],  # a tie rounds to even
+        [[1.0 + 2.0**-52, 2.0**-53]],  # a tie rounds up to even
+        [[1 + 2.0**-51, 1 - 2.0**-52]], [[1 + 2.0**-50, 1 - 2.0**-52]],  # exponents one apart
+        [[1.0, -2.0**-54, -2.0**-80]],  # below a power of two
+        [[1.0, -2.0**-54, 2.0**-80]],  # a tie-breaking remainder
+        [[-0.0]], [[-0.0, -0.0]], [[0.0, -0.0]], [[3.5, -3.5]], [[]],
+        [[_TINY, -_TINY, _TINY]], [[2.0**-1022, -_TINY]],
+        [[1e300, 1e-300, -1e300]],
+        [[_MAX, -_MAX, 1.0]], [[_MAX, _MAX, -_MAX]], [[_MAX, _MAX, -_MAX, -_MAX, 1.0]],
+        [[math.inf, 1.0]], [[math.inf, -math.inf]], [[math.nan, 1.0]],
+    ]
+    for columns in cases:
+        n = max(map(len, columns))
+        terms = np.array(columns, dtype=float).reshape(len(columns), n).T
+        assert _column_sums_outcome(terms) == _fsum_outcome(terms), columns
 
 
 def test_sample_batch_transient_memory_is_bounded():
