@@ -228,7 +228,11 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
         a, b = x[:half], x[len(x) - half:]
         s = a + b
         bv = s - a
-        errors[done:done + half] = (a - (s - bv)) + (b - bv)
+        # e = (a - (s - bv)) + (b - bv), computed in place: temporaries of
+        # this size cost more to allocate than to fill
+        e = np.subtract(s, bv, out=errors[done:done + half])
+        np.subtract(a, e, out=e)
+        e += np.subtract(b, bv, out=bv)
         done += half
         a[...] = s  # an odd middle term stays in place for the next fold
         x = x[:len(x) - half]
