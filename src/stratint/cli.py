@@ -367,7 +367,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="RNG seed (default: STRAT_SEED env var or 0)")
     parser.add_argument("--format", choices=("csv", "json"), default=dfl("csv"))
     parser.add_argument("--out", default=dfl(None), help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=dfl(1))
+    parser.add_argument("--threads", type=int, default=dfl(1),
+                        help="accepted for compatibility (an integer >= 1); changes "
+                             "neither the output nor the work done")
 
 
 def build_parser() -> argparse.ArgumentParser:

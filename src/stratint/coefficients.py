@@ -6,7 +6,8 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,18 +39,78 @@ _CACHE_VERSION = 1
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
 
 
+class Support(NamedTuple):
+    """The nonzero entries of one truncation box, in C order."""
+
+    size: int  # of the box, zeros included
+    flat: np.ndarray  # flat indices into the box
+    axes: tuple[np.ndarray, ...]  # the index j_l of each entry on each axis l
+    coeffs: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CoeffTensor:
-    """Box of coefficients data[j_1, ..., j_k], index j_1 on the innermost factor."""
+    """Box of coefficients data[j_1, ..., j_k], index j_1 on the innermost factor.
+
+    `data` is read-only, so what `support` and `gather` derive from it is
+    kept in a private cache that never goes stale and goes with the tensor;
+    it takes no part in repr, equality or the cache file. It holds one entry
+    per box and per (box, components, width) asked for, each read-only.
+    Threads that miss the same entry at once compute equal values, and the
+    last store wins.
+    """
 
     kind: BasisKind
     spec: WeightSpec
     iv: Interval
     orders: tuple[int, ...]
     data: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.data.setflags(write=False)
+
+    def support(self, p: tuple[int, ...]) -> Support:
+        """Nonzero entries of the box data[:p_1 + 1, ..., :p_k + 1], found once per box.
+
+        Index arrays take the narrowest unsigned type that holds their values.
+        """
+        found = self._cache.get(p)
+        if found is None:
+            if len(p) != len(self.orders) or any(not 0 <= q <= o for q, o in zip(p, self.orders)):
+                raise ArgumentError(f"box {p} is not inside tensor orders {self.orders}")
+            box = self.data[tuple(slice(0, q + 1) for q in p)]
+            flat = np.flatnonzero(box)
+            axes = tuple(_read_only(a.astype(np.min_scalar_type(q)))
+                         for a, q in zip(np.unravel_index(flat, box.shape), p))
+            found = Support(box.size, _read_only(flat.astype(np.min_scalar_type(box.size - 1))),
+                            axes, _read_only(box.reshape(-1)[flat]))
+            self._cache[p] = found
+        return found
+
+    def gather(self, p: tuple[int, ...], indices: tuple[int, ...], width: int) -> tuple:
+        """Per axis l, where the support's factor of component indices[l] sits
+        in a flat table row that holds `width` values per component.
+
+        These are np.intp, the index type numpy's fancy indexing uses without
+        a conversion on every call.
+        """
+        key = (p, indices, width)
+        found = self._cache.get(key)
+        if found is None:
+            axes = self.support(p).axes
+            if len(indices) != len(p) or min(indices) < 0 or width <= max(p):
+                raise ArgumentError(f"cannot gather box {p} of components {indices} "
+                                    f"from rows of width {width}")
+            found = tuple(_read_only(i * width + a.astype(np.intp))
+                          for i, a in zip(indices, axes))
+            self._cache[key] = found
+        return found
 
 
 def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> None:

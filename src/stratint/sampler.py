@@ -84,6 +84,7 @@ class TruncationOrders:
     p: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", tuple(self.p))  # a cache key of the tensor's support
         if not self.p or any(q < 0 for q in self.p):
             raise ArgumentError(f"truncation orders must be >= 0, got {self.p}")
 
@@ -120,12 +121,18 @@ def draw_table(
                          seed=seed, stream=stream)
 
 
+def _same(a, b) -> bool:
+    """a == b, answered by identity first: the same spec or interval object is
+    usually passed on every call, and dataclass equality costs microseconds."""
+    return a is b or a == b
+
+
 def _check_provenance(ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianTable) -> None:
     if tensor.kind is not ispec.basis or table.basis is not ispec.basis:
         raise ArgumentError("basis mismatch between spec, tensor and table")
-    if tensor.spec != ispec.spec:
+    if not _same(tensor.spec, ispec.spec):
         raise ArgumentError("weight mismatch between spec and tensor")
-    if tensor.iv != ispec.iv or table.iv != ispec.iv:
+    if not (_same(tensor.iv, ispec.iv) and _same(table.iv, ispec.iv)):
         raise ArgumentError("interval mismatch between spec, tensor and table")
 
 
@@ -143,40 +150,54 @@ def sample_truncated(
     table. Rows are contracted in sub-blocks of _CONTRACT_TERMS terms (one row
     at least); a sub-block of _CERTIFY_ROWS rows or more is summed by a
     certified vectorised sum over the coefficient support, with a per-row
-    math.fsum for the rows it cannot certify.
+    math.fsum for the rows it cannot certify. A smaller sub-block gathers
+    only the support's factors from the table and sums each row by
+    math.fsum. The support and the gather positions are cached on the tensor.
     """
     k = ispec.spec.k
     _check_provenance(ispec, tensor, table)
-    if len(orders.p) != k:
-        raise ArgumentError(f"need {k} truncation orders, got {len(orders.p)}")
-    if any(p > o for p, o in zip(orders.p, tensor.orders)):
-        raise ArgumentError(f"orders {orders.p} exceed tensor orders {tensor.orders}")
-    if max(orders.p) > table.max_j:
-        raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(orders.p)}")
+    p = orders.p
+    if len(p) != k:
+        raise ArgumentError(f"need {k} truncation orders, got {len(p)}")
+    if p != tensor.orders and any(q > o for q, o in zip(p, tensor.orders)):
+        raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
+    if max(p) > table.max_j:
+        raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
     if max(ispec.indices) > table.m:
         raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
     values = table.values if table.values.ndim == 3 else table.values[None]
-    box = tensor.data[tuple(slice(0, p + 1) for p in orders.p)]
-    step = max(1, _CONTRACT_TERMS // box.size)
-    if min(step, len(values)) >= _CERTIFY_ROWS:  # the first sub-block is the largest
-        support = np.flatnonzero(box)
-        coeffs = box.reshape(-1, 1)[support]
+    support = tensor.support(p)
+    step = max(1, _CONTRACT_TERMS // support.size)
     sums = np.empty(len(values))
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
-        # each term is C * ((zeta_a * zeta_b) * zeta_c), the product order of
-        # an outer product; the row axis is last, so one term's values over
-        # the rows are contiguous
-        factor = block[:, ispec.indices[0], : orders.p[0] + 1].T
-        for i_l, p_l in zip(ispec.indices[1:], orders.p[1:]):
-            factor = factor[..., None, :] * block[:, i_l, : p_l + 1].T
         if len(block) < _CERTIFY_ROWS:
-            sums[lo:lo + step] = _fsum_rows((box[..., None] * factor).reshape(box.size, -1).T)
-        else:
-            terms = factor.reshape(box.size, -1)[support]
-            terms *= coeffs
-            sums[lo:lo + step] = _column_sums(terms)
+            gather = tensor.gather(p, ispec.indices, table.max_j + 1)
+            _gathered_sums(block, gather, support.coeffs, sums[lo:lo + step])
+            continue
+        # the same products as an outer product with the row axis last, so
+        # one term's values over the rows are contiguous
+        factor = block[:, ispec.indices[0], : p[0] + 1].T
+        for i_l, p_l in zip(ispec.indices[1:], p[1:]):
+            factor = factor[..., None, :] * block[:, i_l, : p_l + 1].T
+        terms = factor.reshape(-1, len(block))[support.flat]
+        terms *= support.coeffs[:, None]
+        sums[lo:lo + step] = _column_sums(terms)
     return float(sums[0]) if table.values.ndim == 2 else sums
+
+
+def _gathered_sums(block: np.ndarray, gather: tuple, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """math.fsum of each table's support terms C * ((zeta_a * zeta_b) * zeta_c), into out.
+
+    Each table is read as one flat row, where 1-D fancy indexing is numpy's
+    fast path; `gather` holds the positions of each axis's factors in it.
+    """
+    for r, z in enumerate(block.reshape(len(block), -1)):
+        terms = z[gather[0]]
+        for g in gather[1:]:
+            terms *= z[g]
+        terms *= coeffs
+        out[r] = math.fsum(terms.data)
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -506,16 +527,17 @@ def sample_batch(
     if threads < 1:
         raise ArgumentError(f"need threads >= 1, got {threads}")
     basis, iv = ispecs[0].basis, ispecs[0].iv
-    if any(s.basis is not basis for s in ispecs) or any(s.iv != iv for s in ispecs):
+    if any(s.basis is not basis or not _same(s.iv, iv) for s in ispecs):
         raise ArgumentError("all specs in a batch must share basis and interval")
     if any(max(s.indices) > m for s in ispecs):
         raise ArgumentError(f"m={m} components cannot cover indices {[s.indices for s in ispecs]}")
     per_spec = _normalize_orders(ispecs, orders)
     max_j = max(max(o.p) for o in per_spec)
     out = np.empty((n, len(ispecs)))
+    columns = list(out.T)  # views: a 1-D slice is the cheapest place to write a block
     for lo in range(0, n, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n)
         block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
-        for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
-            out[lo:hi, c] = sample_truncated(ispec, tensor, block, o)
+        for column, ispec, tensor, o in zip(columns, ispecs, tensors, per_spec):
+            column[lo:hi] = sample_truncated(ispec, tensor, block, o)
     return out

@@ -86,6 +86,12 @@ def test_sample_reproducible_and_thread_invariant():
     assert len(lines) == 41
 
 
+def test_threads_help_says_it_changes_nothing():
+    text = " ".join(cli.build_parser().format_help().split())
+    assert "--threads THREADS accepted for compatibility (an integer >= 1); changes " \
+           "neither the output nor the work done" in text
+
+
 def test_sample_seed_changes_output():
     a = run("sample", "--spec", "0:1", "--orders", "4", "--n", "5", "--seed", "1").stdout
     b = run("sample", "--spec", "0:1", "--orders", "4", "--n", "5", "--seed", "2").stdout

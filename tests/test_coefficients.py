@@ -1,5 +1,6 @@
 """Coefficient tensors: golden expansions, quadrature oracle, caching."""
 
+import dataclasses
 import math
 import os
 
@@ -295,3 +296,47 @@ def test_cache_round_trip_property(tmp_path_factory, orders, exps):
     cache_store(path, tensor)
     back = cache_load(path, BasisKind.LEGENDRE, spec, iv, tuple(orders))
     assert np.array_equal(back.data, tensor.data)
+
+
+def test_support_of_a_box():
+    iv = Interval(0.5, 1.75)
+    tensor = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 1, 0)), iv, (6, 5, 6))
+    for p in ((6, 5, 6), (3, 0, 5), (0, 0, 0)):
+        box = tensor.data[tuple(slice(0, q + 1) for q in p)]
+        support = tensor.support(p)
+        assert support.size == box.size
+        assert np.array_equal(support.flat, np.flatnonzero(box))
+        assert all(np.array_equal(a, b) for a, b in zip(support.axes, np.nonzero(box)))
+        assert support.coeffs.tobytes() == box[np.nonzero(box)].tobytes()
+        assert [a.dtype for a in support.axes] == [np.uint8] * 3
+        assert support.flat.dtype == np.min_scalar_type(box.size - 1)
+        with pytest.raises(ValueError):
+            support.coeffs[...] = 0.0
+        gather = tensor.gather(p, (1, 0, 2), 9)
+        assert [g.dtype for g in gather] == [np.intp] * 3
+        for i, g, a in zip((1, 0, 2), gather, support.axes):
+            assert np.array_equal(g, 9 * i + a.astype(np.intp))
+    for bad in ((7, 5, 6), (6, 5), (-1, 0, 0)):
+        with pytest.raises(ArgumentError):
+            tensor.support(bad)
+    with pytest.raises(ArgumentError):
+        tensor.gather((6, 5, 6), (1, 0, 2), 6)  # a row of width 6 holds j <= 5 only
+
+
+def test_support_cache_is_private(tmp_path):
+    # a used tensor prints, compares, copies and stores like a fresh one
+    iv = Interval(2.5, 3.75)
+    spec = WeightSpec.from_exponents((1, 0))
+    used = compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, (6, 9))
+    fresh = dataclasses.replace(used)
+    used.support((6, 9))
+    used.gather((4, 9), (1, 2), 12)
+    assert len(used._cache) == 3 and fresh._cache == {}
+    assert repr(used) == repr(fresh) and "_cache" not in repr(used)
+    assert used == fresh
+    assert dataclasses.replace(used)._cache == {}
+    with pytest.raises(ValueError):
+        dataclasses.replace(used, _cache={})
+    cache_store(os.fspath(tmp_path / "used.stcf"), used)
+    cache_store(os.fspath(tmp_path / "fresh.stcf"), fresh)
+    assert (tmp_path / "used.stcf").read_bytes() == (tmp_path / "fresh.stcf").read_bytes()

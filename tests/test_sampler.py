@@ -1,8 +1,10 @@
 """Gaussian tables, truncated sampling, closed forms, batching."""
 
 import dataclasses
+import functools
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -394,6 +396,155 @@ def test_sample_batch_bytes_without_certificate(monkeypatch, basis):
     monkeypatch.setattr(sampler, "_certify", reject)
     assert _bench_rows_digest(basis) == FROZEN_BENCH_ROWS[basis]
     assert sum(calls) == 2048 * len(_BENCH_SPECS[basis])
+
+
+def _full_box_fsum(tensor, indices, p, table):
+    """The sum before the support was cached: math.fsum over every term of the
+    box, zeros included, each term C * ((zeta_a * zeta_b) * zeta_c)."""
+    box = tensor.data[tuple(slice(0, q + 1) for q in p)]
+    factor = table[indices[0], : p[0] + 1]
+    for i, q in zip(indices[1:], p[1:]):
+        factor = factor[..., None] * table[i, : q + 1]
+    return math.fsum((box * factor).ravel().tolist())
+
+
+# largest tensor order per multiplicity, so an example builds in milliseconds
+_SMALL_ORDERS = {1: 12, 2: 9, 3: 5, 4: 3}
+
+
+@functools.lru_cache(maxsize=None)
+def _small_tensor(basis, exps, orders):
+    return compute_tensor(basis, WeightSpec.from_exponents(exps), IV2, orders)
+
+
+@st.composite
+def _small_blocks(draw):
+    basis = draw(st.sampled_from(list(BasisKind)))
+    k = draw(st.integers(1, 4))
+    exps = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    orders = tuple(draw(st.lists(st.integers(0, _SMALL_ORDERS[k]), min_size=k, max_size=k)))
+    p = tuple(draw(st.integers(0, o)) for o in orders)
+    indices = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    max_j = max(p) + draw(st.integers(0, 4))
+    edit = draw(st.sampled_from(["none", "zero", "one"]))
+    where = tuple(draw(st.integers(0, q)) for q in p)
+    rows = draw(st.integers(1, sampler._CERTIFY_ROWS - 1))
+    seed = draw(st.integers(0, 2**32))
+    return basis, exps, orders, p, indices, max_j, edit, where, rows, seed
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_blocks())
+def test_small_blocks_equal_full_box_fsum(case):
+    # blocks of fewer than _CERTIFY_ROWS rows gather only the support's terms;
+    # each row keeps the bytes of math.fsum over the whole box
+    basis, exps, orders, p, indices, max_j, edit, where, rows, seed = case
+    tensor = _small_tensor(basis, exps, orders)
+    if edit == "zero":  # zeros of either sign: the sum is +0.0
+        tensor = dataclasses.replace(tensor, data=-0.0 * tensor.data)
+    elif edit == "one":
+        data = np.zeros_like(tensor.data)
+        data[where] = tensor.data[(0,) * len(exps)] or 1.0
+        tensor = dataclasses.replace(tensor, data=data)
+    ispec = IntegralSpec(spec=tensor.spec, indices=indices, basis=basis, iv=IV2)
+    batch = draw_table(2, max_j, basis, IV2, seed, stream=range(rows))
+    got = sample_truncated(ispec, tensor, batch, TruncationOrders(p))
+    want = np.array([_full_box_fsum(tensor, indices, p, t) for t in batch.values])
+    assert got.tobytes() == want.tobytes()
+    if edit == "zero":
+        assert got.tobytes() == np.zeros(rows).tobytes()
+    single = draw_table(2, max_j, basis, IV2, seed)
+    assert sample_truncated(ispec, tensor, single, TruncationOrders(p)) == _full_box_fsum(
+        tensor, indices, p, single.values)
+
+
+def test_support_cache_shared_across_boxes_and_tables():
+    # one tensor used in turn with two boxes and two table widths gives the
+    # bytes of a fresh tensor per call, on the small and the certified path
+    spec = WeightSpec.from_exponents((1, 0, 2))
+    shared = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (8, 8, 8))
+    ispec = IntegralSpec(spec=spec, indices=(1, 0, 2), basis=BasisKind.LEGENDRE, iv=IV2)
+    for n in (1, 5, 300):
+        for p in ((8, 8, 8), (5, 3, 8)):
+            for max_j in (10, 20):
+                table = draw_table(2, max_j, BasisKind.LEGENDRE, IV2, seed=n, stream=range(n))
+                fresh = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (8, 8, 8))
+                got = sample_truncated(ispec, shared, table, TruncationOrders(p))
+                want = sample_truncated(ispec, fresh, table, TruncationOrders(p))
+                assert got.tobytes() == want.tobytes(), (n, p, max_j)
+    # two boxes, and the gather positions of each box in each table width
+    assert len(shared._cache) == 2 + 2 * 2
+
+
+def test_repeated_calls_do_not_grow_the_support_cache():
+    ispecs, tensors, orders = [], [], []
+    for exps, indices, p in _BENCH_SPECS[BasisKind.LEGENDRE]:
+        spec = WeightSpec.from_exponents(exps)
+        ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=BasisKind.LEGENDRE, iv=IV))
+        tensors.append(compute_tensor(BasisKind.LEGENDRE, spec, IV, (p,) * len(exps)))
+        orders.append(TruncationOrders.uniform(len(exps), p))
+    sample_batch(ispecs, tensors, 2, orders, seed=1, n=1)
+    sizes = [len(t._cache) for t in tensors]
+    assert sizes == [2] * len(tensors)  # one box, one table width
+    for seed, n in ((2, 1), (3, 5), (4, 300), (5, 1)):
+        sample_batch(ispecs, tensors, 2, orders, seed=seed, n=n)
+        assert [len(t._cache) for t in tensors] == sizes
+
+
+def _raises(message, fn, *args, **kwargs):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        fn(*args, **kwargs)
+
+
+def test_sampling_error_messages():
+    ispec, tensor, table = _generic_setup((0, 0), (1, 2))
+    o3 = TruncationOrders.uniform(2, 3)
+    trig = draw_table(2, 12, BasisKind.TRIGONOMETRIC, IV, seed=3)
+    _raises("basis mismatch between spec, tensor and table", sample_truncated,
+            ispec, tensor, trig, o3)
+    other = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((1, 0)), IV, (12, 12))
+    _raises("weight mismatch between spec and tensor", sample_truncated, ispec, other, table, o3)
+    shifted = draw_table(2, 12, BasisKind.LEGENDRE, IV2, seed=3)
+    _raises("interval mismatch between spec, tensor and table", sample_truncated,
+            ispec, tensor, shifted, o3)
+    moved = compute_tensor(BasisKind.LEGENDRE, tensor.spec, IV2, (12, 12))
+    _raises("interval mismatch between spec, tensor and table", sample_truncated,
+            ispec, moved, table, o3)
+    _raises("need 2 truncation orders, got 1", sample_truncated,
+            ispec, tensor, table, TruncationOrders.uniform(1, 3))
+    _raises("orders (3, 13) exceed tensor orders (12, 12)", sample_truncated,
+            ispec, tensor, table, TruncationOrders((3, 13)))
+    small = draw_table(2, 4, BasisKind.LEGENDRE, IV, seed=3)
+    _raises("table holds indices up to 4, need 5", sample_truncated,
+            ispec, tensor, small, TruncationOrders((5, 2)))
+    wide = IntegralSpec(spec=tensor.spec, indices=(1, 5), basis=BasisKind.LEGENDRE, iv=IV)
+    _raises("table has 2 components, need 5", sample_truncated, wide, tensor, table, o3)
+
+    _raises("need at least one integral spec", sample_batch, [], [], 2, o3, 1, 1)
+    _raises("need 1 tensors, got 2", sample_batch, [ispec], [tensor] * 2, 2, o3, 1, 1)
+    _raises("need n >= 0, got -1", sample_batch, [ispec], [tensor], 2, o3, 1, -1)
+    _raises("need threads >= 1, got 0", sample_batch, [ispec], [tensor], 2, o3, 1, 1, 0)
+    elsewhere = IntegralSpec(spec=tensor.spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV2)
+    _raises("all specs in a batch must share basis and interval", sample_batch,
+            [ispec, elsewhere], [tensor, moved], 2, o3, 1, 1)
+    _raises("m=1 components cannot cover indices [(1, 2)]", sample_batch,
+            [ispec], [tensor], 1, o3, 1, 1)
+    _raises("need 1 truncation orders, got 2", sample_batch, [ispec], [tensor], 2, [o3] * 2, 1, 1)
+
+
+def test_equal_but_distinct_spec_and_interval_are_accepted():
+    ispec, tensor, table = _generic_setup((0, 1), (2, 1))
+    twin = IntegralSpec(spec=WeightSpec.from_exponents((0, 1)), indices=(2, 1),
+                        basis=BasisKind.LEGENDRE, iv=Interval(IV.t, IV.T))
+    assert twin.spec is not tensor.spec and twin.iv is not tensor.iv
+    assert twin.iv is not table.iv
+    orders = TruncationOrders((12, 7))
+    assert (sample_truncated(twin, tensor, table, orders)
+            == sample_truncated(ispec, tensor, table, orders))
+    # the batch's specs share an interval equal to, not the same as, the first one's
+    rows = sample_batch([ispec, twin], [tensor, tensor], 2, orders, seed=7, n=3)
+    want = sample_batch([ispec, ispec], [tensor, tensor], 2, orders, seed=7, n=3)
+    assert rows.tobytes() == want.tobytes()
 
 
 def _fsum_outcome(terms):
