@@ -442,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
+        if args.threads < 1:  # a no-op, but the same flag is refused alike by every subcommand
+            raise ArgumentError(f"need threads >= 1, got {args.threads}")
         return args.func(args)
     except (ArgumentError, DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

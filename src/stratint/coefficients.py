@@ -57,12 +57,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class CoeffTensor:
     """Box of coefficients data[j_1, ..., j_k], index j_1 on the innermost factor.
 
-    `data` is read-only, so what `support` and `gather` derive from it is
-    kept in a private cache that never goes stale and goes with the tensor;
-    it takes no part in repr, equality or the cache file. It holds one entry
-    per box and per (box, components, width) asked for, each read-only.
-    Threads that miss the same entry at once compute equal values, and the
-    last store wins.
+    `data` is read-only and owns its memory (a view is copied), so what
+    `support` and `gather` derive from it is kept in a private cache that
+    never goes stale and goes with the tensor; it takes no part in repr,
+    equality or the cache file. It holds one entry per box and per (box,
+    components, width) asked for, each read-only. Threads that miss the
+    same entry at once compute equal values, and the last store wins.
     """
 
     kind: BasisKind
@@ -73,6 +73,8 @@ class CoeffTensor:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.data.base is not None:  # a view: its base could still be written
+            object.__setattr__(self, "data", self.data.copy())
         self.data.setflags(write=False)
 
     def support(self, p: tuple[int, ...]) -> Support:
@@ -267,7 +269,7 @@ def cache_load(
         raise CacheFormatError(f"{path}: element count {count} does not match orders")
     if offset + 8 * count != len(raw):
         raise CacheFormatError(f"{path}: payload length mismatch")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
 
     orders = tuple(int(o) for o in orders)
     wanted = (
@@ -283,5 +285,5 @@ def cache_load(
         raise StaleCacheError(f"{path}: cached parameters {stored} differ from request {wanted}")
     return CoeffTensor(
         kind=kind, spec=spec, iv=iv, orders=orders,
-        data=data.reshape(tuple(o + 1 for o in orders)),
+        data=data.reshape(tuple(o + 1 for o in orders)).copy(),
     )

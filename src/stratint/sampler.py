@@ -534,10 +534,9 @@ def sample_batch(
     per_spec = _normalize_orders(ispecs, orders)
     max_j = max(max(o.p) for o in per_spec)
     out = np.empty((n, len(ispecs)))
-    columns = list(out.T)  # views: a 1-D slice is the cheapest place to write a block
     for lo in range(0, n, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n)
         block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
-        for column, ispec, tensor, o in zip(columns, ispecs, tensors, per_spec):
-            column[lo:hi] = sample_truncated(ispec, tensor, block, o)
+        for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
+            out[lo:hi, c] = sample_truncated(ispec, tensor, block, o)
     return out

@@ -86,10 +86,15 @@ def test_sample_reproducible_and_thread_invariant():
     assert len(lines) == 41
 
 
-def test_threads_help_says_it_changes_nothing():
+def test_threads_help_says_it_changes_nothing(capsys):
     text = " ".join(cli.build_parser().format_help().split())
     assert "--threads THREADS accepted for compatibility (an integer >= 1); changes " \
            "neither the output nor the work done" in text
+    # refused alike by a subcommand that samples and by one that does not
+    for argv in (["coeffs", "--basis", "legendre", "--exps", "0", "--orders", "2"], ["verify", "--suite", "golden"],
+                 ["sample", "--spec", "0:1", "--orders", "2", "--n", "1"]):
+        assert cli.main(argv + ["--threads", "0"]) == 2
+        assert capsys.readouterr().err == "error: need threads >= 1, got 0\n"
 
 
 def test_sample_seed_changes_output():

@@ -340,3 +340,17 @@ def test_support_cache_is_private(tmp_path):
     cache_store(os.fspath(tmp_path / "used.stcf"), used)
     cache_store(os.fspath(tmp_path / "fresh.stcf"), fresh)
     assert (tmp_path / "used.stcf").read_bytes() == (tmp_path / "fresh.stcf").read_bytes()
+
+
+def test_tensor_of_a_view_is_not_changed_through_its_base():
+    # the support cache relies on data never changing
+    iv = Interval(0.0, 1.0)
+    tensor = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 0)), iv, (4, 4))
+    base = tensor.data.copy()
+    view = dataclasses.replace(tensor, data=base[:])
+    assert view.data.base is None
+    before = view.support((4, 4)).coeffs.tobytes()
+    base[:] = 0.0
+    assert np.array_equal(view.data, tensor.data)
+    assert dataclasses.replace(view).support((4, 4)).coeffs.tobytes() == before
+    assert tensor.data.base is None  # compute_tensor hands over its own array, uncopied
