@@ -197,15 +197,24 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m = max(indices)
     max_j = 2 * args.p_ref if basis is BasisKind.TRIGONOMETRIC else args.p_ref
     sq = np.zeros(len(ladder))
-    for lo in range(0, args.n, _CONVERGE_BLOCK):
-        rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
-        table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
-        ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
-        for li, p in enumerate(ladder):
-            d = sample_closed_form(args.name, table, iv, p, indices) - ref
-            # a running sum in row order, as if each d * d were added in turn
-            sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
-    _emit(args, ["p", "mse"], [np.array(ladder), sq / args.n])
+    overflow = DomainError(f"{args.name} on [{iv.t!r}, {iv.T!r}] overflows double precision, "
+                           f"so its mean-square error is not finite")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a numpy overflow is caught below
+            for lo in range(0, args.n, _CONVERGE_BLOCK):
+                rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
+                table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
+                ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
+                for li, p in enumerate(ladder):
+                    d = sample_closed_form(args.name, table, iv, p, indices) - ref
+                    # a running sum in row order, as if each d * d were added in turn
+                    sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
+    except OverflowError:  # from the Python float arithmetic of a closed form
+        raise overflow from None
+    mse = sq / args.n
+    if not np.isfinite(mse).all():
+        raise overflow
+    _emit(args, ["p", "mse"], [np.array(ladder), mse])
     return 0
 
 

@@ -19,7 +19,13 @@ from .basis import (
     gauss_rule,
     phi_matrix,
 )
-from .errors import ArgumentError, CacheFormatError, CapabilityError, StaleCacheError
+from .errors import (
+    ArgumentError,
+    CacheFormatError,
+    CapabilityError,
+    DomainError,
+    StaleCacheError,
+)
 from .kernel import WeightSpec
 
 __all__ = [
@@ -193,7 +199,11 @@ def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
 def compute_tensor(
     kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
-    """Every coefficient with j_l <= orders[l-1], as one read-only array."""
+    """Every coefficient with j_l <= orders[l-1], as one read-only array.
+
+    Raises DomainError when a coefficient is not finite: the interval is too
+    long, or the weights too large, for double precision.
+    """
     orders = tuple(int(o) for o in orders)
     _validate(kind, spec, orders)
     n = _nodes(kind, spec, orders)
@@ -201,9 +211,13 @@ def compute_tensor(
     work = math.prod(o + 1 for o in orders[:-1]) * n
     if 8 * (3 * work + n * n) > MAX_TENSOR_BYTES:
         raise CapabilityError(f"orders {orders} need over {MAX_TENSOR_BYTES >> 30} GiB to build")
-    data = _tensor(kind, spec, iv, orders, n)
+    with np.errstate(all="ignore"):  # an overflow is reported below, not warned of
+        data = _tensor(kind, spec, iv, orders, n)
     if kind is BasisKind.LEGENDRE:
         data[_structural_zeros(spec, orders)] = 0.0
+    if not np.isfinite(data).all():
+        raise DomainError(f"{kind.value} coefficients of orders {orders} on "
+                          f"[{iv.t!r}, {iv.T!r}] overflow double precision")
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 

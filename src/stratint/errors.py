@@ -14,7 +14,8 @@ class ArgumentError(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation point outside the integration interval."""
+    """Evaluation point outside the integration interval, or a result that
+    does not fit in double precision."""
 
 
 class CapabilityError(NotImplementedError):

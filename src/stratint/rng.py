@@ -53,7 +53,11 @@ def _normals(words: np.ndarray) -> np.ndarray:
     if _ndtri is None:
         # the import lock makes a first draw on several threads at once safe
         from scipy.special import ndtri as _ndtri
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2POW53
+    # one new array for the shifted words and one for the uniforms, which the
+    # steps after the conversion update in place; `words` is left as it is
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _INV_2POW53
     # Only the all-ones top word rounds up to 1.0 (ndtri would give +inf).
     np.minimum(u, _U_MAX, out=u)
     return _ndtri(u)

@@ -77,21 +77,21 @@ def two_noise(t_end: float = 1.0) -> SdeProblem:
         np.array([[0.0, 0.6], [0.0, 0.0]]),
         np.array([[0.0, 0.0], [0.6, 0.0]]),
     ])
-
-    def diffusion(x: np.ndarray) -> np.ndarray:
-        cols = np.einsum("ide,...e->...di", b, x)
-        return cols
-
-    def gdg(x: np.ndarray) -> np.ndarray:
-        # column i2 has Jacobian b[i2]; applied to column i1 of the diffusion.
-        return np.einsum("jdc,ice,...e->...dij", b, b, x)
+    # Each coefficient is linear in x, so it is one product with a constant
+    # matrix whose rows are indexed by the component e of x: diffusion column i
+    # is b[i] x, and gdg[d, i, j] = sum_c b[j, d, c] b[i, c, e] x_e, since
+    # column j has Jacobian b[j] and is applied to column i. Every output is
+    # a single nonzero product, so these equal their einsum forms bit for bit.
+    drift_m = np.ascontiguousarray(a.T)
+    diffusion_m = np.einsum("ide->edi", b).reshape(2, 4)
+    gdg_m = np.einsum("jdc,ice->edij", b, b).reshape(2, 8)
 
     return SdeProblem(
         dim=2,
         m=2,
-        drift=lambda x: np.einsum("de,...e->...d", a, x),
-        diffusion=diffusion,
-        gdg=gdg,
+        drift=lambda x: x @ drift_m,
+        diffusion=lambda x: (x @ diffusion_m).reshape(x.shape[:-1] + (2, 2)),
+        gdg=lambda x: (x @ gdg_m).reshape(x.shape[:-1] + (2, 2, 2)),
         x0=np.array([1.0, 1.0]),
         t_end=t_end,
     )
@@ -103,14 +103,27 @@ def _euler_step(problem: SdeProblem, x: np.ndarray, h: float, dw: np.ndarray) ->
 
 
 def _milstein_step(
-    problem: SdeProblem, x: np.ndarray, h: float, dw: np.ndarray, areas: np.ndarray
+    problem: SdeProblem, x: np.ndarray, h: float, dw: np.ndarray, ito: np.ndarray
 ) -> np.ndarray:
-    gdg = problem.gdg(x)
-    # Midpoint-form drift; the diagonal areas carry the +h/2 back on average.
-    f = problem.drift(x) - 0.5 * np.einsum("...dii->...d", gdg)
+    """Milstein in Ito form (Kloeden & Platen 10.3): `ito` holds the Ito double
+    integrals I_(i,j) of the step, see _ito_areas."""
     g = problem.diffusion(x)
-    corr = np.einsum("...dij,...ij->...d", gdg, areas)
-    return x + f * h + np.einsum("...dm,...m->...d", g, dw) + corr
+    corr = np.einsum("...dij,...ij->...d", problem.gdg(x), ito)
+    return x + problem.drift(x) * h + np.einsum("...dm,...m->...d", g, dw) + corr
+
+
+def _ito_areas(areas: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """I_(i,j) = J_(i,j) - h/2 delta_ij from the areas J of the steps on axis 0
+    (of lengths hs), as a new array.
+
+    The midpoint form of Milstein takes h/2 times the diagonal of gdg off the
+    drift at every step; this takes it off the areas once per level.
+    """
+    m = areas.shape[-1]
+    ito = areas.copy()
+    diag = ito.reshape(ito.shape[:-2] + (m * m,))[..., :: m + 1]
+    diag -= (0.5 * hs).reshape((-1,) + (1,) * (diag.ndim - 1))
+    return ito
 
 
 def integrate(
@@ -141,20 +154,25 @@ def integrate(
         axis=1,
     )
     dw = np.sqrt(h)[:, None] * z[..., 0]
-    if scheme == "milstein":
-        areas = _i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p)
-    for step in range(steps):
-        if scheme == "euler":
-            x = _euler_step(problem, x, hs[step], dw[step])
-        else:
-            x = _milstein_step(problem, x, hs[step], dw[step], areas[step])
+    if scheme == "euler":
+        for h_step, dw_step in zip(hs, dw):
+            x = _euler_step(problem, x, h_step, dw_step)
+        return x
+    ito = _ito_areas(_i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p), h)
+    for h_step, dw_step, ito_step in zip(hs, dw, ito):
+        x = _milstein_step(problem, x, h_step, dw_step, ito_step)
     return x
 
 
 def _chunk_increments(
     problem: SdeProblem, rows: range, n_ref: int, seed: int, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step (h, dw, areas) on the reference mesh for a block of paths."""
+    """Per-step (h, dw, areas) on the reference mesh for a block of paths.
+
+    dw and areas are step-major: dw[s, a] and areas[s, a] belong to step s of
+    path a, and areas are the J_(i,j) of each step, so each step reads one
+    contiguous block.
+    """
     m = problem.m
     n_paths = len(rows)
     z = np.empty((n_paths, m, n_ref, p + 1))
@@ -165,13 +183,15 @@ def _chunk_increments(
             ).reshape(n_ref, p + 1)
     grid = problem.t_end * (np.arange(n_ref + 1) / n_ref)
     hs = np.diff(grid)
-    dw = np.sqrt(hs)[None, None, :] * z[..., 0]
-    dw = np.moveaxis(dw, 1, 2)
+    dw = np.empty((n_ref, n_paths, m))
+    np.multiply(np.sqrt(hs)[:, None, None], z[..., 0].transpose(2, 0, 1), out=dw)
     q = np.arange(1, p + 1)
     band = 1.0 / np.sqrt(4.0 * q * q - 1.0)
-    m_term = np.einsum("aisq,ajsq,q->asij", z[..., :p], z[..., 1:], band)
-    outer00 = np.einsum("ais,ajs->asij", z[..., 0], z[..., 0])
-    areas = 0.5 * hs[None, :, None, None] * (outer00 + m_term - np.swapaxes(m_term, 2, 3))
+    m_term = np.einsum("aisq,ajsq,q->saij", z[..., :p], z[..., 1:], band)
+    areas = np.einsum("ais,ajs->saij", z[..., 0], z[..., 0])
+    areas += m_term
+    areas -= m_term.swapaxes(2, 3)
+    areas *= (0.5 * hs)[:, None, None, None]
     return hs, dw, areas
 
 
@@ -182,12 +202,14 @@ def _run_level(
     dw: np.ndarray,
     areas: np.ndarray,
 ) -> np.ndarray:
-    x = np.broadcast_to(problem.x0, (dw.shape[0], problem.dim)).copy()
-    for s in range(hs.size):
-        if scheme == "euler":
-            x = _euler_step(problem, x, hs[s], dw[:, s])
-        else:
-            x = _milstein_step(problem, x, hs[s], dw[:, s], areas[:, s])
+    """End states of every path after the steps hs; dw and areas are step-major."""
+    x = np.broadcast_to(problem.x0, (dw.shape[1], problem.dim)).copy()
+    if scheme == "euler":
+        for h, dw_step in zip(hs.tolist(), dw):
+            x = _euler_step(problem, x, h, dw_step)
+        return x
+    for h, dw_step, ito_step in zip(hs.tolist(), dw, _ito_areas(areas, hs)):
+        x = _milstein_step(problem, x, h, dw_step, ito_step)
     return x
 
 
@@ -220,18 +242,21 @@ def convergence_study(
         hs, dw, areas = _chunk_increments(problem, rows, n_ref, seed, p)
         x_ref = _run_level(problem, scheme, hs, dw, areas)
         n_chunk = len(rows)
+        # the coarse sums run over path-major increments, in the order they always have
+        dw_paths = np.ascontiguousarray(dw.swapaxes(0, 1))
         for li, n in enumerate(levels):
             f = n_ref // n
             grid = problem.t_end * (np.arange(n + 1) / n)
             hb = np.diff(grid)
-            dwr = dw.reshape(n_chunk, n, f, problem.m)
-            dwb = dwr.sum(2)
+            dwr = dw_paths.reshape(n_chunk, n, f, problem.m)
             pref = np.concatenate(
                 [np.zeros((n_chunk, n, 1, problem.m)), np.cumsum(dwr, axis=2)[:, :, :-1]],
                 axis=2,
             )
             cross = np.einsum("anfi,anfj->anij", pref, dwr)
-            areab = areas.reshape(n_chunk, n, f, problem.m, problem.m).sum(2) + cross
+            dwb = np.ascontiguousarray(dwr.sum(2).swapaxes(0, 1))
+            areab = areas.reshape(n, f, n_chunk, problem.m, problem.m).sum(1)
+            areab += cross.swapaxes(0, 1)
             x_n = _run_level(problem, scheme, hb, dwb, areab)
             sq_err[li] += float(np.sum((x_n - x_ref) ** 2))
         done = rows.stop

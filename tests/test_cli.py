@@ -201,6 +201,25 @@ def test_sde_negative_p_usage_error():
 
 
 @pytest.mark.parametrize("command", [
+    # the coefficients overflow: inf and nan were printed with exit 0
+    ["coeffs", "--basis", "legendre", "--exps", "2", "--orders", "3", "--interval", "0", "1e200"],
+    # the coefficients overflow: math.fsum raised on -inf + inf
+    ["sample", "--spec", "3,3:1,2", "--interval", "0", "1e100", "--orders", "2", "--n", "2"],
+    # the squared differences overflow: inf MSEs were printed with exit 0
+    ["converge", "--interval", "0", "1e300", "--n", "5"],
+    # length**3.5 raised OverflowError in the I3 closed form
+    ["converge", "--name", "I3", "--interval", "0", "1e100", "--n", "5"],
+])
+def test_overflow_usage_error(command):
+    proc = run(*command, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+    assert b"overflow" in proc.stderr
+    assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
     ["coeffs", "--basis", "legendre", "--exps", "10", "--orders", "2"],
     ["sample", "--spec", "00:12", "--n", "2"],
 ])
@@ -259,11 +278,14 @@ FROZEN_STDOUT = {
     # recorded when each row was contracted from its own single table
     "sample-three-blocks-csv": (_SAMPLE3 + ("--n", "600", "--threads", "2"),
                                 "2ed273639d7d0f4dbd650e747c82c42dfc6ed11641f7dd48a4c7bbd436cefa5d"),
+    # the two sde digests were re-recorded when Milstein moved to the Ito form
+    # (tests/test_sde.py::test_ito_form_matches_midpoint_form): the gbm rms and
+    # slope printed here moved by ~1e-14 relative
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
-                "6a16862d5d8ced657f74df15b61a8032ec20ec31e610e905bf7a0ef37f483504"),
+                "36f88ae22f444d28ed3ec50c7134d04a1769db0b3294700d582fdf26bdc80bb9"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
-                 "2093c84cef6347df96981ccf38c2b5e37e6f4811bd196d1711df9b6ff846473c"),
+                 "fb0c75a3a174059787323f5647785c16a4611391410387d9da88e1016d206419"),
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
                         "9268f393139e3cbc6bf308b2a0ea501a6c27050b9c9ebcdfe402d55612d015f6"),
 }

@@ -14,6 +14,7 @@ from stratint import (
     BasisKind,
     CacheFormatError,
     CapabilityError,
+    DomainError,
     Interval,
     StaleCacheError,
     WeightSpec,
@@ -229,6 +230,16 @@ def test_validation_errors():
         compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0,)), iv, (-1,))
     with pytest.raises(CapabilityError):
         compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0,)), iv, (513,))
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_overflowing_coefficients_refused(kind):
+    spec = WeightSpec.from_exponents((2,))
+    # C scales as L^(1/2 + 2): finite at L = 1e100, past double precision at 1e200
+    assert np.isfinite(compute_tensor(kind, spec, Interval(0.0, 1e100), (3,)).data).all()
+    with np.errstate(all="raise"):  # the build itself warns of nothing
+        with pytest.raises(DomainError, match="overflow double precision"):
+            compute_tensor(kind, spec, Interval(0.0, 1e200), (3,))
 
 
 def test_tensor_data_read_only():

@@ -145,3 +145,11 @@ def test_all_ones_word_is_finite():
 def test_coordinates_must_be_64_bit_integers(args):
     with pytest.raises(ArgumentError):
         normal_stream(*args)
+
+
+def test_normals_leave_words_unchanged():
+    words = np.random.Generator(np.random.Philox(3)).integers(0, 2**64, size=37, dtype=np.uint64)
+    kept = words.copy()
+    z = _normals(words)
+    assert words.tobytes() == kept.tobytes()
+    assert z.dtype == np.float64 and not np.shares_memory(z, words)

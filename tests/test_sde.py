@@ -13,7 +13,8 @@ from stratint import (
     integrate,
     two_noise,
 )
-from stratint.sde_demo import _chunk_increments
+from stratint import sde_demo
+from stratint.sde_demo import _chunk_increments, _ito_areas
 
 
 def test_gbm_problem_shape():
@@ -67,8 +68,9 @@ def test_chunk_increment_identities():
     prob = gbm()
     hs, dw, areas = _chunk_increments(prob, rows=range(4), n_ref=32, seed=5, p=8)
     assert hs.shape == (32,)
-    assert dw.shape == (4, 32, 1)
-    assert areas.shape == (4, 32, 1, 1)
+    # step-major: step s of path a is dw[s, a]
+    assert dw.shape == (32, 4, 1)
+    assert areas.shape == (32, 4, 1, 1)
     # area symmetrization: A_ij + A_ji = dW_i dW_j on every cell
     prob2 = two_noise()
     _, dw2, areas2 = _chunk_increments(prob2, rows=range(3), n_ref=16, seed=5, p=8)
@@ -124,8 +126,12 @@ def test_integrate_frozen_values():
 FROZEN_INTEGRATE = {
     ("gbm", "euler"):
         "107d1a3f965b39bc3641d56cc055f0ccfd481437dcc47ec6c07952fd40a20509",
+    # re-recorded when Milstein moved to the Ito form, I_(i,i) = J_(i,i) - h/2 taken
+    # once per level: gbm's end states move in the last bits (two_noise's gdg has a
+    # zero diagonal, so its digests did not change); test_ito_form_matches_midpoint_form
+    # pins the agreement with the midpoint form to rel 1e-12
     ("gbm", "milstein"):
-        "4a1841ecd95ae839bb54c90d8a87510628c5414c35f5a81d48f6f5020ec74bdb",
+        "e075e5712c4f1d829291c526dab9ea21d5f2b1a47f606faa7951aa236339ee8d",
     ("two_noise", "euler"):
         "3140ea1bd4193f836e53af560d07d78be59c5d0e1696385215cd9e19620b459f",
     ("two_noise", "milstein"):
@@ -140,3 +146,81 @@ def test_integrate_frozen_bytes(problem, scheme):
     for steps, p in ((1, 10), (37, 0), (300, 10), (64, 130)):
         digest.update(integrate(make(), scheme, steps, seed=31, p=p).tobytes())
     assert digest.hexdigest() == FROZEN_INTEGRATE[problem, scheme]
+
+
+def _midpoint_step(problem, x, h, dw, areas):
+    """Milstein as it was written before the Ito form: the areas J, and h/2 times
+    the diagonal of gdg taken off the drift at every step."""
+    gdg = problem.gdg(x)
+    f = problem.drift(x) - 0.5 * np.einsum("...dii->...d", gdg)
+    g = problem.diffusion(x)
+    corr = np.einsum("...dij,...ij->...d", gdg, areas)
+    return x + f * h + np.einsum("...dm,...m->...d", g, dw) + corr
+
+
+@pytest.fixture
+def midpoint_form(monkeypatch):
+    """Runs a callable with the midpoint-form step fed the areas J themselves."""
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sde_demo, "_milstein_step", _midpoint_step)
+            patch.setattr(sde_demo, "_ito_areas", lambda areas, hs: areas)
+            return fn(*args)
+    return run
+
+
+@pytest.mark.parametrize("make", [gbm, two_noise])
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+def test_ito_form_matches_midpoint_form(midpoint_form, make, scheme):
+    for seed in (0, 5, 31):
+        for p in (0, 10, 130):
+            for steps in (1, 37, 300):
+                got = integrate(make(), scheme, steps, seed, p)
+                want = midpoint_form(integrate, make(), scheme, steps, seed, p)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            for ladder, n_paths in (((1, 2, 4, 8), 9), ((2, 4, 8, 16), 4)):
+                got = convergence_study(make(), scheme, ladder, n_paths, seed, p)
+                want = midpoint_form(convergence_study, make(), scheme, ladder, n_paths, seed, p)
+                np.testing.assert_allclose(got.rms, want.rms, rtol=1e-12, atol=0)
+
+
+def test_ito_areas_shift_the_diagonal_only():
+    rng = np.random.default_rng(4)
+    areas = rng.standard_normal((5, 3, 2, 2))
+    hs = rng.uniform(0.1, 1.0, 5)
+    kept = areas.copy()
+    ito = _ito_areas(areas, hs)
+    assert areas.tobytes() == kept.tobytes()
+    want = areas - 0.5 * hs[:, None, None, None] * np.eye(2)
+    assert ito.tobytes() == want.tobytes()
+    # one step of m = 1 paths, as integrate passes them: I_(1,1) = (dW^2 - h) / 2
+    dw = rng.standard_normal(7)
+    ito1 = _ito_areas((0.5 * dw * dw)[:, None, None], np.full(7, 1.0))
+    assert np.array_equal(ito1[:, 0, 0], 0.5 * dw * dw - 0.5)
+
+
+def _two_noise_einsum():
+    """two_noise's coefficients as they were first written, by einsum."""
+    a = np.array([[-0.2, 0.0], [0.0, -0.2]])
+    b = np.stack([
+        np.array([[0.0, 0.6], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [0.6, 0.0]]),
+    ])
+    return {
+        "drift": lambda x: np.einsum("de,...e->...d", a, x),
+        "diffusion": lambda x: np.einsum("ide,...e->...di", b, x),
+        "gdg": lambda x: np.einsum("jdc,ice,...e->...dij", b, b, x),
+    }
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_two_noise_matrices_equal_einsums(lead):
+    prob = two_noise()
+    rng = np.random.default_rng(len(lead))
+    for _ in range(20):
+        # magnitudes across many binades, and both signs
+        x = rng.standard_normal(lead + (2,)) * 10.0 ** rng.integers(-200, 200, lead + (2,))
+        for name, want in _two_noise_einsum().items():
+            got = getattr(prob, name)(x)
+            assert got.shape == want(x).shape
+            assert got.tobytes() == want(x).tobytes(), name
