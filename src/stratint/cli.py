@@ -199,18 +199,20 @@ def cmd_converge(args: argparse.Namespace) -> int:
     sq = np.zeros(len(ladder))
     overflow = DomainError(f"{args.name} on [{iv.t!r}, {iv.T!r}] overflows double precision, "
                            f"so its mean-square error is not finite")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a numpy overflow is caught below
-            for lo in range(0, args.n, _CONVERGE_BLOCK):
-                rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
-                table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
+    for lo in range(0, args.n, _CONVERGE_BLOCK):
+        rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
+        table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
+        try:
+            # only the closed forms and their squares can overflow; the MSE check
+            # below reports it, without a warning from numpy first
+            with np.errstate(over="ignore", invalid="ignore"):
                 ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
                 for li, p in enumerate(ladder):
                     d = sample_closed_form(args.name, table, iv, p, indices) - ref
                     # a running sum in row order, as if each d * d were added in turn
                     sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
-    except OverflowError:  # from the Python float arithmetic of a closed form
-        raise overflow from None
+        except OverflowError:  # from the Python float arithmetic of a closed form
+            raise overflow from None
     mse = sq / args.n
     if not np.isfinite(mse).all():
         raise overflow

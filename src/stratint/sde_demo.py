@@ -113,12 +113,9 @@ def _milstein_step(
 
 
 def _ito_areas(areas: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """I_(i,j) = J_(i,j) - h/2 delta_ij from the areas J of the steps on axis 0
-    (of lengths hs), as a new array.
-
-    The midpoint form of Milstein takes h/2 times the diagonal of gdg off the
-    drift at every step; this takes it off the areas once per level.
-    """
+    """Ito double integrals I_(i,j) = J_(i,j) - h/2 delta_ij of the steps on
+    axis 0, of lengths hs, as a new array: convergence_study builds its coarser
+    levels from the areas J it was given."""
     m = areas.shape[-1]
     ito = areas.copy()
     diag = ito.reshape(ito.shape[:-2] + (m * m,))[..., :: m + 1]
@@ -242,22 +239,18 @@ def convergence_study(
         hs, dw, areas = _chunk_increments(problem, rows, n_ref, seed, p)
         x_ref = _run_level(problem, scheme, hs, dw, areas)
         n_chunk = len(rows)
-        # the coarse sums run over path-major increments, in the order they always have
-        dw_paths = np.ascontiguousarray(dw.swapaxes(0, 1))
         for li, n in enumerate(levels):
             f = n_ref // n
             grid = problem.t_end * (np.arange(n + 1) / n)
             hb = np.diff(grid)
-            dwr = dw_paths.reshape(n_chunk, n, f, problem.m)
-            pref = np.concatenate(
-                [np.zeros((n_chunk, n, 1, problem.m)), np.cumsum(dwr, axis=2)[:, :, :-1]],
-                axis=2,
-            )
-            cross = np.einsum("anfi,anfj->anij", pref, dwr)
-            dwb = np.ascontiguousarray(dwr.sum(2).swapaxes(0, 1))
+            dwr = dw.reshape(n, f, n_chunk, problem.m)
+            # pref[:, k]: what each coarse step's path moved before its fine step k
+            pref = np.empty_like(dwr)
+            pref[:, 0] = 0.0
+            np.cumsum(dwr[:, :-1], axis=1, out=pref[:, 1:])
             areab = areas.reshape(n, f, n_chunk, problem.m, problem.m).sum(1)
-            areab += cross.swapaxes(0, 1)
-            x_n = _run_level(problem, scheme, hb, dwb, areab)
+            areab += np.matmul(pref.transpose(0, 2, 3, 1), dwr.transpose(0, 2, 1, 3))
+            x_n = _run_level(problem, scheme, hb, dwr.sum(1), areab)
             sq_err[li] += float(np.sum((x_n - x_ref) ** 2))
         done = rows.stop
     rms = np.sqrt(sq_err / n_paths)

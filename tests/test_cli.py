@@ -279,13 +279,14 @@ FROZEN_STDOUT = {
     "sample-three-blocks-csv": (_SAMPLE3 + ("--n", "600", "--threads", "2"),
                                 "2ed273639d7d0f4dbd650e747c82c42dfc6ed11641f7dd48a4c7bbd436cefa5d"),
     # the two sde digests were re-recorded when Milstein moved to the Ito form
-    # (tests/test_sde.py::test_ito_form_matches_midpoint_form): the gbm rms and
-    # slope printed here moved by ~1e-14 relative
+    # (tests/test_sde.py::test_ito_form_matches_midpoint_form) and the coarse
+    # levels came to be summed over step-major increments: the gbm rms and slope
+    # printed here moved by at most 6e-14 relative
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
-                "36f88ae22f444d28ed3ec50c7134d04a1769db0b3294700d582fdf26bdc80bb9"),
+                "45c5f1fb63ac55a942b4897c240bf68410b4daa3fb8f37e71291a32ed1f64c75"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
-                 "fb0c75a3a174059787323f5647785c16a4611391410387d9da88e1016d206419"),
+                 "86f8ab9a31a38fc105000e07a80825ea179a970f4acba87bcbb3a0eb5358e22c"),
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
                         "9268f393139e3cbc6bf308b2a0ea501a6c27050b9c9ebcdfe402d55612d015f6"),
 }
