@@ -138,27 +138,22 @@ def integrate(
         raise ArgumentError(f"need steps >= 1, got {steps}")
     if p < 0:
         raise ArgumentError(f"need p >= 0, got {p}")
-    x = np.array(problem.x0, dtype=float)
     m = problem.m
-    hs = [
+    h = np.array([
         Interval(problem.t_end * s / steps, problem.t_end * (s + 1) / steps).length()
         for s in range(steps)
-    ]
-    h = np.array(hs)
+    ])
     # z[s, i - 1] is the row of Wiener component i in the table of step s
     z = np.stack(
         [normal_stream(seed, range(steps), i, p + 1, DOMAIN_TABLE) for i in range(1, m + 1)],
         axis=1,
     )
     dw = np.sqrt(h)[:, None] * z[..., 0]
-    if scheme == "euler":
-        for h_step, dw_step in zip(hs, dw):
-            x = _euler_step(problem, x, h_step, dw_step)
-        return x
-    ito = _ito_areas(_i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p), h)
-    for h_step, dw_step, ito_step in zip(hs, dw, ito):
-        x = _milstein_step(problem, x, h_step, dw_step, ito_step)
-    return x
+    areas = None
+    if scheme == "milstein":
+        areas = _i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p)[:, None]
+    # one path: the step-major arrays of _run_level with a path axis of length 1
+    return _run_level(problem, scheme, h, dw[:, None], areas)[0]
 
 
 def _chunk_increments(
@@ -197,9 +192,10 @@ def _run_level(
     scheme: str,
     hs: np.ndarray,
     dw: np.ndarray,
-    areas: np.ndarray,
+    areas: np.ndarray | None,
 ) -> np.ndarray:
-    """End states of every path after the steps hs; dw and areas are step-major."""
+    """End states of every path after the steps hs; dw and areas are step-major,
+    and Euler reads no areas."""
     x = np.broadcast_to(problem.x0, (dw.shape[1], problem.dim)).copy()
     if scheme == "euler":
         for h, dw_step in zip(hs.tolist(), dw):
