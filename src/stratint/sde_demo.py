@@ -187,6 +187,23 @@ def _chunk_increments(
     return hs, dw, areas
 
 
+def _coarsen(dw: np.ndarray, areas: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step-major (dw, areas) of the steps made of f consecutive steps each.
+
+    By Chen's relation a coarse step's J_(i,j) is the sum of its steps' J_(i,j)
+    plus, for each step, the coarse step's i-increment so far times that
+    step's j-increment.
+    """
+    n, n_paths, m = dw.shape[0] // f, dw.shape[1], dw.shape[2]
+    dwr = dw.reshape(n, f, n_paths, m)
+    before = np.empty_like(dwr)
+    before[:, 0] = 0.0
+    np.cumsum(dwr[:, :-1], axis=1, out=before[:, 1:])
+    coarse = areas.reshape(n, f, n_paths, m, m).sum(1)
+    coarse += np.matmul(before.transpose(0, 2, 3, 1), dwr.transpose(0, 2, 1, 3))
+    return dwr.sum(1), coarse
+
+
 def _run_level(
     problem: SdeProblem,
     scheme: str,
@@ -234,19 +251,10 @@ def convergence_study(
         rows = range(done, min(done + _STUDY_CHUNK, n_paths))
         hs, dw, areas = _chunk_increments(problem, rows, n_ref, seed, p)
         x_ref = _run_level(problem, scheme, hs, dw, areas)
-        n_chunk = len(rows)
         for li, n in enumerate(levels):
-            f = n_ref // n
             grid = problem.t_end * (np.arange(n + 1) / n)
-            hb = np.diff(grid)
-            dwr = dw.reshape(n, f, n_chunk, problem.m)
-            # pref[:, k]: what each coarse step's path moved before its fine step k
-            pref = np.empty_like(dwr)
-            pref[:, 0] = 0.0
-            np.cumsum(dwr[:, :-1], axis=1, out=pref[:, 1:])
-            areab = areas.reshape(n, f, n_chunk, problem.m, problem.m).sum(1)
-            areab += np.matmul(pref.transpose(0, 2, 3, 1), dwr.transpose(0, 2, 1, 3))
-            x_n = _run_level(problem, scheme, hb, dwr.sum(1), areab)
+            dwb, areab = _coarsen(dw, areas, n_ref // n)
+            x_n = _run_level(problem, scheme, np.diff(grid), dwb, areab)
             sq_err[li] += float(np.sum((x_n - x_ref) ** 2))
         done = rows.stop
     rms = np.sqrt(sq_err / n_paths)

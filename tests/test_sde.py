@@ -14,7 +14,7 @@ from stratint import (
     two_noise,
 )
 from stratint import sde_demo
-from stratint.sde_demo import _chunk_increments, _ito_areas
+from stratint.sde_demo import _chunk_increments, _coarsen, _ito_areas
 
 
 def test_gbm_problem_shape():
@@ -80,6 +80,26 @@ def test_chunk_increment_identities():
     # diagonal areas are exactly half the squared increment
     diag = np.einsum("anii->ani", areas2)
     assert np.allclose(diag, 0.5 * dw2**2, atol=1e-14)
+
+
+def test_coarse_steps_follow_chen():
+    # J over a coarse step of f fine steps, path by path and step by step
+    _, dw, areas = _chunk_increments(two_noise(), rows=range(3), n_ref=24, seed=9, p=6)
+    f = 4
+    dwb, areab = _coarsen(dw, areas, f)
+    assert dwb.shape == (6, 3, 2) and areab.shape == (6, 3, 2, 2)
+    for c in range(6):
+        for a in range(3):
+            so_far = np.zeros(2)
+            want = np.zeros((2, 2))
+            for k in range(c * f, (c + 1) * f):
+                want += areas[k, a] + np.outer(so_far, dw[k, a])
+                so_far += dw[k, a]
+            np.testing.assert_allclose(dwb[c, a], so_far, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(areab[c, a], want, rtol=1e-13, atol=1e-15)
+    # and the coarse areas keep the symmetrization of the fine ones
+    sym = areab + np.swapaxes(areab, -1, -2)
+    assert np.allclose(sym, np.einsum("ani,anj->anij", dwb, dwb), atol=1e-14)
 
 
 def test_convergence_study_gbm_milstein():
@@ -149,8 +169,8 @@ def test_integrate_frozen_bytes(problem, scheme):
 
 
 def _midpoint_step(problem, x, h, dw, areas):
-    """Milstein as it was written before the Ito form: the areas J, and h/2 times
-    the diagonal of gdg taken off the drift at every step."""
+    """Milstein in midpoint form, the reference for the Ito form: it takes the
+    areas J and takes h/2 times the diagonal of gdg off the drift at every step."""
     gdg = problem.gdg(x)
     f = problem.drift(x) - 0.5 * np.einsum("...dii->...d", gdg)
     g = problem.diffusion(x)
