@@ -81,7 +81,7 @@ def two_noise(t_end: float = 1.0) -> SdeProblem:
     # matrix whose rows are indexed by the component e of x: diffusion column i
     # is b[i] x, and gdg[d, i, j] = sum_c b[j, d, c] b[i, c, e] x_e, since
     # column j has Jacobian b[j] and is applied to column i. Every output is
-    # a single nonzero product, so these equal their einsum forms bit for bit.
+    # a single nonzero product, so no summation order can change its rounding.
     drift_m = np.ascontiguousarray(a.T)
     diffusion_m = np.einsum("ide->edi", b).reshape(2, 4)
     gdg_m = np.einsum("jdc,ice->edij", b, b).reshape(2, 8)
