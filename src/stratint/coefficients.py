@@ -48,8 +48,6 @@ _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
 class Support(NamedTuple):
     """The nonzero entries of one truncation box, in C order."""
 
-    size: int  # of the box, zeros included
-    flat: np.ndarray  # flat indices into the box
     axes: tuple[np.ndarray, ...]  # the index j_l of each entry on each axis l
     coeffs: np.ndarray
 
@@ -93,11 +91,10 @@ class CoeffTensor:
             if len(p) != len(self.orders) or any(not 0 <= q <= o for q, o in zip(p, self.orders)):
                 raise ArgumentError(f"box {p} is not inside tensor orders {self.orders}")
             box = self.data[tuple(slice(0, q + 1) for q in p)]
-            flat = np.flatnonzero(box)
-            axes = tuple(_read_only(a.astype(np.min_scalar_type(q)))
-                         for a, q in zip(np.unravel_index(flat, box.shape), p))
-            found = Support(box.size, _read_only(flat.astype(np.min_scalar_type(box.size - 1))),
-                            axes, _read_only(box.reshape(-1)[flat]))
+            nonzero = np.nonzero(box)
+            found = Support(tuple(_read_only(a.astype(np.min_scalar_type(q)))
+                                  for a, q in zip(nonzero, p)),
+                            _read_only(box[nonzero]))
             self._cache[p] = found
         return found
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import BasisKind, Interval, basis_integrals
 from .coefficients import CoeffTensor
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 from .kernel import WeightSpec
 from .rng import DOMAIN_TABLE, normal_stream
 
@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 _BATCH_CHUNK = 256
-# sample_truncated contracts a batch this many terms at a time (one row at
-# least), so its transient arrays stay near one row's size whatever n is
+# sample_truncated contracts a batch this many support terms at a time (one
+# row at least), so its transient arrays stay near one row's size whatever n is
 _CONTRACT_TERMS = 16384
 # a sub-block of fewer rows is summed by math.fsum row by row: below this the
 # vectorised sum's fixed cost per call exceeds the per-row fsum it saves
@@ -147,12 +147,13 @@ def sample_truncated(
     Each value equals math.fsum of the row's nonzero terms C * ((zeta_a *
     zeta_b) * zeta_c), so it does not depend on summation order. A batched
     table gives one value per row, each equal to the value of that row's own
-    table. Rows are contracted in sub-blocks of _CONTRACT_TERMS terms (one row
-    at least); a sub-block of _CERTIFY_ROWS rows or more is summed by a
-    certified vectorised sum over the coefficient support, with a per-row
-    math.fsum for the rows it cannot certify. A smaller sub-block gathers
-    only the support's factors from the table and sums each row by
-    math.fsum. The support and the gather positions are cached on the tensor.
+    table. Every sub-block gathers only the coefficient support's factors
+    from the table; sub-blocks hold _CONTRACT_TERMS support terms (one row at
+    least). One of _CERTIFY_ROWS rows or more is summed by a certified
+    vectorised sum, with a per-row math.fsum for the rows it cannot certify;
+    a smaller one sums each row by math.fsum. The support and the gather
+    positions are cached on the tensor. Raises DomainError when a value
+    overflows double precision.
     """
     k = ispec.spec.k
     _check_provenance(ispec, tensor, table)
@@ -167,22 +168,28 @@ def sample_truncated(
         raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
     values = table.values if table.values.ndim == 3 else table.values[None]
     support = tensor.support(p)
-    step = max(1, _CONTRACT_TERMS // support.size)
+    gather = tensor.gather(p, ispec.indices, table.max_j + 1)
+    step = max(1, _CONTRACT_TERMS // max(1, len(support.coeffs)))
     sums = np.empty(len(values))
-    for lo in range(0, len(values), step):
-        block = values[lo:lo + step]
-        if len(block) < _CERTIFY_ROWS:
-            gather = tensor.gather(p, ispec.indices, table.max_j + 1)
-            _gathered_sums(block, gather, support.coeffs, sums[lo:lo + step])
-            continue
-        # the same products as an outer product with the row axis last, so
-        # one term's values over the rows are contiguous
-        factor = block[:, ispec.indices[0], : p[0] + 1].T
-        for i_l, p_l in zip(ispec.indices[1:], p[1:]):
-            factor = factor[..., None, :] * block[:, i_l, : p_l + 1].T
-        terms = factor.reshape(-1, len(block))[support.flat]
-        terms *= support.coeffs[:, None]
-        sums[lo:lo + step] = _column_sums(terms)
+    try:
+        for lo in range(0, len(values), step):
+            block = values[lo:lo + step]
+            if len(block) < _CERTIFY_ROWS:
+                _gathered_sums(block, gather, support.coeffs, sums[lo:lo + step])
+                continue
+            # one contiguous copy with the rows last, so one term's values
+            # over the rows are contiguous
+            z = np.ascontiguousarray(block.reshape(len(block), -1).T)
+            terms = z[gather[0]]
+            for g in gather[1:]:
+                terms *= z[g]
+            terms *= support.coeffs[:, None]
+            sums[lo:lo + step] = _column_sums(terms)
+            if not np.isfinite(sums[lo:lo + step]).all():
+                raise OverflowError
+    except (OverflowError, ValueError):  # from math.fsum, or a sum that is not finite
+        raise DomainError(f"a sample of components {ispec.indices} on [{ispec.iv.t!r}, "
+                          f"{ispec.iv.T!r}] overflows double precision") from None
     return float(sums[0]) if table.values.ndim == 2 else sums
 
 
@@ -191,13 +198,16 @@ def _gathered_sums(block: np.ndarray, gather: tuple, coeffs: np.ndarray, out: np
 
     Each table is read as one flat row, where 1-D fancy indexing is numpy's
     fast path; `gather` holds the positions of each axis's factors in it.
+    Raises OverflowError at the first sum that is not finite.
     """
     for r, z in enumerate(block.reshape(len(block), -1)):
         terms = z[gather[0]]
         for g in gather[1:]:
             terms *= z[g]
         terms *= coeffs
-        out[r] = math.fsum(terms.data)
+        out[r] = s = math.fsum(terms.data)
+        if not math.isfinite(s):
+            raise OverflowError
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:

@@ -116,7 +116,7 @@ def test_out_file(tmp_path):
     proc = run("coeffs", "--basis", "legendre", "--exps", "1", "--orders", "2",
                "--out", target)
     assert proc.stdout == b""
-    assert open(target).read().startswith("j_1,value")
+    assert (tmp_path / "rows.csv").read_text().startswith("j_1,value")
 
 
 @pytest.mark.parametrize(
@@ -205,6 +205,13 @@ def test_sde_negative_p_usage_error():
     ["coeffs", "--basis", "legendre", "--exps", "2", "--orders", "3", "--interval", "0", "1e200"],
     # the coefficients overflow: math.fsum raised on -inf + inf
     ["sample", "--spec", "3,3:1,2", "--interval", "0", "1e100", "--orders", "2", "--n", "2"],
+    # finite coefficients, but sums past the double range: inf and -inf rows
+    # were printed with exit 0 (rows summed one at a time)
+    ["sample", "--spec", "3,3:1,2", "--interval", "0", "1.6e44", "--orders", "2", "--n", "5"],
+    # the same in a block of rows summed together: an inf row was printed
+    ["sample", "--spec", "3,3:1,2", "--interval", "0", "1.5e44", "--orders", "2", "--n", "8"],
+    # a block of rows: math.fsum raised an intermediate overflow
+    ["sample", "--spec", "3,3:1,2", "--interval", "0", "1.4e44", "--orders", "2", "--n", "300"],
     # the squared differences overflow: inf MSEs were printed with exit 0
     ["converge", "--interval", "0", "1e300", "--n", "5"],
     # length**3.5 raised OverflowError in the I3 closed form
@@ -217,6 +224,18 @@ def test_overflow_usage_error(command):
     assert proc.stderr.startswith(b"error:")
     assert b"overflow" in proc.stderr
     assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("n, end, digest", [
+    # SHA-256 of stdout, recorded before overflowing samples were refused
+    (1, "1.6e44", "2a7e1bdf8dc64c0962cf7d1c6cda789ff9bb02fe2d838aef83934b4a973fdc47"),
+    (8, "1.4e44", "37686f9708e6d9b9abc0af5c3d0f25250b8211c540a6ecbd5cdf15d8c8a50856"),
+])
+def test_finite_samples_near_overflow_keep_their_bytes(n, end, digest):
+    proc = run("sample", "--spec", "3,3:1,2", "--interval", "0", end, "--orders", "2",
+               "--n", str(n))
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", [

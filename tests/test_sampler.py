@@ -308,9 +308,9 @@ _BATCH_SPECS = (
     ((1, 0, 2), (1, 0, 2), (5, 3, 4)),
     ((0, 2, 0, 1), (2, 1, 0, 1), (3, 2, 1, 3)),
     ((0, 0), (1, 2), (20, 20)),
-    # 9**4 terms: sub-blocks of 2 rows, each summed row by row
+    # 9**4 terms: sub-blocks of 2 or 3 rows, each summed row by row
     ((0, 0, 0, 0), (1, 2, 1, 2), (8, 8, 8, 8)),
-    # 13**4 terms, more than one contraction block holds: one row per block
+    # 13**4 terms, a support larger than one contraction block: one row per block
     ((0, 0, 0, 0), (1, 2, 1, 2), (12, 12, 12, 12)),
 )
 
@@ -323,30 +323,32 @@ def _one_nonzero(tensor):
 
 def test_sample_truncated_batch_rows_equal_single_tables():
     # n = 0, 1, the certified sum's row threshold and its neighbours, the
-    # contraction block's row count and its neighbours, and 257; boxes with
-    # an empty support (zeros of either sign) and with one nonzero entry
+    # contraction block's row count (by support length) and its neighbours,
+    # and 257; boxes with an empty support (zeros of either sign) and with
+    # one nonzero entry
     rows = sampler._CERTIFY_ROWS
     cases = [(exps, indices, p, None) for exps, indices, p in _BATCH_SPECS]
     cases += [((0, 0), (1, 2), (10, 10), lambda t: dataclasses.replace(t, data=0.0 * t.data)),
               ((0, 1), (2, 1), (10, 10), _one_nonzero)]
-    counts = {}
-    for _, _, p, _ in cases:
-        step = max(1, sampler._CONTRACT_TERMS // math.prod(q + 1 for q in p))
-        counts[p] = sorted({0, 1, rows - 1, rows, rows + 1, step - 1, step, step + 1, 257})
     for basis in BasisKind:
-        singles = [draw_table(2, 20, basis, IV2, seed=4, stream=r)
-                   for r in range(max(map(max, counts.values())))]
+        # every table is cut from one draw: each row of a batch is its
+        # stream's own table (test_draw_table_batch_rows_are_stream_tables)
+        whole = draw_table(2, 20, basis, IV2, seed=4, stream=range(sampler._CONTRACT_TERMS + 1))
+        singles = [dataclasses.replace(whole, values=v, stream=r)
+                   for r, v in enumerate(whole.values)]
         for exps, indices, p, edit in cases:
             spec = WeightSpec.from_exponents(exps)
             tensor = compute_tensor(basis, spec, IV2, p)
             if edit is not None:
                 tensor = edit(tensor)
+            step = max(1, sampler._CONTRACT_TERMS // max(1, len(tensor.support(p).coeffs)))
+            counts = sorted({0, 1, rows - 1, rows, rows + 1, step - 1, step, step + 1, 257})
             ispec = IntegralSpec(spec=spec, indices=indices, basis=basis, iv=IV2)
             orders = TruncationOrders(p)
-            want = [sample_truncated(ispec, tensor, t, orders) for t in singles[:max(counts[p])]]
+            want = [sample_truncated(ispec, tensor, t, orders) for t in singles[:counts[-1]]]
             assert all(type(v) is float for v in want)
-            for n in counts[p]:
-                batch = draw_table(2, 20, basis, IV2, seed=4, stream=range(n))
+            for n in counts:
+                batch = dataclasses.replace(whole, values=whole.values[:n], stream=range(n))
                 got = sample_truncated(ispec, tensor, batch, orders)
                 assert got.shape == (n,)
                 assert got.tobytes() == np.array(want[:n]).tobytes(), (basis, exps, n)
@@ -428,7 +430,7 @@ def _small_blocks(draw):
     max_j = max(p) + draw(st.integers(0, 4))
     edit = draw(st.sampled_from(["none", "zero", "one"]))
     where = tuple(draw(st.integers(0, q)) for q in p)
-    rows = draw(st.integers(1, sampler._CERTIFY_ROWS - 1))
+    rows = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**32))
     return basis, exps, orders, p, indices, max_j, edit, where, rows, seed
 
@@ -436,7 +438,8 @@ def _small_blocks(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_small_blocks())
 def test_small_blocks_equal_full_box_fsum(case):
-    # blocks of fewer than _CERTIFY_ROWS rows gather only the support's terms;
+    # blocks of fewer than _CERTIFY_ROWS rows, summed row by row, and larger
+    # ones, summed by the certified sum, gather only the support's terms;
     # each row keeps the bytes of math.fsum over the whole box
     basis, exps, orders, p, indices, max_j, edit, where, rows, seed = case
     tensor = _small_tensor(basis, exps, orders)
@@ -456,6 +459,28 @@ def test_small_blocks_equal_full_box_fsum(case):
     single = draw_table(2, max_j, basis, IV2, seed)
     assert sample_truncated(ispec, tensor, single, TruncationOrders(p)) == _full_box_fsum(
         tensor, indices, p, single.values)
+
+
+def test_large_support_block_uses_the_certified_sum(monkeypatch):
+    # Legendre (0, 0) at p = 200: a box of 40 401 terms, but a support of 401,
+    # so 256 rows go to the certified sum in blocks of 40, not one at a time
+    spec = WeightSpec.from_exponents((0, 0))
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV, (200, 200))
+    assert len(tensor.support((200, 200)).coeffs) == 401
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV)
+    batch = draw_table(2, 200, BasisKind.LEGENDRE, IV, seed=6, stream=range(256))
+    widths = []
+
+    def column_sums(terms):
+        widths.append(terms.shape[1])
+        return column_sums.wrapped(terms)
+
+    column_sums.wrapped = sampler._column_sums
+    monkeypatch.setattr(sampler, "_column_sums", column_sums)
+    got = sample_truncated(ispec, tensor, batch, TruncationOrders((200, 200)))
+    assert widths == [40] * 6 + [16]
+    want = np.array([_full_box_fsum(tensor, (1, 2), (200, 200), t) for t in batch.values])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_support_cache_shared_across_boxes_and_tables():
