@@ -470,12 +470,12 @@ def test_large_support_block_uses_the_certified_sum(monkeypatch):
     ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV)
     batch = draw_table(2, 200, BasisKind.LEGENDRE, IV, seed=6, stream=range(256))
     widths = []
+    wrapped = sampler._column_sums
 
     def column_sums(terms):
         widths.append(terms.shape[1])
-        return column_sums.wrapped(terms)
+        return wrapped(terms)
 
-    column_sums.wrapped = sampler._column_sums
     monkeypatch.setattr(sampler, "_column_sums", column_sums)
     got = sample_truncated(ispec, tensor, batch, TruncationOrders((200, 200)))
     assert widths == [40] * 6 + [16]
