@@ -39,8 +39,9 @@ _PROBLEMS = {"gbm": gbm, "two-noise": two_noise}
 _SUITES = ("golden", "orthonormality", "partitions", "trace", "fastpath")
 # converge draws its rows as batched tables of at most this many streams
 _CONVERGE_BLOCK = 2048
-# CSV rows are formatted and written this many at a time, so the text of a
-# large table is never held whole
+# rows are formatted and written this many at a time (a coeffs CSV block: at
+# most this many, or one run of the last axis), so the text of a large table
+# is never held whole
 _EMIT_BLOCK = 4096
 
 
@@ -138,6 +139,33 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray])
             fh.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
+def _prefixed(text: str, prefix: str) -> str:
+    """text, whose lines all end in "\\n", with prefix put before each line."""
+    return prefix + text[:-1].replace("\n", "\n" + prefix) + "\n"
+
+
+def _write_box(fh: TextIO, data: np.ndarray) -> None:
+    """Write one CSV line "j_1,...,j_k,value\\r\\n" per entry of data, in C order.
+
+    The lines are those _emit writes for the index columns and the values. The
+    innermost axes whose box holds at most _EMIT_BLOCK entries (the last axis
+    at least) give a row template, their index text with one "%.17g" per
+    entry, built once; each block of entries is that template, behind the
+    indices of the outer axes, % the block's values.
+    """
+    shape = data.shape
+    inner = 1
+    while inner < len(shape) and math.prod(shape[-inner - 1:]) <= _EMIT_BLOCK:
+        inner += 1
+    template = "%.17g\r\n"
+    for n in reversed(shape[-inner:]):
+        template = "".join([_prefixed(template, f"{j},") for j in range(n)])
+    blocks = data.reshape(-1, math.prod(shape[-inner:]))
+    for outer, block in zip(np.ndindex(shape[:-inner]), blocks):
+        prefix = "".join([f"{i}," for i in outer])
+        fh.write(_prefixed(template, prefix) % tuple(block.tolist()))
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
     kind = BasisKind(args.basis)
     exps = _parse_ints(args.exps)
@@ -164,10 +192,15 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
                     f"cannot write --cache {args.cache!r}: {exc.strerror}"
                 ) from None
     names = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
-    shape = tensor.data.shape
-    # the smallest unsigned type keeps the index columns no larger than the data
-    index = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(spec.k, -1)
-    _emit(args, names, [*index, tensor.data.ravel()])
+    if args.format == "json":
+        shape = tensor.data.shape
+        # the smallest unsigned type keeps the index columns no larger than the data
+        index = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(spec.k, -1)
+        _emit(args, names, [*index, tensor.data.ravel()])
+        return 0
+    with _output(args) as fh:
+        csv.writer(fh).writerow(names)
+        _write_box(fh, tensor.data)
     return 0
 
 

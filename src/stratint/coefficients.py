@@ -247,7 +247,12 @@ def cache_store(path: str, tensor: CoeffTensor) -> None:
 def cache_load(
     path: str, kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
-    """Read a cached tensor and check it matches the requested parameters."""
+    """Read a cached tensor and check it matches the requested parameters.
+
+    Raises CacheFormatError for a file that is not a whole cache, or whose
+    payload holds a value that is not finite, and StaleCacheError for one
+    built with other parameters.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _CACHE_MAGIC:
@@ -281,6 +286,8 @@ def cache_load(
     if offset + 8 * count != len(raw):
         raise CacheFormatError(f"{path}: payload length mismatch")
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(data).all():  # compute_tensor stores no such tensor
+        raise CacheFormatError(f"{path}: payload holds a value that is not finite")
 
     orders = tuple(int(o) for o in orders)
     wanted = (

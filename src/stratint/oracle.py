@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -166,9 +167,20 @@ def _strat(ispec: IntegralSpec, path: MeshPath, start: int) -> float:
 
 
 def enumerate_pair_partitions(k: int, r: int) -> list[PairPartition]:
-    """All partitions of {1..k} into r disordered pairs and k - 2r singles."""
+    """All partitions of {1..k} into r disordered pairs and k - 2r singles.
+
+    Each (k, r) up to k = _MAX_TOTAL_K is enumerated once per process; every
+    call returns a fresh list of the same (frozen) partitions.
+    """
     if k < 0 or r < 0 or 2 * r > k:
         raise ArgumentError(f"need 0 <= 2r <= k, got k={k}, r={r}")
+    if k <= _MAX_TOTAL_K:
+        return list(_pair_partitions(k, r))
+    return list(_pair_partitions.__wrapped__(k, r))
+
+
+@functools.cache
+def _pair_partitions(k: int, r: int) -> tuple[PairPartition, ...]:
     out: list[PairPartition] = []
 
     def rec(
@@ -189,10 +201,11 @@ def enumerate_pair_partitions(k: int, r: int) -> list[PairPartition]:
         rec(rest, pairs, singles + (first,))
 
     rec(tuple(range(1, k + 1)), (), ())
-    return out
+    return tuple(out)
 
 
-_LABELS = "abcdefgh"  # one per pair or dt axis; total multiplicity <= 8
+_LABELS = "abcdefgh"  # one per pair or dt axis
+_MAX_TOTAL_K = len(_LABELS)  # the largest total multiplicity of truncated_moment
 
 
 def truncated_moment(
@@ -218,8 +231,8 @@ def truncated_moment(
     if any(s.basis is not basis for s in ispecs) or any(s.iv != iv for s in ispecs):
         raise ArgumentError("specs must share basis and interval")
     total_k = sum(s.spec.k for s in ispecs)
-    if total_k > 8:
-        raise CapabilityError(f"total multiplicity {total_k} > 8 not supported")
+    if total_k > _MAX_TOTAL_K:
+        raise CapabilityError(f"total multiplicity {total_k} > {_MAX_TOTAL_K} not supported")
     for ispec, tensor, o in zip(ispecs, tensors, orders):
         if tensor.kind is not basis or tensor.spec != ispec.spec or tensor.iv != iv:
             raise ArgumentError("tensor does not match its spec")

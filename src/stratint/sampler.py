@@ -244,13 +244,17 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
     is the exactly rounded sum whenever that bound and r's own rounding
     error keep the exact sum inside r's rounding cell. Columns that _certify
     rejects, and every column of a block whose terms could overflow a
-    partial sum, go to math.fsum.
+    partial sum, go to math.fsum. One or two terms that cannot overflow
+    need no tree: their floating sum is the exactly rounded one.
     """
     n, cols = terms.shape
     if n == 0:
         return np.zeros(cols)
     if not max(terms.max(), -terms.min()) < _SAFE_MAGNITUDE / n:
         return np.array(_fsum_rows(terms.T))
+    if n <= 2:
+        # one rounding of the exact sum, and + 0.0 turns a zero sum into +0.0
+        return (terms[0] + terms[1] if n == 2 else terms[0]) + 0.0
     x = terms.copy()
     errors = np.empty((n - 1, cols))
     done = 0

@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -72,6 +74,20 @@ def test_coeffs_cache_reuse(tmp_path):
                 "--orders", "9,9", "--cache", cache)
     assert third.returncode == 0
     assert os.stat(cache).st_mtime_ns != stamp
+
+
+def test_coeffs_rebuilds_a_cache_with_a_non_finite_payload(tmp_path):
+    # the NaN was printed as "2,2,nan" with exit 0
+    cache = os.fspath(tmp_path / "t.stcf")
+    argv = ("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "2")
+    fresh = run(*argv).stdout
+    assert run(*argv, "--cache", cache).stdout == fresh
+    blob = open(cache, "rb").read()
+    with open(cache, "wb") as fh:
+        fh.write(blob[:-8] + struct.pack("<d", float("nan")))
+    proc = run(*argv, "--cache", cache)
+    assert proc.stdout == fresh and proc.stderr == b""
+    assert open(cache, "rb").read() == blob  # the rebuilt tensor replaced the file
 
 
 def test_sample_reproducible_and_thread_invariant():
@@ -288,6 +304,15 @@ FROZEN_STDOUT = {
     "coeffs-trigonometric-csv": (
         ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "40", "--seed", "0"),
         "a70e9b72e46941a94e5a41bed768e4e78154f614b84993f1afe248a7d26bc9d8"),
+    # these two were recorded when coeffs wrote index columns and values
+    # through _emit, one "%" per row; the k=4 table spans two row templates
+    "coeffs-legendre-o128-csv": (
+        ("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "128"),
+        "59266bf5fa82c9c12ed1156fe9dbaf60c6e357e864e87b451a741c80de9402d7"),
+    "coeffs-legendre-k4-csv": (
+        ("coeffs", "--basis", "legendre", "--exps", "1,0,0,2", "--orders", "8",
+         "--interval", "0.5", "1.75"),
+        "838ebf536732988beed15ab5dc5156ecd4d65cb5aea8710113a70f4559b0dee0"),
     # the header cells hold commas, so csv quotes them
     "sample-csv": (_SAMPLE3 + ("--n", "200"),
                    "9b1eb325abea97c2c3cc217d2ab083837384009068c56ddfa977f0e1cead00f8"),
@@ -350,6 +375,80 @@ def test_emit_matches_rowwise_writer(tmp_path, fmt, n):
     args = argparse.Namespace(format=fmt, out=str(out), seed=0)
     cli._emit(args, names, [index, small, values, values])
     assert out.read_bytes() == _rowwise(args, names, rows)
+
+
+def _rowwise_coeffs(data):
+    """The coeffs CSV of a tensor's data as _rowwise writes it."""
+    names = [f"j_{l + 1}" for l in range(data.ndim)] + ["value"]
+    rows = [[*index, float(v)] for index, v in np.ndenumerate(data)]
+    return _rowwise(argparse.Namespace(format="csv"), names, rows)
+
+
+@pytest.mark.parametrize("basis, exps, orders", [
+    ("legendre", "1", "0"), ("legendre", "0,1", "0"), ("trigonometric", "0,0,1", "0"),
+    ("legendre", "1,0,0,2", "0"),
+    ("legendre", "0,0", "63"),  # 4096 rows: one template holds the whole table
+    ("legendre", "0,0", "64"),  # one past: a template of one row of the last axis
+    ("trigonometric", "1", str(cli._EMIT_BLOCK + 7)),  # one axis longer than a block
+    ("trigonometric", "0,0,0", "3,17,2"),
+])
+def test_coeffs_csv_matches_rowwise_writer(tmp_path, basis, exps, orders):
+    out = tmp_path / "coeffs.csv"
+    argv = ["coeffs", "--basis", basis, "--exps", exps, "--orders", orders,
+            "--interval", "0.25", "1.5"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    spec = stratint.WeightSpec.from_exponents(tuple(map(int, exps.split(","))))
+    orders = tuple(map(int, orders.split(",")))
+    tensor = stratint.compute_tensor(stratint.BasisKind(basis), spec,
+                                     stratint.Interval(0.25, 1.5), orders * (spec.k // len(orders)))
+    assert out.read_bytes() == _rowwise_coeffs(tensor.data)
+
+
+@pytest.mark.parametrize("block", [1, 5, 6, 30, 119, 120, 10**6])
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 1, 6), (2, 3, 4, 5)])
+def test_write_box_matches_rowwise_writer(monkeypatch, shape, block):
+    # blocks smaller than the last axis, between the axes' boxes and past the table
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    rng = np.random.default_rng(len(shape) * block)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 0.1]
+    data.flat[:len(special)] = special[:data.size]
+    data.flat[-1] = special[-4 % len(special)]
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerow([f"j_{l + 1}" for l in range(len(shape))] + ["value"])
+    cli._write_box(fh, data)
+    assert fh.getvalue().encode() == _rowwise_coeffs(data)
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the number of lines of every write."""
+
+    def __init__(self):
+        super().__init__(newline="")
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("basis, exps, orders, last", [
+    ("legendre", "0,0", "128", 129),
+    ("legendre", "0,0", "63", 64),
+    ("trigonometric", "1,0,0,2", "8", 9),
+    ("trigonometric", "1", str(2 * cli._EMIT_BLOCK), 2 * cli._EMIT_BLOCK + 1),
+])
+def test_coeffs_csv_writes_at_most_a_block(monkeypatch, basis, exps, orders, last):
+    # a large table is never held as text whole: no write holds more rows
+    # than a block, or than the last axis when that is longer
+    fh = _Writes()
+    monkeypatch.setattr(cli, "_output", lambda args: contextlib.nullcontext(fh))
+    assert cli.main(["coeffs", "--basis", basis, "--exps", exps, "--orders", orders]) == 0
+    k = len(exps.split(","))
+    assert sum(fh.lines) == 1 + (int(orders) + 1) ** k
+    assert fh.lines[0] == 1  # the header
+    assert max(fh.lines[1:]) <= max(cli._EMIT_BLOCK, last)
+    assert min(fh.lines[1:]) == max(fh.lines[1:])
 
 
 def _json_dump_emit(args, names, columns):

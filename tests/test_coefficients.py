@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,18 @@ def test_cache_corruption(tmp_path):
     Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CacheFormatError):
         cache_load(path, BasisKind.LEGENDRE, spec, iv, (4,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cache_with_non_finite_payload_is_corrupt(tmp_path, bad):
+    iv = Interval(0.0, 1.0)
+    spec = WeightSpec.from_exponents((0, 0))
+    path = os.fspath(tmp_path / "c.stcf")
+    cache_store(path, compute_tensor(BasisKind.LEGENDRE, spec, iv, (2, 2)))
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-8] + struct.pack("<d", bad))
+    with pytest.raises(CacheFormatError, match="not finite"):
+        cache_load(path, BasisKind.LEGENDRE, spec, iv, (2, 2))
 
 
 @given(

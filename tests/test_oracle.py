@@ -337,6 +337,20 @@ def test_partition_validation():
         enumerate_pair_partitions(-1, 0)
 
 
+def test_partitions_enumerated_once_and_returned_fresh():
+    first = enumerate_pair_partitions(6, 2)
+    first.clear()  # the caller owns the list it gets
+    again = enumerate_pair_partitions(6, 2)
+    assert len(again) == 45 and again is not first
+    assert again == enumerate_pair_partitions(6, 2)
+    cached = oracle._pair_partitions.cache_info().currsize
+    # past the moments' total multiplicity 8, nothing is kept
+    assert len(enumerate_pair_partitions(10, 1)) == 45
+    assert oracle._pair_partitions.cache_info().currsize == cached
+    with pytest.raises(ArgumentError):
+        enumerate_pair_partitions(8, 5)
+
+
 # ---------------------------------------------------------- moments
 
 def _tensor(exps, iv=IV, box=30, basis=BasisKind.LEGENDRE):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -18,6 +19,7 @@ from stratint import (
     CLOSED_FORM_NAMES,
     ArgumentError,
     BasisKind,
+    DomainError,
     GaussianTable,
     Interval,
     IntegralSpec,
@@ -397,7 +399,13 @@ def test_sample_batch_bytes_without_certificate(monkeypatch, basis):
 
     monkeypatch.setattr(sampler, "_certify", reject)
     assert _bench_rows_digest(basis) == FROZEN_BENCH_ROWS[basis]
-    assert sum(calls) == 2048 * len(_BENCH_SPECS[basis])
+    # a support of one or two terms is summed without the certificate
+    certified = [
+        p for exps, _, p in _BENCH_SPECS[basis]
+        if len(compute_tensor(basis, WeightSpec.from_exponents(exps), Interval(0.0, 0.01),
+                              (p,) * len(exps)).support((p,) * len(exps)).coeffs) > 2
+    ]
+    assert sum(calls) == 2048 * len(certified)
 
 
 def _full_box_fsum(tensor, indices, p, table):
@@ -683,6 +691,46 @@ def test_column_sums_edges():
         n = max(map(len, columns))
         terms = np.array(columns, dtype=float).reshape(len(columns), n).T
         assert _column_sums_outcome(terms) == _fsum_outcome(terms), columns
+
+
+_TINY_SUM_VALUES = (0.0, -0.0, _TINY, -_TINY, 2.0**-1022, -2.0**-1022, 1.0, -1.0, 2.0**-53,
+                    1e308, -1e308, _MAX, -_MAX, 2.0**1019, -(2.0**1019), 2.0**1018)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_column_sums_of_one_or_two_terms_equal_fsum(n):
+    # every column alone, since an overflow in any column raises for the block
+    for column in itertools.product(_TINY_SUM_VALUES, repeat=n):
+        terms = np.array(column).reshape(n, 1)
+        assert _column_sums_outcome(terms) == _fsum_outcome(terms), column
+    columns = np.array(list(itertools.product((0.0, -0.0, _TINY, -_TINY, 1.0), repeat=n))).T
+    assert _column_sums_outcome(columns) == _fsum_outcome(columns)
+    assert np.signbit(sampler._column_sums(np.array([[-0.0, -0.0]]).T[:n])).sum() == 0
+
+
+@pytest.mark.parametrize("exps, n_terms", [((0,), 1), ((1,), 2)])
+def test_overflowing_one_or_two_term_supports_raise(exps, n_terms):
+    # I0 at order 1 has one support term and I1 two; every term is 1e308, so
+    # I0's sum is finite and I1's overflows only as a sum
+    iv = Interval(0.0, 4.0)
+    spec = WeightSpec.from_exponents(exps)
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (1,))
+    assert len(tensor.support((1,)).coeffs) == n_terms
+    values = np.zeros((sampler._CERTIFY_ROWS, 2, 2))
+    values[-1, 1] = np.divide(1e308, tensor.data, out=np.zeros(2), where=tensor.data != 0)
+    ispec = IntegralSpec(spec=spec, indices=(1,), basis=BasisKind.LEGENDRE, iv=iv)
+    orders = TruncationOrders((1,))
+
+    def table(values):
+        return GaussianTable(m=1, max_j=1, values=values.copy(), basis=BasisKind.LEGENDRE,
+                             iv=iv, seed=0, stream=range(len(values)))
+
+    if n_terms == 1:
+        assert sample_truncated(ispec, tensor, table(values), orders)[-1] == 1e308
+        values[-1, 1] *= 2.0  # now the term itself overflows
+    # numpy warns of an overflowing term before sample_truncated raises
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+        sample_truncated(ispec, tensor, table(values), orders)
 
 
 def test_sample_batch_transient_memory_is_bounded():
