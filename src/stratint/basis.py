@@ -78,6 +78,15 @@ def _legendre_rows(max_j: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1} and P_n at the points x for n >= 1: rows n-1 and n of
+    _legendre_rows(n, x), bit for bit, holding two rows instead of n + 1."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return prev, cur
+
+
 def _check_order(kind: BasisKind, j: int) -> None:
     if j < 0:
         raise ArgumentError(f"basis index must be >= 0, got {j}")
@@ -126,14 +135,14 @@ def _base_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1)
     x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        rows = _legendre_rows(n, x)
-        dpn = n * (x * rows[n] - rows[n - 1]) / (x * x - 1.0)
-        dx = rows[n] / dpn
+        p_prev, p_n = _legendre_pair(n, x)
+        dpn = n * (x * p_n - p_prev) / (x * x - 1.0)
+        dx = p_n / dpn
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    rows = _legendre_rows(n, x)
-    dpn = n * (x * rows[n] - rows[n - 1]) / (x * x - 1.0)
+    p_prev, p_n = _legendre_pair(n, x)
+    dpn = n * (x * p_n - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
     x, w = x[order], w[order]

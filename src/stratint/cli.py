@@ -357,25 +357,11 @@ def _suite_fastpath(seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     iv = Interval(0.0, 1.0)
     p = 20
-    leg_tensors = {
-        name: compute_tensor(
-            BasisKind.LEGENDRE, WeightSpec.from_exponents(exps), iv, (p,) * len(exps)
-        )
-        for name, exps in CLOSED_FORM_EXPONENTS.items()
-        if CLOSED_FORM_NAMES[name][0] is BasisKind.LEGENDRE
-    }
-    trig_tensors = {
-        name: compute_tensor(
-            BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents(exps), iv, (2 * p,) * len(exps)
-        )
-        for name, exps in CLOSED_FORM_EXPONENTS.items()
-        if CLOSED_FORM_NAMES[name][0] is BasisKind.TRIGONOMETRIC
-    }
-    for name in CLOSED_FORM_NAMES:
-        basis, k = CLOSED_FORM_NAMES[name]
+    for name, (basis, k) in CLOSED_FORM_NAMES.items():
         trig = basis is BasisKind.TRIGONOMETRIC
-        tensor = (trig_tensors if trig else leg_tensors)[name]
         box = 2 * p if trig else p
+        spec = WeightSpec.from_exponents(CLOSED_FORM_EXPONENTS[name])
+        tensor = compute_tensor(basis, spec, iv, (box,) * k)
         tol = 1e-12 if k == 1 and not trig else (5e-9 if name in
               ("I01", "I10", "I02", "I20", "I11") else 1e-9 if trig else 1e-10)
         table = draw_table(2, box, basis, iv, seed, stream=range(10))

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import Interval
 from .errors import ArgumentError
-from .rng import DOMAIN_PATH, DOMAIN_TABLE, normal_stream
-# draw_table and sample_closed_form stay module attributes here, where
-# perfbench/tracer.py wraps them; integrate evaluates I00 through _i00.
-from .sampler import _i00, draw_table, sample_closed_form  # noqa: F401
+from .rng import DOMAIN_PATH, normal_stream
+# draw_table and sample_closed_form are unused here but stay module
+# attributes, where perfbench/tracer.py wraps them.
+from .sampler import draw_table, sample_closed_form  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -45,6 +45,10 @@ class SdeProblem:
     gdg: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     t_end: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ArgumentError(f"need a finite t_end > 0, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,11 @@ def _ito_areas(areas: np.ndarray, hs: np.ndarray) -> np.ndarray:
 def integrate(
     problem: SdeProblem, scheme: str, steps: int, seed: int, p: int = 10
 ) -> np.ndarray:
-    """Advance from x0 to t_end in `steps` steps, one fresh table per step.
+    """Advance from x0 to t_end in `steps` steps as path 0 of convergence_study.
 
-    Step s reads the table rows of stream s (those of draw_table(..., stream=s)
-    on its own interval); all steps are drawn and their Levy areas evaluated
-    in one batch before the state is advanced.
+    The path reads stream 0 of DOMAIN_PATH, so with steps equal to a study's
+    reference count the end state is bit for bit that of the study's path 0
+    on its reference mesh.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}, pick one of {SCHEMES}")
@@ -138,22 +142,8 @@ def integrate(
         raise ArgumentError(f"need steps >= 1, got {steps}")
     if p < 0:
         raise ArgumentError(f"need p >= 0, got {p}")
-    m = problem.m
-    h = np.array([
-        Interval(problem.t_end * s / steps, problem.t_end * (s + 1) / steps).length()
-        for s in range(steps)
-    ])
-    # z[s, i - 1] is the row of Wiener component i in the table of step s
-    z = np.stack(
-        [normal_stream(seed, range(steps), i, p + 1, DOMAIN_TABLE) for i in range(1, m + 1)],
-        axis=1,
-    )
-    dw = np.sqrt(h)[:, None] * z[..., 0]
-    areas = None
-    if scheme == "milstein":
-        areas = _i00(z[:, :, None, :], z[:, None, :, :], h[:, None, None], p)[:, None]
-    # one path: the step-major arrays of _run_level with a path axis of length 1
-    return _run_level(problem, scheme, h, dw[:, None], areas)[0]
+    hs, dw, areas = _chunk_increments(problem, range(1), steps, seed, p)
+    return _run_level(problem, scheme, hs, dw, areas)[0]
 
 
 def _chunk_increments(

@@ -18,7 +18,7 @@ from stratint import (
     gauss_rule,
     phi_matrix,
 )
-from stratint.basis import _base_gauss, _integration_matrix
+from stratint.basis import _base_gauss, _integration_matrix, _legendre_rows
 
 from oracles import phi_independent
 
@@ -122,6 +122,33 @@ def test_basis_integrals_column(kind, iv):
     assert got[0] == pytest.approx(math.sqrt(iv.length()), rel=1e-15)
     # phi_j for j >= 1 is orthogonal to the constant phi_0: no quadrature noise
     assert not np.any(got[1:])
+
+
+def _full_row_gauss(n):
+    """The Gauss rule by Newton over all n + 1 Legendre rows at every step."""
+    k = np.arange(1, n + 1)
+    x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(100):
+        rows = _legendre_rows(n, x)
+        dpn = n * (x * rows[n] - rows[n - 1]) / (x * x - 1.0)
+        dx = rows[n] / dpn
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    rows = _legendre_rows(n, x)
+    dpn = n * (x * rows[n] - rows[n - 1]) / (x * x - 1.0)
+    w = 2.0 / ((1.0 - x * x) * dpn * dpn)
+    order = np.argsort(x)
+    return x[order], w[order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 150, 1000])
+def test_gauss_rule_equals_full_row_newton(n):
+    # Newton reads only P_{n-1} and P_n, so two rolling rows give the same bits
+    x, w = _base_gauss(n)
+    want_x, want_w = _full_row_gauss(n)
+    assert x.tobytes() == want_x.tobytes()
+    assert w.tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 144, 650])

@@ -14,7 +14,7 @@ from stratint import (
     two_noise,
 )
 from stratint import sde_demo
-from stratint.sde_demo import _chunk_increments, _coarsen, _ito_areas
+from stratint.sde_demo import _chunk_increments, _coarsen, _ito_areas, _run_level
 
 
 def test_gbm_problem_shape():
@@ -62,6 +62,31 @@ def test_integrate_validation():
         integrate(gbm(), "euler", steps=0, seed=0)
     with pytest.raises(ArgumentError):
         integrate(gbm(), "milstein", steps=8, seed=0, p=-1)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_problems_need_a_finite_positive_t_end(t_end):
+    with pytest.raises(ArgumentError):
+        integrate(gbm(t_end=t_end), "milstein", steps=8, seed=0)
+    with pytest.raises(ArgumentError):
+        convergence_study(gbm(t_end=t_end), "milstein", [1, 2, 4, 8], n_paths=2, seed=0)
+    with pytest.raises(ArgumentError):
+        integrate(two_noise(t_end=t_end), "euler", steps=8, seed=0)
+    with pytest.raises(ArgumentError):
+        convergence_study(two_noise(t_end=t_end), "euler", [1, 2, 4, 8], n_paths=2, seed=0)
+
+
+@pytest.mark.parametrize("make", [gbm, two_noise])
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+def test_integrate_is_path_zero_of_the_study(make, scheme):
+    # integrate reads the study's increments of path 0, bit for bit, so it is
+    # the study's reference path whenever steps is the reference count
+    for p in (0, 10, 130):
+        for steps, seed in ((1, 0), (37, 5), (64, 31)):
+            got = integrate(make(), scheme, steps, seed, p)
+            hs, dw, areas = _chunk_increments(make(), range(3), steps, seed, p)
+            want = _run_level(make(), scheme, hs, dw, areas)[0]
+            assert got.tobytes() == want.tobytes()
 
 
 def test_chunk_increment_identities():
@@ -136,26 +161,26 @@ def test_convergence_study_validation():
 
 
 def test_integrate_frozen_values():
-    # recorded when every step drew its own table and evaluated its own Levy areas
+    # re-recorded when integrate became path 0 of the study's increments: it
+    # read one table stream per step (DOMAIN_TABLE) and now reads stream 0 of
+    # DOMAIN_PATH, so SDE paths have one RNG layout and one Levy-area builder
     x = integrate(two_noise(), "milstein", 16, seed=3)
-    assert x.tolist() == [0.4779849572564772, 0.45040152314348425]
+    assert x.tolist() == [0.7669730997697113, 1.064354958977383]
 
 
 # SHA-256 of the end states over (steps, p) = (1, 10), (37, 0), (300, 10),
-# (64, 130), recorded when the Levy areas were reduced one row at a time
+# (64, 130), re-recorded with test_integrate_frozen_values when integrate moved
+# from one table stream per step to stream 0 of DOMAIN_PATH;
+# test_integrate_is_path_zero_of_the_study pins the new layout to the study's
 FROZEN_INTEGRATE = {
     ("gbm", "euler"):
-        "107d1a3f965b39bc3641d56cc055f0ccfd481437dcc47ec6c07952fd40a20509",
-    # re-recorded when Milstein moved to the Ito form, I_(i,i) = J_(i,i) - h/2 taken
-    # once per level: gbm's end states move in the last bits (two_noise's gdg has a
-    # zero diagonal, so its digests did not change); test_ito_form_matches_midpoint_form
-    # pins the agreement with the midpoint form to rel 1e-12
+        "76236b6826799c5b35ab84e9435d06723e43bd8ef241bab85722f4237d16dac2",
     ("gbm", "milstein"):
-        "e075e5712c4f1d829291c526dab9ea21d5f2b1a47f606faa7951aa236339ee8d",
+        "f1e45cf77f0103e856f8fabefda37421eaad754c31b49b5778f100bbeaa47003",
     ("two_noise", "euler"):
-        "3140ea1bd4193f836e53af560d07d78be59c5d0e1696385215cd9e19620b459f",
+        "f4e630b9dc5f1a3e3e4cd63d9c65663e12f7ee58c37bd799016ef760a259c1ae",
     ("two_noise", "milstein"):
-        "e28908cd83792f3ff4d29ccf50e8f0ba26e43d9ef51de9ba91b3a726296c183f",
+        "366eea99962769332a2bf2b26ddaf5ebf3c8de91c8baf6df81e761e0426bb543",
 }
 
 

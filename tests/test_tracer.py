@@ -77,7 +77,7 @@ def test_traced_study_and_integrate_count_their_work(tracer_module):
     assert values["sde_demo.studies"] == 1
     assert values["sde_demo.path_steps"] == n_paths * 16 * max(levels)
     assert values["sde_demo.integrate_steps"] == steps
-    # the study draws one stream per path, integrate one batch per component
+    # the study draws one stream per path, integrate one stream per component
     assert values["rng.calls"] == n_paths + 2
     assert values["rng.variates"] == n_paths * 16 * max(levels) * 5 + 2 * steps * 5
     assert values["coefficients.builds"] == 0 and values["sampler.contractions"] == 0
