@@ -215,9 +215,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         tensors.append(compute_tensor(kind, wspec, iv, (args.orders,) * wspec.k))
         orders.append(TruncationOrders.uniform(wspec.k, args.orders))
     m = max(1, max(max(s.indices) for s in ispecs))
-    # sample_batch reports an overflow, without a warning from numpy first
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = sample_batch(ispecs, tensors, m, orders, args.seed, args.n, threads=args.threads)
+    out = sample_batch(ispecs, tensors, m, orders, args.seed, args.n, threads=args.threads)
     _emit(args, list(args.spec), list(out.T))
     return 0
 
@@ -232,25 +230,22 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m = max(indices)
     max_j = 2 * args.p_ref if basis is BasisKind.TRIGONOMETRIC else args.p_ref
     sq = np.zeros(len(ladder))
-    overflow = DomainError(f"{args.name} on [{iv.t!r}, {iv.T!r}] overflows double precision, "
-                           f"so its mean-square error is not finite")
     for lo in range(0, args.n, _CONVERGE_BLOCK):
         rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))
         table = draw_table(m, max_j, basis, iv, args.seed, stream=rows)
-        try:
-            # only the closed forms and their squares can overflow; the MSE check
-            # below reports it, without a warning from numpy first
+        ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
+        for li, p in enumerate(ladder):
+            got = sample_closed_form(args.name, table, iv, p, indices)
+            # the MSE check below reports an overflow of finite values' errors,
+            # without a warning from numpy first
             with np.errstate(over="ignore", invalid="ignore"):
-                ref = sample_closed_form(args.name, table, iv, args.p_ref, indices)
-                for li, p in enumerate(ladder):
-                    d = sample_closed_form(args.name, table, iv, p, indices) - ref
-                    # a running sum in row order, as if each d * d were added in turn
-                    sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
-        except OverflowError:  # from the Python float arithmetic of a closed form
-            raise overflow from None
+                d = got - ref
+                # a running sum in row order, as if each d * d were added in turn
+                sq[li] = np.cumsum(np.concatenate(([sq[li]], d * d)))[-1]
     mse = sq / args.n
     if not np.isfinite(mse).all():
-        raise overflow
+        raise DomainError(f"{args.name} on [{iv.t!r}, {iv.T!r}] overflows double precision, "
+                          f"so its mean-square error is not finite")
     _emit(args, ["p", "mse"], [np.array(ladder), mse])
     return 0
 

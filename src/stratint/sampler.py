@@ -136,6 +136,9 @@ def _check_provenance(ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianT
         raise ArgumentError("interval mismatch between spec, tensor and table")
 
 
+# an overflow raises DomainError, without a warning from numpy first; as a
+# decorator, np.errstate costs half what a with-statement does on each call
+@np.errstate(over="ignore", invalid="ignore")
 def sample_truncated(
     ispec: IntegralSpec,
     tensor: CoeffTensor,
@@ -291,17 +294,15 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rowsum(terms: np.ndarray) -> np.ndarray:
-    """np.sum of each 1-D row along the last axis, for a whole batch in one call.
+def _band(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of x * y * w, for a whole batch in one call.
 
-    A batch row then has the bytes of the same series summed from one table.
-    The terms come out of `a[..., idx]` column-major; summed in that layout,
-    numpy adds across rows, in a grouping that differs from the 1-D pairwise
-    sum once a row has 8 or more terms. On a C-contiguous copy numpy hands
-    each row whole to the pairwise sum of a 1-D np.sum, so the copy is what
-    keeps the bytes.
+    With three operands numpy's einsum adds each row's products (x * y) * w in
+    index order whatever the layout of x and y, so a batch row has the bytes
+    of the same sum over one table. Its two-operand reductions run SIMD
+    kernels that numpy picks by layout.
     """
-    return np.ascontiguousarray(terms).sum(axis=-1)
+    return np.einsum("...q,...q,q->...", x, y, w)
 
 
 def _leg_k1(a: np.ndarray, length: float, p: int, kind: str) -> float:
@@ -321,23 +322,26 @@ def _leg_k1(a: np.ndarray, length: float, p: int, kind: str) -> float:
 
 
 def _i00(a: np.ndarray, b: np.ndarray, length: float | np.ndarray, p: int) -> float:
+    """The Levy area J_(i,j): a and b broadcast against each other, and so
+    does length against the result. The band difference comes first, so with
+    a == b it is exactly zero and the value is length / 2 * a0 * a0."""
     i = np.arange(1, p + 1)
-    band = _rowsum(
-        (a[..., i - 1] * b[..., i] - a[..., i] * b[..., i - 1]) / np.sqrt(4.0 * i * i - 1.0)
-    )
-    return 0.5 * length * (a[..., 0] * b[..., 0] + band)
+    w = 1.0 / np.sqrt(4.0 * i * i - 1.0)
+    s = _band(a[..., :p], b[..., 1:p + 1], w) - _band(b[..., :p], a[..., 1:p + 1], w)
+    s += a[..., 0] * b[..., 0]
+    s *= 0.5 * length
+    return s
 
 
 def _i01(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br = a[..., 0] * b[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0
     if p >= 2:
         i = np.arange(p - 1)
-        br += _rowsum(
-            ((i + 2) * a[..., i] * b[..., i + 2] - (i + 1) * a[..., i + 2] * b[..., i])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
+        br += (_band(a[..., :p - 1], b[..., 2:p + 1], (i + 2) * d)
+               - _band(a[..., 2:p + 1], b[..., :p - 1], (i + 1) * d))
     i = np.arange(p + 1)
-    br -= _rowsum(a[..., i] * b[..., i] / ((2.0 * i - 1) * (2 * i + 3)))
+    br -= _band(a[..., :p + 1], b[..., :p + 1], 1.0 / ((2.0 * i - 1) * (2 * i + 3)))
     return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
 
 
@@ -345,12 +349,11 @@ def _i10(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br = b[..., 0] * a[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0
     if p >= 2:
         i = np.arange(p - 1)
-        br += _rowsum(
-            ((i + 1) * b[..., i + 2] * a[..., i] - (i + 2) * b[..., i] * a[..., i + 2])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
+        br += (_band(b[..., 2:p + 1], a[..., :p - 1], (i + 1) * d)
+               - _band(b[..., :p - 1], a[..., 2:p + 1], (i + 2) * d))
     i = np.arange(p + 1)
-    br += _rowsum(a[..., i] * b[..., i] / ((2.0 * i - 1) * (2 * i + 3)))
+    br += _band(a[..., :p + 1], b[..., :p + 1], 1.0 / ((2.0 * i - 1) * (2 * i + 3)))
     return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
 
 
@@ -359,18 +362,14 @@ def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br += 2.0 * b[..., 2] * a[..., 0] / (3.0 * math.sqrt(5.0)) if p >= 2 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
-        br += _rowsum(
-            ((i + 2.0) * (i + 3) * b[..., i + 3] * a[..., i]
-             - (i + 1.0) * (i + 2) * b[..., i] * a[..., i + 3])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
+        br += (_band(b[..., 3:p + 1], a[..., :p - 2], (i + 2.0) * (i + 3) * d)
+               - _band(b[..., :p - 2], a[..., 3:p + 1], (i + 1.0) * (i + 2) * d))
     if p >= 1:
         i = np.arange(p)
-        br += _rowsum(
-            ((i * i + i - 3.0) * b[..., i + 1] * a[..., i]
-             - (i * i + 3.0 * i - 1) * b[..., i] * a[..., i + 1])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
+        br += (_band(b[..., 1:p + 1], a[..., :p], (i * i + i - 3.0) * d)
+               - _band(b[..., :p], a[..., 1:p + 1], (i * i + 3.0 * i - 1) * d))
     return (
         -0.25 * length**2 * _i00(a, b, length, p)
         - length * _i01(a, b, length, p)
@@ -383,18 +382,14 @@ def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br += 2.0 * b[..., 0] * a[..., 2] / (3.0 * math.sqrt(5.0)) if p >= 2 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
-        br += _rowsum(
-            ((i + 1.0) * (i + 2) * b[..., i + 3] * a[..., i]
-             - (i + 2.0) * (i + 3) * b[..., i] * a[..., i + 3])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
+        br += (_band(b[..., 3:p + 1], a[..., :p - 2], (i + 1.0) * (i + 2) * d)
+               - _band(b[..., :p - 2], a[..., 3:p + 1], (i + 2.0) * (i + 3) * d))
     if p >= 1:
         i = np.arange(p)
-        br += _rowsum(
-            ((i * i + 3.0 * i - 1) * b[..., i + 1] * a[..., i]
-             - (i * i + i - 3.0) * b[..., i] * a[..., i + 1])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
-        )
+        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
+        br += (_band(b[..., 1:p + 1], a[..., :p], (i * i + 3.0 * i - 1) * d)
+               - _band(b[..., :p], a[..., 1:p + 1], (i * i + i - 3.0) * d))
     return (
         -0.25 * length**2 * _i00(a, b, length, p)
         - length * _i10(a, b, length, p)
@@ -406,16 +401,12 @@ def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     br = a[..., 1] * b[..., 1] / 3.0 if p >= 1 else 0.0
     if p >= 3:
         i = np.arange(p - 2)
-        br += _rowsum(
-            (i + 1.0) * (i + 3) * (b[..., i + 3] * a[..., i] - b[..., i] * a[..., i + 3])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
-        )
+        w = (i + 1.0) * (i + 3) / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
+        br += _band(b[..., 3:p + 1], a[..., :p - 2], w) - _band(b[..., :p - 2], a[..., 3:p + 1], w)
     if p >= 1:
         i = np.arange(p)
-        br += _rowsum(
-            (i + 1.0) ** 2 * (b[..., i + 1] * a[..., i] - b[..., i] * a[..., i + 1])
-            / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
-        )
+        w = (i + 1.0) ** 2 / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
+        br += _band(b[..., 1:p + 1], a[..., :p], w) - _band(b[..., :p], a[..., 1:p + 1], w)
     return (
         -0.25 * length**2 * _i00(a, b, length, p)
         - 0.5 * length * (_i10(a, b, length, p) + _i01(a, b, length, p))
@@ -425,28 +416,29 @@ def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
 
 def _i1t(a: np.ndarray, length: float, p: int) -> float:
     r = np.arange(1, p + 1)
-    s = a[..., 0] - math.sqrt(2.0) / math.pi * _rowsum(a[..., 2 * r - 1] / r)
+    s = a[..., 0] - _band(a[..., 1:2 * p:2], 1.0 / r, np.full(p, math.sqrt(2.0) / math.pi))
     return -0.5 * length**1.5 * s
 
 
 def _i2t(a: np.ndarray, length: float, p: int) -> float:
     r = np.arange(1, p + 1)
+    odd, even = slice(1, 2 * p, 2), slice(2, 2 * p + 1, 2)  # indices 2r - 1 and 2r
     s = a[..., 0] / 3.0
-    s += _rowsum(a[..., 2 * r] / (r * r)) / (math.sqrt(2.0) * math.pi**2)
-    s -= _rowsum(a[..., 2 * r - 1] / r) / (math.sqrt(2.0) * math.pi)
+    s += _band(a[..., even], 1.0 / (r * r), np.full(p, 1.0 / (math.sqrt(2.0) * math.pi**2)))
+    s -= _band(a[..., odd], 1.0 / r, np.full(p, 1.0 / (math.sqrt(2.0) * math.pi)))
     return length**2.5 * s
 
 
 def _i00t(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    s = a[..., 0] * b[..., 0]
-    if p >= 1:
-        r = np.arange(1, p + 1)
-        a0, b0 = a[..., :1], b[..., :1]
-        s += _rowsum(
-            (a[..., 2 * r] * b[..., 2 * r - 1] - a[..., 2 * r - 1] * b[..., 2 * r]
-             + math.sqrt(2.0) * (a[..., 2 * r - 1] * b0 - a0 * b[..., 2 * r - 1])) / r
-        ) / math.pi
-    return 0.5 * length * s
+    r = np.arange(1, p + 1)
+    odd, even = slice(1, 2 * p, 2), slice(2, 2 * p + 1, 2)
+    w = 1.0 / (math.pi * r)
+    s = _band(a[..., even], b[..., odd], w) - _band(a[..., odd], b[..., even], w)
+    c = np.full(p, math.sqrt(2.0) / math.pi)
+    s += b[..., 0] * _band(a[..., odd], 1.0 / r, c) - a[..., 0] * _band(b[..., odd], 1.0 / r, c)
+    s += a[..., 0] * b[..., 0]
+    s *= 0.5 * length
+    return s
 
 
 # name -> (basis, weight exponents l_1.. innermost first, evaluator on the
@@ -470,6 +462,7 @@ CLOSED_FORM_EXPONENTS = {name: exps for name, (_, exps, _) in _CLOSED_FORMS.item
 CLOSED_FORM_NAMES = {name: (basis, len(exps)) for name, (basis, exps, _) in _CLOSED_FORMS.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_closed_form(
     name: str,
     table: GaussianTable,
@@ -482,6 +475,7 @@ def sample_closed_form(
     Chained names substitute their referenced sub-integrals truncated at the
     same p, so the value is a pure function of (table, p). A batched table
     gives one value per row, each equal to the value of that row's own table.
+    Raises DomainError when a value overflows double precision.
     """
     if name not in _CLOSED_FORMS:
         raise ArgumentError(f"unknown closed form {name!r}")
@@ -503,7 +497,14 @@ def sample_closed_form(
     if any(not 1 <= i <= table.m for i in indices):
         raise ArgumentError(f"component indices must be in 1..{table.m}, got {indices}")
     rows = [table.values[..., i, :] for i in indices]
-    return evaluate(*rows, iv.length(), p)
+    try:
+        value = evaluate(*rows, iv.length(), p)
+    except OverflowError:  # from the Python float arithmetic of a power of the length
+        value = math.inf
+    if not np.isfinite(value).all():
+        raise DomainError(f"{name} of components {indices} on [{iv.t!r}, {iv.T!r}] "
+                          f"overflows double precision")
+    return value
 
 
 def _normalize_orders(

@@ -12,7 +12,7 @@ from .errors import ArgumentError
 from .rng import DOMAIN_PATH, normal_stream
 # draw_table and sample_closed_form are unused here but stay module
 # attributes, where perfbench/tracer.py wraps them.
-from .sampler import draw_table, sample_closed_form  # noqa: F401
+from .sampler import _i00, draw_table, sample_closed_form  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -153,7 +153,7 @@ def _chunk_increments(
 
     dw and areas are step-major: dw[s, a] and areas[s, a] belong to step s of
     path a, and areas are the J_(i,j) of each step, so each step reads one
-    contiguous block.
+    contiguous block. Each area is the closed form I00 of its step's rows.
     """
     m = problem.m
     n_paths = len(rows)
@@ -166,14 +166,9 @@ def _chunk_increments(
     grid = problem.t_end * (np.arange(n_ref + 1) / n_ref)
     hs = np.diff(grid)
     dw = np.empty((n_ref, n_paths, m))
-    np.multiply(np.sqrt(hs)[:, None, None], z[..., 0].transpose(2, 0, 1), out=dw)
-    q = np.arange(1, p + 1)
-    band = 1.0 / np.sqrt(4.0 * q * q - 1.0)
-    m_term = np.einsum("aisq,ajsq,q->saij", z[..., :p], z[..., 1:], band)
-    areas = np.einsum("ais,ajs->saij", z[..., 0], z[..., 0])
-    areas += m_term
-    areas -= m_term.swapaxes(2, 3)
-    areas *= (0.5 * hs)[:, None, None, None]
+    zs = z.transpose(2, 0, 1, 3)
+    np.multiply(np.sqrt(hs)[:, None, None], zs[..., 0], out=dw)
+    areas = _i00(zs[:, :, :, None], zs[:, :, None], hs[:, None, None, None], p)
     return hs, dw, areas
 
 

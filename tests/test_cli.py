@@ -282,11 +282,13 @@ def test_converge_at_the_reference_order():
 
 
 def test_converge_frozen_bytes():
-    # recorded when every row drew its own table and evaluated its own closed forms
+    # recorded when every row drew its own table and evaluated its own closed
+    # forms; re-recorded when I00's band sums became three-operand einsums
+    # (sampler._band): p = 1 and 4 moved in the last two digits
     out = run("converge", "--p-ladder", "1,2,4", "--p-ref", "16", "--n", "50",
               "--seed", "0").stdout
-    assert out == (b"p,mse\r\n1,0.092736876372392626\r\n2,0.056881432977873646\r\n"
-                   b"4,0.026990601611579033\r\n")
+    assert out == (b"p,mse\r\n1,0.09273687637239264\r\n2,0.056881432977873646\r\n"
+                   b"4,0.026990601611579047\r\n")
 
 
 _SAMPLE3 = ("sample", "--spec", "0:1", "--spec", "0,0:1,2", "--spec", "0,0,0:1,2,1", "--seed", "3")
@@ -325,14 +327,19 @@ FROZEN_STDOUT = {
     # the two sde digests were re-recorded when Milstein moved to the Ito form
     # (tests/test_sde.py::test_ito_form_matches_midpoint_form) and the coarse
     # levels came to be summed over step-major increments: the gbm rms and slope
-    # printed here moved by at most 6e-14 relative
+    # printed here moved by at most 6e-14 relative. They were re-recorded again
+    # when the study's areas came to be sampler._i00, which takes the band
+    # difference first, so J_(1,1) is exactly h z0^2 / 2: the slope moved
+    # 0.93583707458317911 -> ...922 and the rms at 8 steps in its last digits
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
-                "45c5f1fb63ac55a942b4897c240bf68410b4daa3fb8f37e71291a32ed1f64c75"),
+                "4fe38c0418af534efd828883a386b6ed5e8a329e96c30ccf86b2f4830965db49"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
-                 "86f8ab9a31a38fc105000e07a80825ea179a970f4acba87bcbb3a0eb5358e22c"),
+                 "d7cb07bb271bfaa9b1de8b9e98393814ba9e0a6356966101730b59c1e2a625c0"),
+    # re-recorded when the closed forms' band sums became three-operand
+    # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
-                        "9268f393139e3cbc6bf308b2a0ea501a6c27050b9c9ebcdfe402d55612d015f6"),
+                        "d9609898893233fe056326e30a304099b089987f4d863fcac9ddf6495b3dc3cc"),
 }
 
 

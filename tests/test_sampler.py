@@ -728,9 +728,34 @@ def test_overflowing_one_or_two_term_supports_raise(exps, n_terms):
     if n_terms == 1:
         assert sample_truncated(ispec, tensor, table(values), orders)[-1] == 1e308
         values[-1, 1] *= 2.0  # now the term itself overflows
-    # numpy warns of an overflowing term before sample_truncated raises
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         sample_truncated(ispec, tensor, table(values), orders)
+
+
+def test_overflowing_sample_raises_without_a_warning():
+    # finite coefficients whose row sums pass the double range: numpy warned
+    # of the overflow, which the RuntimeWarning filter turned into the error
+    iv = Interval(0.0, 1.6e44)
+    spec = WeightSpec.from_exponents((3, 3))
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (2, 2))
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=iv)
+    table = draw_table(2, 2, BasisKind.LEGENDRE, iv, seed=0, stream=range(5))
+    with pytest.raises(DomainError, match="overflows"):
+        sample_truncated(ispec, tensor, table, TruncationOrders((2, 2)))
+
+
+@pytest.mark.parametrize("name, iv", [
+    # the band products pass the double range: inf came back with a warning
+    ("I00t", Interval(-8e307, 8e307)),
+    # length**3.5 raised a bare OverflowError
+    ("I3", Interval(0.0, 1e200)),
+])
+def test_overflowing_closed_form_raises(name, iv):
+    basis, _ = CLOSED_FORM_NAMES[name]
+    for stream in (1, range(4)):  # stream 1 overflows at p = 10
+        table = draw_table(2, 20, basis, iv, seed=0, stream=stream)
+        with pytest.raises(DomainError, match="overflows"):
+            sample_closed_form(name, table, iv, 10)
 
 
 def test_sample_batch_transient_memory_is_bounded():
@@ -763,9 +788,9 @@ def test_closed_form_registry_views():
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_NAMES))
 def test_closed_form_batch_rows_equal_single_tables(name):
-    # p = 7, 8, 10 and 128 put 8 or more terms in a band sum, where a 2-D
-    # np.sum would group the additions differently from the 1-D one; p = 129
-    # and 130 put more than numpy's 128-element pairwise block in one
+    # p >= 7 puts 8 or more terms in a band sum, where a reduction whose
+    # kernel numpy picks by layout could group a batch row's additions
+    # differently from one table's
     basis, k = CLOSED_FORM_NAMES[name]
     max_j = 2 * 130 if basis is BasisKind.TRIGONOMETRIC else 130
     singles = [draw_table(2, max_j, basis, IV2, seed=6, stream=r) for r in range(257)]
@@ -796,20 +821,23 @@ def test_closed_form_on_the_smallest_table(name):
 
 
 # SHA-256 of each closed form on one batch of 40 tables, over p and index
-# choices, recorded when every row was reduced by its own np.sum
+# choices, recorded when every row was reduced by its own np.sum; the nine
+# forms with band sums were re-recorded when each band became one
+# three-operand einsum of x * y * w (sampler._band) in place of np.sum of
+# precomputed terms, which moved their last bits; I0-I3 are unchanged
 FROZEN_CLOSED_FORMS = {
     "I0": "ca9f4dad76443bbb8a778ea9a0b4594267ee3e71073125455608f638f96267f3",
-    "I00": "427c19734efd4d9ff949d424808e7440da5a3a7aa4e09c47652a20be29437c25",
-    "I00t": "ca1d0cee6d68befefd1251ef779948158cfa973897446ffabc0fd3d8401acd97",
-    "I01": "b7ecba88ab01abac2a2ae2fd47d9cd804ec87337bc69aad19418bd2a61d8b8e5",
-    "I02": "d7ace51aedb6175d6f2d1e27d10b3bf85f2f0dfb1def973da3cb47604412736a",
+    "I00": "94d40eb28f808cf34958fad3f8b1c5b47fba839516dc7680fc0f5d4b2a44657f",
+    "I00t": "b1a7c17e498b6225feaf06c347d795af7888014d1972c37a7b27a48444769086",
+    "I01": "6540c610c5f7286a60f193bb7aac719e02318858058d9582c4643ba89f7c1546",
+    "I02": "e08cc6e99e8bd54a9a5e5cd1ac43403b4acf6a1ecb46ffb93a95c3bd6c06b8be",
     "I1": "b849012f58eba4e7b06f08f8d8c62c8ce3b9c0d70e4782a6c2c17f8e0d62e2a0",
-    "I10": "3264ce804725945886c578df2910aefdc70e07e6b2998d02e23b98614d72cf44",
-    "I11": "ddad4c803616c76a94990d948c1b00fb1cdc2b2745b4549edfd3b7705833e7ef",
-    "I1t": "3e9f30318216e4511aa49046225b53ea761d1ca5d1b523ed21b479ff88cbda38",
+    "I10": "3d41e0581820aeab288c16246de3bcfc7ba4737bf43d291d61c936ea67614dc7",
+    "I11": "8c94171aaa45fea53edc67b26e80eba1faca57608da39a475c70deec064212c2",
+    "I1t": "ee82b5c7f044d537063636f3e42e5d9eac9c6517604b3c6492623b545a28bd73",
     "I2": "e70b0026105451240cec5eac727f0aeedaf6f9d83bf26b061f37210806cb6c5f",
-    "I20": "16d5b5d15fa9acade13856a1e7a9af4e75efe79f71bf976cacfb237bf82803d3",
-    "I2t": "d899586362b487137b2995a5933f00169f9510a8e12579930220ba2764a32300",
+    "I20": "02020df4319d31b782608e52172db12f6f0cbf8217a20fb8fe54727cbb92cbf4",
+    "I2t": "4e623dedff7b15e24d7678b8073d32e063bd8c5ab1a0c700edb860727c82df29",
     "I3": "9fc4b563bb6c855997242223ea4dc6690a4d5ebdd796e933ba39063ca4a1f200",
 }
 

@@ -8,12 +8,18 @@ import pytest
 
 from stratint import (
     ArgumentError,
+    BasisKind,
+    GaussianTable,
+    Interval,
     convergence_study,
     gbm,
     integrate,
+    sample_closed_form,
     two_noise,
 )
 from stratint import sde_demo
+from stratint.basis import basis_integrals
+from stratint.rng import DOMAIN_PATH, normal_stream
 from stratint.sde_demo import _chunk_increments, _coarsen, _ito_areas, _run_level
 
 
@@ -87,6 +93,32 @@ def test_integrate_is_path_zero_of_the_study(make, scheme):
             hs, dw, areas = _chunk_increments(make(), range(3), steps, seed, p)
             want = _run_level(make(), scheme, hs, dw, areas)[0]
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [gbm, two_noise])
+def test_chunk_areas_are_the_closed_form_of_each_step(make):
+    # the study's J_(i,j) of each step is the library's I00 closed form on
+    # that step's rows, bit for bit, and J_(i,i) is exactly h z0^2 / 2
+    prob = make()
+    rows, n_ref, seed = range(2, 5), 8, 11
+    for p in (0, 10, 130):
+        hs, dw, areas = _chunk_increments(prob, rows, n_ref, seed, p)
+        z = np.stack([[normal_stream(seed, r, i, n_ref * (p + 1), DOMAIN_PATH)
+                       .reshape(n_ref, p + 1) for i in range(1, prob.m + 1)] for r in rows])
+        for s, h in enumerate(hs.tolist()):
+            iv = Interval(0.0, h)
+            for a in range(len(rows)):
+                values = np.empty((prob.m + 1, p + 1))
+                values[0] = basis_integrals(BasisKind.LEGENDRE, iv, p)
+                values[1:] = z[a, :, s]
+                table = GaussianTable(m=prob.m, max_j=p, values=values,
+                                      basis=BasisKind.LEGENDRE, iv=iv, seed=seed, stream=s)
+                for i in range(prob.m):
+                    z0 = z[a, i, s, 0]
+                    assert areas[s, a, i, i] == 0.5 * h * (z0 * z0)
+                    for j in range(prob.m):
+                        want = sample_closed_form("I00", table, iv, p, (i + 1, j + 1))
+                        assert areas[s, a, i, j].tobytes() == np.float64(want).tobytes()
 
 
 def test_chunk_increment_identities():
@@ -179,8 +211,10 @@ FROZEN_INTEGRATE = {
         "f1e45cf77f0103e856f8fabefda37421eaad754c31b49b5778f100bbeaa47003",
     ("two_noise", "euler"):
         "f4e630b9dc5f1a3e3e4cd63d9c65663e12f7ee58c37bd799016ef760a259c1ae",
+    # re-recorded when the study's areas came to be sampler._i00, which takes
+    # the band difference in one three-operand einsum per direction
     ("two_noise", "milstein"):
-        "366eea99962769332a2bf2b26ddaf5ebf3c8de91c8baf6df81e761e0426bb543",
+        "31c14b0bbc93b48f00ee95c562644874b97c090e0ad4b857dbb5ce24aec950a1",
 }
 
 
