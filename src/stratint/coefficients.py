@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -26,7 +27,7 @@ from .errors import (
     DomainError,
     StaleCacheError,
 )
-from .kernel import WeightSpec
+from .kernel import WeightPoly, WeightSpec
 
 __all__ = [
     "MAX_MULTIPLICITY",
@@ -41,7 +42,7 @@ MAX_MULTIPLICITY = 4
 MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2  # 2: trigonometric tensors carry the exact zeros of _trig_structural_zeros
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
 
 
@@ -193,13 +194,86 @@ def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
     return (lo > 0) | (par == 1)
 
 
+@functools.lru_cache(maxsize=32)
+def _trig_structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
+    """Read-only mask of the trigonometric coefficients that vanish by frequency
+    and degree alone; it depends on the weights' degrees and the orders only,
+    so a process that builds one case on many intervals finds it once.
+
+    On x = u / L in [0, 1], phi_j is cos (j even) or sin (j odd) of 2 pi r x,
+    r = (j + 1) // 2. Each nested integral is tracked, per multi-index prefix, by
+    the monomials x^a T(2 pi nu x) it may hold: a bool array over (prefix, a,
+    T, nu), T 0 for cos and 1 for sin. A weight degree d and phi_j send (a, T,
+    nu) to a + d at nu + r and |nu - r|, of type cos when T matches phi_j's and
+    sin otherwise; sin at nu = 0 drops out. int_0^x of x^a maps nu = 0 to
+    (a + 1, cos, 0), and nu > 0 to degrees a..0 at nu whose types alternate
+    from the flipped one, plus the constant when degree 0 is a cos. int_0^1
+    keeps cos at nu = 0, cos at a >= 2 and sin at a >= 1; the outer level
+    applies that test to the products directly, without forming them.
+    """
+    def times_weight(state: np.ndarray, w: WeightPoly) -> np.ndarray:
+        """Raise the degrees by each degree of w with a nonzero coefficient."""
+        degrees = [d for d, c in enumerate(w.coeffs) if c != 0.0]
+        *prefix, a_len, _, nu_len = state.shape
+        out = np.zeros((*prefix, a_len + max(degrees, default=0), 2, nu_len), dtype=bool)
+        for d in degrees:
+            out[..., d:d + a_len, :, :] |= state
+        return out
+
+    state = np.zeros((1, 2, 1), dtype=bool)  # (a, T, nu); the prefix axes come first
+    state[0, 0, 0] = True
+    for w, o in zip(spec.weights[:-1], orders[:-1]):
+        shifted = times_weight(state, w)
+        *prefix, a_len, _, nu_len = shifted.shape
+        r, tau = np.arange(1, o + 2) // 2, np.arange(o + 1) % 2
+        # on the mirror image E[nu] = shifted[|nu|], nu + r and |nu - r| read
+        # E[nu' - r] and E[nu' + r]: two sets of windows of one padded array
+        top, width = r[-1], nu_len + r[-1]
+        mirror = np.zeros((*prefix, a_len, 2, width + 2 * top), dtype=bool)  # nu at nu + top
+        mirror[..., top:top + nu_len] = shifted
+        m = min(top, nu_len - 1)
+        mirror[..., top - m:top + 1] |= shifted[..., m::-1]
+        window = np.lib.stride_tricks.sliding_window_view(mirror, width, axis=-1)
+        by_r = window[..., top::-1, :] | window[..., top:, :]  # (prefix, a, T, r, nu')
+        mixed = np.take(np.moveaxis(by_r, -2, len(prefix)), r, axis=len(prefix))
+        mixed = np.where(tau[:, None, None, None] == 1, mixed[..., ::-1, :], mixed)
+        mixed[..., 1, 0] = False
+        # int_0^x: degree m from degree a >= m flips the type a - m + 1 times,
+        # so swap the types of odd a, OR the suffixes over a, swap even m back
+        odd = (np.arange(a_len) % 2 == 1)[:, None, None]
+        upper = mixed[..., 1:]
+        suffix = np.logical_or.accumulate(
+            np.where(odd, upper[..., ::-1, :], upper)[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
+        state = np.zeros((*prefix, o + 1, a_len + 1, 2, width), dtype=bool)
+        state[..., 1:, 0, 0] = mixed[..., 0, 0]
+        state[..., :-1, :, 1:] = np.where(odd, suffix, suffix[..., ::-1, :])
+        state[..., 0, 0, 0] |= state[..., 0, 0, 1:].any(axis=-1)
+
+    shifted = times_weight(state, spec.weights[-1])
+    *prefix, a_len, _, nu_len = shifted.shape
+    o = orders[-1]
+    r, tau = np.arange(1, o + 2) // 2, np.arange(o + 1) % 2
+    a = np.arange(a_len)
+    a_hi = np.where(shifted.any(axis=-1), a[:, None], -2).max(axis=-2)  # (prefix, T)
+    freqs = np.zeros((*prefix, 2, nu_len + 1), dtype=bool)  # r >= nu_len reads False
+    freqs[..., :nu_len] = shifted.any(axis=-3)
+    keep = (a_hi[..., tau] >= 2) | (a_hi[..., 1 - tau] >= 1)
+    keep |= freqs[..., tau, np.minimum(r, nu_len)]
+    # j = 0 multiplies by a constant: cos at nu > 0 needs a >= 2 as above
+    cos_hi = np.where(shifted[..., 0, 1:].any(axis=-1), a, -2).max(axis=-1)
+    keep[..., 0] = freqs[..., 0, 0] | (cos_hi >= 2) | (a_hi[..., 1] >= 1)
+    return _read_only(~keep)
+
+
 def compute_tensor(
     kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
     """Every coefficient with j_l <= orders[l-1], as one read-only array.
 
-    Raises DomainError when a coefficient is not finite: the interval is too
-    long, or the weights too large, for double precision.
+    The entries that the basis's zero rule proves zero (_structural_zeros,
+    _trig_structural_zeros) are exact 0.0; zeros a rule misses come out as
+    rounding noise. Raises DomainError when a coefficient is not finite: the
+    interval is too long, or the weights too large, for double precision.
     """
     orders = tuple(int(o) for o in orders)
     _validate(kind, spec, orders)
@@ -210,8 +284,8 @@ def compute_tensor(
         raise CapabilityError(f"orders {orders} need over {MAX_TENSOR_BYTES >> 30} GiB to build")
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned of
         data = _tensor(kind, spec, iv, orders, n)
-    if kind is BasisKind.LEGENDRE:
-        data[_structural_zeros(spec, orders)] = 0.0
+    zeros = _structural_zeros if kind is BasisKind.LEGENDRE else _trig_structural_zeros
+    data[zeros(spec, orders)] = 0.0
     if not np.isfinite(data).all():
         raise DomainError(f"{kind.value} coefficients of orders {orders} on "
                           f"[{iv.t!r}, {iv.T!r}] overflow double precision")

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written against the math, not against the
 package: coefficients come from iterated mapped Gauss quadrature over the
-simplex, discretized integrals from a pure-Python ordered-tuple loop, and the
+simplex, or exactly for the trigonometric basis by nested integration in
+Q[1/pi], discretized integrals from a pure-Python ordered-tuple loop, and the
 golden expansions are frozen literal formulas. Agreement between these and
 the library is the point of the tests that import them.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +58,131 @@ def quad_coeff(kind, exps, t, T, js):
         return half * (f @ _GW)
 
     return float(level(k - 1, np.asarray(T)))
+
+
+# Exact trigonometric coefficients. On x = u / L in [0, 1], with weights
+# (-x)^e and phi_j = cos (j even) or sin (j odd) of 2 pi r x, r = (j + 1) // 2,
+# every nested integral is a finite sum of terms x^a cos(2 pi nu x) and
+# x^a sin(2 pi nu x), nu >= 0, with sin only at nu > 0. A function is a dict
+# from (a, nu, type) to its coefficient, and a coefficient is an element of
+# Q[1/pi]: a dict from the power of 1/pi to a nonzero Fraction. pi is
+# transcendental, so a coefficient is zero iff its dict is empty.
+
+_COS, _SIN = "cos", "sin"
+
+
+def _accumulate(fn, key, poly, scale, shift=0):
+    """fn[key] += scale * pi^-shift * poly, dropping what cancels."""
+    target = fn.setdefault(key, {})
+    for power, c in poly.items():
+        v = target.get(power + shift, 0) + scale * c
+        if v:
+            target[power + shift] = v
+        else:
+            target.pop(power + shift, None)
+    if not target:
+        del fn[key]
+
+
+def _times(fn, exp, j):
+    """fn * (-x)^exp * phi_j without its normalising constant."""
+    r, basis = (j + 1) // 2, _SIN if j % 2 else _COS
+    sign = Fraction((-1) ** exp)
+    out = {}
+    for (a, nu, kind), poly in fn.items():
+        if r == 0:
+            _accumulate(out, (a + exp, nu, kind), poly, sign)
+            continue
+        # kind(nu) basis(r) = (sum_sign kind'(nu + r) + diff_sign kind'(nu - r)) / 2
+        if kind == basis:
+            new, sum_sign, diff_sign = _COS, (-1 if kind == _SIN else 1), 1
+        else:
+            new, sum_sign, diff_sign = _SIN, 1, (1 if kind == _SIN else -1)
+        _accumulate(out, (a + exp, nu + r, new), poly, sign * Fraction(sum_sign, 2))
+        diff = nu - r
+        if diff < 0 and new == _SIN:  # sin is odd
+            diff_sign = -diff_sign
+        if diff != 0 or new == _COS:
+            _accumulate(out, (a + exp, abs(diff), new), poly, sign * Fraction(diff_sign, 2))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _antiderivative(a, nu, kind):
+    """int_0^x of y^a kind(2 pi nu y) dy as ((a', nu', type), Fraction, power of 1/pi)."""
+    if nu == 0:
+        return (((a + 1, 0, _COS), Fraction(1, a + 1), 0),)
+    w = Fraction(1, 2 * nu)  # 1 / omega = w / pi
+    # int y^a cos = y^a sin / omega - (a / omega) int y^(a-1) sin, and
+    # int y^a sin = -y^a cos / omega + (a / omega) int y^(a-1) cos; at a = 0
+    # the sine's lower limit leaves 1 / omega
+    if kind == _COS:
+        head, sign, other = ((a, nu, _SIN), w, 1), -1, _SIN
+    else:
+        head, sign, other = ((a, nu, _COS), -w, 1), 1, _COS
+    if a == 0:
+        tail = (((0, 0, _COS), w, 1),) if kind == _SIN else ()
+    else:
+        tail = tuple((key, sign * a * w * c, power + 1)
+                     for key, c, power in _antiderivative(a - 1, nu, other))
+    return (head,) + tail
+
+
+def _integrate(fn):
+    out = {}
+    for (a, nu, kind), poly in fn.items():
+        for key, c, power in _antiderivative(a, nu, kind):
+            _accumulate(out, key, poly, c, power)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _trig_nested(exps, js):
+    """int_0^x of the integrand of the last level of js, innermost first."""
+    if not js:
+        return {(0, 0, _COS): {0: Fraction(1)}}
+    return _integrate(_times(_trig_nested(exps[:-1], js[:-1]), exps[-1], js[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _definite(a, nu, kind):
+    """int_0^1 of x^a kind(2 pi nu x) as {power of 1/pi: Fraction}: the
+    antiderivative at x = 1, where sin(2 pi nu) = 0 and cos(2 pi nu) = 1, is
+    the sum of its cosine coefficients."""
+    out = {}
+    for key, c, power in _antiderivative(a, nu, kind):
+        if key[2] == _COS:
+            out[power] = out.get(power, 0) + c
+    return {power: c for power, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=None)
+def _outer(a, nu, kind, exp, j):
+    """int_0^1 of x^a kind(2 pi nu x) (-x)^exp phi_j, as trig_exact returns it."""
+    out = {}
+    for key, poly in _times({(a, nu, kind): {0: Fraction(1)}}, exp, j).items():
+        for power, c in _definite(*key).items():
+            _accumulate(out, None, poly, c, power)
+    return out.get(None, {})
+
+
+def trig_exact(exps, js):
+    """The trigonometric coefficient for weights (t - s)^exps at js, innermost
+    first, without its factor L^(sum exps + k/2) sqrt(2)^#{l: j_l > 0}, as a
+    dict from the power of 1/pi to a Fraction: empty iff the coefficient is 0."""
+    exps, js = tuple(exps), tuple(js)
+    out = {}
+    for key, poly in _trig_nested(exps[:-1], js[:-1]).items():
+        for power, c in _outer(*key, exps[-1], js[-1]).items():
+            _accumulate(out, None, poly, c, power)
+    return out.get(None, {})
+
+
+def trig_exact_value(exps, js, L):
+    """trig_exact as a float on an interval of length L, factors restored."""
+    poly = trig_exact(exps, js)
+    scale = L ** (sum(exps) + len(js) / 2) * math.sqrt(2.0) ** sum(j > 0 for j in js)
+    return scale * math.fsum(float(c) * math.pi ** -power for power, c in poly.items())
 
 
 def slow_discretize(exps, indices, mesh, increments):
@@ -124,11 +252,11 @@ def trig_k1_golden(exp, L, n):
     c = np.zeros(n)
     if exp == 1:
         c[0] = -0.5 * L**1.5
-        for r in range(1, (n - 1) // 2 + 1):
+        for r in range(1, n // 2 + 1):
             c[2 * r - 1] = math.sqrt(2.0) * L**1.5 / (2.0 * math.pi * r)
     elif exp == 2:
         c[0] = L**2.5 / 3.0
-        for r in range(1, (n - 1) // 2 + 1):
+        for r in range(1, n // 2 + 1):
             c[2 * r - 1] = -(L**2.5) / (math.sqrt(2.0) * math.pi * r)
             if 2 * r < n:
                 c[2 * r] = L**2.5 / (math.sqrt(2.0) * math.pi**2 * r**2)
@@ -140,7 +268,7 @@ def trig_k1_golden(exp, L, n):
 def trig_k2_pattern(L, n):
     m = np.zeros((n, n))
     m[0, 0] = 0.5 * L
-    for r in range(1, (n - 1) // 2 + 1):
+    for r in range(1, n // 2 + 1):
         band = 0.5 * L / (math.pi * r)
         if 2 * r < n:
             m[2 * r, 2 * r - 1] = band

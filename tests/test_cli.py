@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import stratint
-from stratint import cli
+from stratint import cli, coefficients
 
 BIN = [sys.executable, "-m", "stratint.cli"]
 # The child process imports the same package as the tests, installed or not.
@@ -88,6 +88,27 @@ def test_coeffs_rebuilds_a_cache_with_a_non_finite_payload(tmp_path):
     proc = run(*argv, "--cache", cache)
     assert proc.stdout == fresh and proc.stderr == b""
     assert open(cache, "rb").read() == blob  # the rebuilt tensor replaced the file
+
+
+def test_coeffs_rebuilds_a_version_1_cache(tmp_path):
+    # version 1 stored trigonometric tensors with rounding noise where the
+    # zero rule now writes 0; a hit on such a file would print other bytes
+    kind, spec = stratint.BasisKind.TRIGONOMETRIC, stratint.WeightSpec.from_exponents((0, 0))
+    iv, orders = stratint.Interval(0.0, 1.0), (8, 8)
+    cache = os.fspath(tmp_path / "t.stcf")
+    argv = ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "8")
+    fresh = run(*argv).stdout
+    noisy = coefficients._tensor(kind, spec, iv, orders, coefficients._nodes(kind, spec, orders))
+    exact = stratint.compute_tensor(kind, spec, iv, orders).data
+    assert np.count_nonzero(noisy) > np.count_nonzero(exact)
+    stratint.cache_store(cache, stratint.CoeffTensor(kind, spec, iv, orders, noisy))
+    blob = open(cache, "rb").read()
+    with open(cache, "wb") as fh:
+        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    proc = run(*argv, "--cache", cache)
+    assert proc.stdout == fresh and proc.stderr == b""
+    assert struct.unpack_from("<I", open(cache, "rb").read(), 4) == (coefficients._CACHE_VERSION,)
+    assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
 
 
 def test_sample_reproducible_and_thread_invariant():
@@ -303,9 +324,12 @@ FROZEN_STDOUT = {
         ("coeffs", "--basis", "legendre", "--exps", "1,0,2", "--orders", "16",
          "--interval", "1.25", "2.0", "--seed", "0", "--format", "json"),
         "b04114d596a993314703808691c18681b3460a6525e042d68b121194d471c67f"),
+    # re-recorded when compute_tensor came to zero the trigonometric entries
+    # that vanish by frequency and degree (_trig_structural_zeros): 1600 of
+    # the 1681 values, rounding noise up to 1.1e-15 of the largest, print as 0
     "coeffs-trigonometric-csv": (
         ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "40", "--seed", "0"),
-        "a70e9b72e46941a94e5a41bed768e4e78154f614b84993f1afe248a7d26bc9d8"),
+        "aef0bd9c8bb039b174f7bc176632252b6b58ea14fde0191cc5ac7e13867ee674"),
     # these two were recorded when coeffs wrote index columns and values
     # through _emit, one "%" per row; the k=4 table spans two row templates
     "coeffs-legendre-o128-csv": (
@@ -337,9 +361,12 @@ FROZEN_STDOUT = {
                   "--format", "json"),
                  "d7cb07bb271bfaa9b1de8b9e98393814ba9e0a6356966101730b59c1e2a625c0"),
     # re-recorded when the closed forms' band sums became three-operand
-    # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved
+    # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved.
+    # Re-recorded again when the trigonometric zero rule dropped the noise
+    # terms from the series: I1t's |diff| went 5.05e-15 -> 1.47e-15 and
+    # I00t's 3.22e-15 -> 2.78e-15
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
-                        "d9609898893233fe056326e30a304099b089987f4d863fcac9ddf6495b3dc3cc"),
+                        "abedb03c1a0cdf0ff2c1b3c8f5a4602faec5df9ccb79f0ca93d73e1701096158"),
 }
 
 

@@ -1,6 +1,7 @@
 """Coefficient tensors: golden expansions, quadrature oracle, caching."""
 
 import dataclasses
+import itertools
 import math
 import os
 import struct
@@ -27,12 +28,14 @@ from stratint import (
     phi_matrix,
 )
 from stratint import coefficients
-from stratint.coefficients import _nodes, _structural_zeros, _tensor
+from stratint.coefficients import _nodes, _structural_zeros, _tensor, _trig_structural_zeros
 
 from oracles import (
     legendre_k1_golden,
     legendre_k2_banded,
     quad_coeff,
+    trig_exact,
+    trig_exact_value,
     trig_k1_golden,
     trig_k2_pattern,
 )
@@ -113,6 +116,8 @@ TRIG_RULE_CASES = [
 
 
 RULE_INTERVALS = [Interval(0.0, 1.0), Interval(2.5, 3.75), Interval(-3.0, 97.0)]
+_ZERO_RULE = {BasisKind.LEGENDRE: _structural_zeros,
+              BasisKind.TRIGONOMETRIC: _trig_structural_zeros}
 
 
 def _check_node_rule(kind, iv, exps, order):
@@ -123,8 +128,7 @@ def _check_node_rule(kind, iv, exps, order):
     got = _tensor(kind, spec, iv, orders, n)
     ref = _tensor(kind, spec, iv, orders, 2 * n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    if kind is BasisKind.LEGENDRE:
-        got[_structural_zeros(spec, orders)] = 0.0
+    got[_ZERO_RULE[kind](spec, orders)] = 0.0
     assert np.array_equal(compute_tensor(kind, spec, iv, orders).data, got)
 
 
@@ -154,6 +158,95 @@ def test_structural_zeros_sound(iv, exps, order):
     raw = _tensor(BasisKind.LEGENDRE, spec, iv, orders, _nodes(BasisKind.LEGENDRE, spec, orders))
     zero = _structural_zeros(spec, orders)
     assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", [
+    ((0,), 40), ((3,), 40), ((1,), 7),
+    ((0, 0), 20), ((2, 1), 20), ((0, 3), 16), ((3, 3), 12),
+    ((0, 0, 0), 8), ((1, 0, 2), 8), ((0, 3, 1), 8),
+    ((0, 0, 0, 0), 5), ((0, 1, 0, 0), 5), ((3, 0, 0, 2), 5),
+])
+def test_trig_structural_zeros_sound(iv, exps, order):
+    # every entry the trigonometric rule zeroes is rounding noise in the
+    # unmasked collocation, at the rule's node count and at twice as many
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    zero = _trig_structural_zeros(spec, orders)
+    n = _nodes(BasisKind.TRIGONOMETRIC, spec, orders)
+    for nodes in (n, 2 * n):
+        raw = _tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders, nodes)
+        assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
+
+
+@pytest.mark.parametrize("n", range(1, 66))
+def test_trig_structural_zeros_match_golden_patterns(n):
+    # the rule finds every zero of the printed k = 1 and I00 expansions
+    k2 = _trig_structural_zeros(WeightSpec.from_exponents((0, 0)), (n - 1, n - 1))
+    assert np.array_equal(k2, trig_k2_pattern(1.0, n) == 0.0)
+    for exp in (1, 2):
+        k1 = _trig_structural_zeros(WeightSpec.from_exponents((exp,)), (n - 1,))
+        assert np.array_equal(k1, trig_k1_golden(exp, 1.0, n) == 0.0)
+
+
+@pytest.mark.parametrize("exp", [1, 2])
+def test_trig_golden_at_an_even_size(exp):
+    # n = 20 ends on the sine of r = 10, which has no cosine partner
+    iv = Interval(2.5, 3.75)
+    k1 = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents((exp,)), iv, (19,))
+    assert np.max(np.abs(k1.data - trig_k1_golden(exp, iv.length(), 20))) < 1e-9
+    k2 = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents((0, 0)), iv, (19, 19))
+    assert np.max(np.abs(k2.data - trig_k2_pattern(iv.length(), 20))) < 1e-9
+
+
+def test_trig_supports_of_the_sample_set():
+    # I0, I1 and I00 at p = 20 and I000 at p = 6 on [0, 0.01]: the rule leaves
+    # these many terms per row, of 21, 21, 441 and 343
+    iv = Interval(0.0, 0.01)
+    sizes = []
+    for exps, p in (((0,), 20), ((1,), 20), ((0, 0), 20), ((0, 0, 0), 6)):
+        box = (p,) * len(exps)
+        tensor = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents(exps), iv, box)
+        sizes.append(len(tensor.support(box).coeffs))
+    assert sizes == [1, 11, 41, 141]
+
+
+# Every weight exponent in {0, 1, 2} per axis at k <= 2 and p = 8, k = 3 and
+# p = 5, k = 4 and p = 3, then the trigonometric cases of the coeffs benchmark
+_EXACT_GRID = [
+    (exps, p)
+    for k, p in ((1, 8), (2, 8), (3, 5), (4, 3))
+    for exps in itertools.product(range(3), repeat=k)
+] + [((0, 0), 20), ((0, 0), 40), ((1, 0, 2), 8), ((1, 2, 0, 3), 4)]
+# entries on _EXACT_GRID that the rule keeps and the exact oracle proves zero:
+# their terms cancel, which no frequency/degree rule sees
+_TRIG_RULE_MISSES = 56
+
+
+def test_trig_structural_zeros_against_exact_oracle():
+    iv = Interval(2.5, 3.75)
+    misses = 0
+    for exps, p in _EXACT_GRID:
+        spec = WeightSpec.from_exponents(exps)
+        orders = (p,) * len(exps)
+        data = compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders).data
+        rule = _trig_structural_zeros(spec, orders)
+        exact = np.zeros(data.shape)
+        zero = np.zeros(data.shape, dtype=bool)
+        for js in np.ndindex(data.shape):
+            zero[js] = not trig_exact(exps, js)
+            if not zero[js]:
+                exact[js] = trig_exact_value(exps, js, iv.length())
+        assert not np.any(rule & ~zero), (exps, p)  # sound: no zero it claims is nonzero
+        scale = np.max(np.abs(exact))
+        # where the rule keeps an exact zero, the collocation leaves only noise
+        assert np.max(np.abs(data[zero & ~rule]), initial=0.0) <= 1e-14 * scale
+        misses += np.count_nonzero(zero & ~rule)
+        # nonzero entries to 1e-13 relative; the smallest, down to 1e-5 of the
+        # largest, carry the collocation's rounding of ~1e-16 of the largest
+        err = np.abs(data - exact)[~zero]
+        assert np.all(err <= 1e-13 * np.abs(exact[~zero]) + 2e-15 * scale), (exps, p)
+    assert misses == _TRIG_RULE_MISSES
 
 
 @pytest.mark.parametrize("iv", RULE_INTERVALS)

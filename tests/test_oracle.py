@@ -549,8 +549,11 @@ def _frozen_moment_cases():
 
 
 # SHA-256 of float.hex of E[X] and E[XY] over _frozen_moment_cases, recorded
-# while every pairing of all Gaussian axes was enumerated and mixed ones dropped
-FROZEN_MOMENTS = "5305641ea1d9ee843629da38eef40864b5d352f078bc71dbcd5fe8f4dc147b38"
+# while every pairing of all Gaussian axes was enumerated and mixed ones dropped.
+# Re-recorded when compute_tensor came to zero the trigonometric entries that
+# vanish by frequency and degree (_trig_structural_zeros): one trigonometric
+# value of 196 moved, by 1.5e-16 relative; the Legendre values are unchanged
+FROZEN_MOMENTS = "b93c0230be21ec50c3c605955900c193c7156bc77c4b75b1e14e593200d6bf35"
 
 
 def test_truncated_moment_frozen_bytes():
