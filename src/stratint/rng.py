@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +25,12 @@ _INV_2POW53 = 2.0**-53
 # Largest double below 1; the all-ones 53-bit word would otherwise round to 1.0.
 _U_MAX = np.nextafter(1.0, 0.0)
 
-# One Philox per thread, re-keyed for every stream: its state is overwritten
-# in full before each use, so no draw depends on an earlier one. The state set
-# is that of a fresh Philox(key=(seed, stream), counter=(0, 0, component,
-# domain)), whose raw words Generator.integers(0, 2**64, dtype=uint64) also
-# returns; a re-key skips the OS entropy that each construction draws.
+# One Philox per thread, re-keyed for every (stream, component) through one
+# reused state dict: its state is overwritten in full before each use, so no
+# draw depends on an earlier one. The state set is that of a fresh
+# Philox(key=(seed, stream), counter=(0, 0, component, domain)), whose raw
+# words Generator.integers(0, 2**64, dtype=uint64) also returns; a re-key
+# skips the OS entropy that each construction draws.
 _local = threading.local()
 
 # scipy.special.ndtri, imported by the first draw: importing scipy.special
@@ -63,22 +64,39 @@ def _normals(words: np.ndarray) -> np.ndarray:
     return _ndtri(u)
 
 
+def _coordinates(name: str, value: object) -> tuple[Sequence[int], bool]:
+    """(coordinates, batched): one integer, or a sequence or range of them.
+
+    A range of unit step is checked by its bounds, anything else element by
+    element.
+    """
+    if not isinstance(value, Iterable) or isinstance(value, (str, bytes)):
+        return (_coordinate(name, value),), False
+    if isinstance(value, range) and value.step == 1:
+        if value and not (value.start >= 0 and value.stop <= 2**64):
+            raise ArgumentError(f"{name} must be in [0, 2**64), got {value}")
+        return value, True
+    return [_coordinate(name, v) for v in value], True
+
+
 def normal_stream(
     seed: int,
     stream: int | Iterable[int],
-    component: int,
+    component: int | Iterable[int],
     count: int,
     domain: int = DOMAIN_TABLE,
 ) -> np.ndarray:
     """First `count` standard normals of the stream at (seed, stream, component, domain).
 
     `stream` is one integer (result shape (count,)) or a sequence or range of
-    them (shape (len, count), one row per stream). Every coordinate is an
-    integer in [0, 2**64). The Philox4x64 key is (seed, stream) and the
-    counter starts at (0, 0, component, domain). Values are a pure function
-    of the coordinates: any prefix of a stream is reproducible regardless of
-    how many variates other calls consumed, and a row of a batch equals the
-    single draw of its stream.
+    them (shape (len, count), one row per stream); `component` likewise adds
+    a component axis after the stream axis, so a sequence of both gives shape
+    (streams, components, count). Every coordinate is an integer in
+    [0, 2**64). The Philox4x64 key is (seed, stream) and the counter starts
+    at (0, 0, component, domain). Values are a pure function of the
+    coordinates: any prefix of a stream is reproducible regardless of how
+    many variates other calls consumed, and each (stream, component) row of
+    a batch equals the single draw of its coordinates.
     """
     try:
         count = operator.index(count)
@@ -87,26 +105,33 @@ def normal_stream(
     if count < 0:
         raise ArgumentError(f"count must be >= 0, got {count}")
     seed = _coordinate("seed", seed)
-    component = _coordinate("component", component)
+    streams, batched = _coordinates("stream", stream)
+    components, per_component = _coordinates("component", component)
     domain = _coordinate("domain", domain)
-    batched = isinstance(stream, Iterable) and not isinstance(stream, (str, bytes))
-    if batched:
-        streams = [_coordinate("stream", s) for s in stream]
-    else:
-        streams = [_coordinate("stream", stream)]
-    bits = getattr(_local, "bits", None)
-    if bits is None:
-        bits = _local.bits = np.random.Philox(0)
-    words = np.empty((len(streams), count), dtype=np.uint64)
-    for row, s in zip(words, streams):
-        bits.state = {
+    state = getattr(_local, "state", None)
+    if state is None:
+        _local.bits = np.random.Philox(0)
+        state = _local.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, component, domain), "key": (seed, s)},
+            "state": {"counter": None, "key": None},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        row[:] = bits.random_raw(count)
+    bits, philox = _local.bits, state["state"]
+    words = np.empty((len(streams), len(components), count), dtype=np.uint64)
+    # an integer index sets a row without the view that iterating rows makes
+    rows = words.reshape(len(streams) * len(components), count)
+    i = 0
+    for s in streams:
+        philox["key"] = (seed, s)
+        for c in components:
+            philox["counter"] = (0, 0, c, domain)
+            bits.state = state
+            rows[i] = bits.random_raw(count)
+            i += 1
     z = _normals(words)
+    if not per_component:
+        z = z[:, 0]
     return z if batched else z[0]

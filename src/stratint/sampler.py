@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisKind, Interval, basis_integrals
-from .coefficients import CoeffTensor
+from .coefficients import CoeffTensor, _read_only
 from .errors import ArgumentError, DomainError
 from .kernel import WeightSpec
 from .rng import DOMAIN_TABLE, normal_stream
@@ -110,13 +112,12 @@ def draw_table(
         raise ArgumentError(f"need m >= 1 Wiener components, got {m}")
     if max_j < 0:
         raise ArgumentError(f"need max_j >= 0, got {max_j}")
-    # the first component's draw gives the batch shape, as normal_stream reads `stream`
-    first = normal_stream(seed, stream, 1, max_j + 1, DOMAIN_TABLE)
-    values = np.empty(first.shape[:-1] + (m + 1, max_j + 1))
+    # one draw of components 1..m, whose leading axes are the batch shape
+    # normal_stream gives `stream`
+    z = normal_stream(seed, stream, range(1, m + 1), max_j + 1, DOMAIN_TABLE)
+    values = np.empty(z.shape[:-2] + (m + 1, max_j + 1))
     values[..., 0, :] = basis_integrals(basis, iv, max_j)
-    values[..., 1, :] = first
-    for i in range(2, m + 1):
-        values[..., i, :] = normal_stream(seed, stream, i, max_j + 1, DOMAIN_TABLE)
+    values[..., 1:, :] = z
     return GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
                          seed=seed, stream=stream)
 
@@ -134,6 +135,72 @@ def _check_provenance(ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianT
         raise ArgumentError("weight mismatch between spec and tensor")
     if not (_same(tensor.iv, ispec.iv) and _same(table.iv, ispec.iv)):
         raise ArgumentError("interval mismatch between spec, tensor and table")
+
+
+def _check_sample(
+    ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianTable, orders: TruncationOrders
+) -> None:
+    k = ispec.spec.k
+    _check_provenance(ispec, tensor, table)
+    p = orders.p
+    if len(p) != k:
+        raise ArgumentError(f"need {k} truncation orders, got {len(p)}")
+    if p != tensor.orders and any(q > o for q, o in zip(p, tensor.orders)):
+        raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
+    if max(p) > table.max_j:
+        raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
+    if max(ispec.indices) > table.m:
+        raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
+
+
+def _overflow(ispec: IntegralSpec) -> DomainError:
+    return DomainError(f"a sample of components {ispec.indices} on [{ispec.iv.t!r}, "
+                       f"{ispec.iv.T!r}] overflows double precision")
+
+
+class _Plan(NamedTuple):
+    """The support terms of one or more specs, concatenated: per axis, where
+    each term's factor sits in a flat table row; the coefficients; each
+    spec's segment [a, b) of the terms; and whether an axis beyond a spec's
+    multiplicity reads a slot holding 1.0, one past the end of the row."""
+
+    gather: tuple[np.ndarray, ...]
+    coeffs: np.ndarray
+    bounds: tuple[tuple[int, int], ...]
+    padded: bool
+    tensors: tuple  # held, so no id in the plan's cache key is reused while it lives
+
+
+def _segment_sums(values: np.ndarray, plan: _Plan, ispecs: Sequence[IntegralSpec],
+                  out: np.ndarray) -> None:
+    """math.fsum of each table's terms C * ((zeta_a * zeta_b) * zeta_c), one
+    sum per spec segment, into out[row, segment].
+
+    Each table is read as one flat row, where 1-D fancy indexing is numpy's
+    fast path; a padded axis multiplies a term by 1.0, which leaves it
+    exact. Raises DomainError for the first spec with a sum that is not
+    finite, after the rest have been summed.
+    """
+    rows = values.reshape(len(values), -1)
+    if plan.padded:
+        rows = np.concatenate((rows, np.ones((len(rows), 1))), axis=1)
+    first, *rest = plan.gather
+    bad = len(plan.bounds)
+    for r, z in enumerate(rows):
+        terms = z[first]
+        for g in rest:
+            terms *= z[g]
+        terms *= plan.coeffs
+        flat = memoryview(terms)
+        for c, (a, b) in enumerate(plan.bounds):
+            try:
+                out[r, c] = s = math.fsum(flat[a:b])
+            except (OverflowError, ValueError):  # a partial sum past the range, or inf - inf
+                s = math.inf
+            if not math.isfinite(s) and c < bad:
+                bad = c
+    if bad < len(plan.bounds):
+        raise _overflow(ispecs[bad])
 
 
 # an overflow raises DomainError, without a warning from numpy first; as a
@@ -154,63 +221,90 @@ def sample_truncated(
     from the table; sub-blocks hold _CONTRACT_TERMS support terms (one row at
     least). One of _CERTIFY_ROWS rows or more is summed by a certified
     vectorised sum, with a per-row math.fsum for the rows it cannot certify;
-    a smaller one sums each row by math.fsum. The support and the gather
-    positions are cached on the tensor. Raises DomainError when a value
-    overflows double precision.
+    a smaller one sums each row by math.fsum, as sample_batch sums a small
+    block of several specs. The support and the gather positions are cached
+    on the tensor. Raises DomainError when a value overflows double
+    precision.
     """
-    k = ispec.spec.k
-    _check_provenance(ispec, tensor, table)
+    _check_sample(ispec, tensor, table, orders)
     p = orders.p
-    if len(p) != k:
-        raise ArgumentError(f"need {k} truncation orders, got {len(p)}")
-    if p != tensor.orders and any(q > o for q, o in zip(p, tensor.orders)):
-        raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
-    if max(p) > table.max_j:
-        raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
-    if max(ispec.indices) > table.m:
-        raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
     values = table.values if table.values.ndim == 3 else table.values[None]
     support = tensor.support(p)
     gather = tensor.gather(p, ispec.indices, table.max_j + 1)
     step = max(1, _CONTRACT_TERMS // max(1, len(support.coeffs)))
     sums = np.empty(len(values))
-    try:
-        for lo in range(0, len(values), step):
-            block = values[lo:lo + step]
-            if len(block) < _CERTIFY_ROWS:
-                _gathered_sums(block, gather, support.coeffs, sums[lo:lo + step])
-                continue
-            # one contiguous copy with the rows last, so one term's values
-            # over the rows are contiguous
-            z = np.ascontiguousarray(block.reshape(len(block), -1).T)
-            terms = z[gather[0]]
-            for g in gather[1:]:
-                terms *= z[g]
-            terms *= support.coeffs[:, None]
-            sums[lo:lo + step] = _column_sums(terms)
-            if not np.isfinite(sums[lo:lo + step]).all():
-                raise OverflowError
-    except (OverflowError, ValueError):  # from math.fsum, or a sum that is not finite
-        raise DomainError(f"a sample of components {ispec.indices} on [{ispec.iv.t!r}, "
-                          f"{ispec.iv.T!r}] overflows double precision") from None
-    return float(sums[0]) if table.values.ndim == 2 else sums
-
-
-def _gathered_sums(block: np.ndarray, gather: tuple, coeffs: np.ndarray, out: np.ndarray) -> None:
-    """math.fsum of each table's support terms C * ((zeta_a * zeta_b) * zeta_c), into out.
-
-    Each table is read as one flat row, where 1-D fancy indexing is numpy's
-    fast path; `gather` holds the positions of each axis's factors in it.
-    Raises OverflowError at the first sum that is not finite.
-    """
-    for r, z in enumerate(block.reshape(len(block), -1)):
+    plan = _Plan(gather, support.coeffs, ((0, len(support.coeffs)),), False, (tensor,))
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        if len(block) < _CERTIFY_ROWS:
+            _segment_sums(block, plan, (ispec,), sums[lo:lo + step, None])
+            continue
+        # one contiguous copy with the rows last, so one term's values over
+        # the rows are contiguous
+        z = np.ascontiguousarray(block.reshape(len(block), -1).T)
         terms = z[gather[0]]
         for g in gather[1:]:
             terms *= z[g]
-        terms *= coeffs
-        out[r] = s = math.fsum(terms.data)
-        if not math.isfinite(s):
-            raise OverflowError
+        terms *= support.coeffs[:, None]
+        try:
+            sums[lo:lo + step] = _column_sums(terms)
+        except (OverflowError, ValueError):  # from math.fsum
+            raise _overflow(ispec) from None
+        if not np.isfinite(sums[lo:lo + step]).all():
+            raise _overflow(ispec)
+    return float(sums[0]) if table.values.ndim == 2 else sums
+
+
+# sample_batch's plans for blocks of fewer than _CERTIFY_ROWS rows, oldest
+# out first, keyed by (tensor ids, orders, indices, width, m)
+_PLANS: dict[tuple, _Plan] = {}
+_PLAN_CACHE_SIZE = 8
+_PLANS_LOCK = threading.Lock()
+
+
+def _joint_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
+                orders: list[TruncationOrders], table: GaussianTable) -> _Plan:
+    """The plan of all specs of a block, each axis padded to the largest k.
+
+    A cached plan has passed every check of sample_truncated but provenance,
+    which depends on the specs and the table, not on the key; a new one
+    passes them all first.
+    """
+    width = table.max_j + 1
+    key = (tuple(map(id, tensors)), tuple(o.p for o in orders),
+           tuple(s.indices for s in ispecs), width, table.m)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        for ispec, tensor in zip(ispecs, tensors):
+            _check_provenance(ispec, tensor, table)
+        return plan
+    for ispec, tensor, o in zip(ispecs, tensors, orders):
+        _check_sample(ispec, tensor, table, o)
+    k = max(s.spec.k for s in ispecs)
+    slot = (table.m + 1) * width
+    axes, coeffs, bounds, end = [], [], [], 0
+    for ispec, tensor, o in zip(ispecs, tensors, orders):
+        c = tensor.support(o.p).coeffs
+        pad = np.full(len(c), slot, dtype=np.intp)
+        axes.append(tensor.gather(o.p, ispec.indices, width) + (pad,) * (k - ispec.spec.k))
+        coeffs.append(c)
+        bounds.append((end, end + len(c)))
+        end += len(c)
+    plan = _Plan(tuple(_read_only(np.concatenate(a)) for a in zip(*axes)),
+                 _read_only(np.concatenate(coeffs)), tuple(bounds),
+                 any(s.spec.k < k for s in ispecs), tuple(tensors))
+    with _PLANS_LOCK:
+        while len(_PLANS) >= _PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = plan
+    return plan
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _joint_sums(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
+                orders: list[TruncationOrders], table: GaussianTable, out: np.ndarray) -> None:
+    """Every spec's sample of each row of a small block, into out[row, spec]."""
+    _segment_sums(table.values, _joint_plan(ispecs, tensors, orders, table), ispecs, out)
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -529,9 +623,12 @@ def sample_batch(
     """n joint samples of all ispecs, one fresh table per row, keyed by (seed, row).
 
     Tables are drawn as one batch per block of rows, and row r reads the
-    table of stream r, so row r is a pure function of (seed, r). `threads`
-    is checked and accepted for compatibility; it changes neither the output
-    nor the work done.
+    table of stream r, so row r is a pure function of (seed, r). A block of
+    _CERTIFY_ROWS rows or more is contracted by one sample_truncated call
+    per spec; a smaller one, such as the one row of a solver's step, sums
+    all specs' support terms in one gather chain, with the bytes of those
+    calls. `threads` is checked and accepted for compatibility; it changes
+    neither the output nor the work done.
     """
     if not ispecs:
         raise ArgumentError("need at least one integral spec")
@@ -552,6 +649,9 @@ def sample_batch(
     for lo in range(0, n, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n)
         block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
+        if hi - lo < _CERTIFY_ROWS:
+            _joint_sums(ispecs, tensors, per_spec, block, out[lo:hi])
+            continue
         for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
             out[lo:hi, c] = sample_truncated(ispec, tensor, block, o)
     return out

@@ -153,3 +153,57 @@ def test_normals_leave_words_unchanged():
     z = _normals(words)
     assert words.tobytes() == kept.tobytes()
     assert z.dtype == np.float64 and not np.shares_memory(z, words)
+
+
+@pytest.mark.parametrize("components", [
+    range(1, 4), range(0, 7, 3), [2, 0, 2**64 - 1], (5,), np.arange(2, 5), range(3, 3), [],
+])
+@pytest.mark.parametrize("count", [0, 1, 11])
+def test_component_sequences_match_single_draws(components, count):
+    listed = [int(c) for c in components]
+    for stream in (4, [0, 2**64 - 1, 4], range(2, 5), range(0)):
+        got = normal_stream(9, stream, components, count)
+        if isinstance(stream, int):
+            assert got.shape == (len(listed), count)
+            want = [normal_stream(9, stream, c, count) for c in listed]
+        else:
+            assert got.shape == (len(stream), len(listed), count)
+            want = [[normal_stream(9, s, c, count) for c in listed] for s in stream]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_component_sequences_in_both_domains():
+    for domain in (DOMAIN_TABLE, DOMAIN_PATH):
+        got = normal_stream(2**63 + 1, range(3), range(1, 3), 5, domain)
+        for s in range(3):
+            for c in (1, 2):
+                assert got[s, c - 1].tobytes() == _reference(2**63 + 1, s, c, 5, domain).tobytes()
+
+
+@pytest.mark.parametrize("components", [
+    range(-1, 2),
+    range(2**64 - 2, 2**64 + 1),
+    [1, 2.5],
+    (1.0,),
+    [1, -1],
+    "12",
+    range(-1, 3, 2),  # a range of step 2 is checked element by element
+])
+def test_component_sequences_must_be_64_bit_integers(components):
+    with pytest.raises(ArgumentError):
+        normal_stream(0, 0, components, 3)
+    with pytest.raises(ArgumentError):
+        normal_stream(0, range(2), components, 3)
+
+
+def test_ranges_are_checked_by_their_elements():
+    # stop passes 2**64 but no element does, and an empty range has none
+    top = range(2**64 - 3, 2**64 + 1, 2)
+    got = normal_stream(0, top, top, 2)
+    assert got.shape == (2, 2, 2)
+    assert got[1, 0].tobytes() == normal_stream(0, 2**64 - 1, 2**64 - 3, 2).tobytes()
+    for empty in (range(-3, -5), range(2**64, 2**64 + 5, -1)):
+        assert normal_stream(0, empty, 1, 3).shape == (0, 3)
+        assert normal_stream(0, 1, empty, 3).shape == (0, 3)
+    with pytest.raises(ArgumentError):
+        normal_stream(0, range(2**64 - 1, 2**64 + 1), 1, 3)

@@ -2,12 +2,15 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import re
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -737,16 +740,26 @@ def test_overflowing_one_or_two_term_supports_raise(exps, n_terms):
         sample_truncated(ispec, tensor, table(values), orders)
 
 
-def test_overflowing_sample_raises_without_a_warning():
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_overflowing_sample_raises_without_a_warning(n):
     # finite coefficients whose row sums pass the double range: numpy warned
-    # of the overflow, which the RuntimeWarning filter turned into the error
+    # of the overflow, which the RuntimeWarning filter turned into the error.
+    # Stream 0 of seed 7 overflows, so every n has a row that does; n = 1
+    # and 5 take the small-block sum, n = 9 the certified one
     iv = Interval(0.0, 1.6e44)
     spec = WeightSpec.from_exponents((3, 3))
     tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (2, 2))
     ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=iv)
-    table = draw_table(2, 2, BasisKind.LEGENDRE, iv, seed=0, stream=range(5))
+    table = draw_table(2, 2, BasisKind.LEGENDRE, iv, seed=7, stream=range(n))
     with pytest.raises(DomainError, match="overflows"):
         sample_truncated(ispec, tensor, table, TruncationOrders((2, 2)))
+    # the spec before it is finite, and the error names the one that is not
+    i0 = IntegralSpec(spec=WeightSpec.from_exponents((0,)), indices=(1,),
+                      basis=BasisKind.LEGENDRE, iv=iv)
+    t0 = compute_tensor(BasisKind.LEGENDRE, i0.spec, iv, (2,))
+    orders = [TruncationOrders((2,)), TruncationOrders((2, 2))]
+    with pytest.raises(DomainError, match=re.escape("components (1, 2) on")):
+        sample_batch([i0, ispec], [t0, tensor], 2, orders, seed=7, n=n)
 
 
 @pytest.mark.parametrize("name, iv", [
@@ -858,3 +871,143 @@ def test_closed_form_frozen_bytes(name):
         for indices in index_choices:
             digest.update(sample_closed_form(name, batch, IV2, p, indices).tobytes())
     assert digest.hexdigest() == FROZEN_CLOSED_FORMS[name]
+
+
+# weight exponents, component indices (0 is dt), tensor orders, truncation
+# orders: multiplicities 1 to 4, boxes below the tensor's orders, and the
+# (0, 0) tensor sampled twice, with other components and another box
+_JOINT_SPECS = (
+    ((0,), (1,), (6,), (6,)),
+    ((0, 0), (1, 2), (5, 5), (5, 5)),
+    ((0, 0), (2, 0), (5, 5), (3, 4)),
+    ((1, 0, 2), (1, 0, 2), (4, 4, 4), (4, 2, 3)),
+    ((0, 2, 0, 1), (2, 1, 0, 1), (3, 3, 3, 3), (3, 2, 1, 3)),
+    ((1,), (2,), (6,), (2,)),
+)
+
+
+def _joint_set(basis, iv):
+    built, ispecs, tensors, orders = {}, [], [], []
+    for exps, indices, tensor_orders, p in _JOINT_SPECS:
+        spec = WeightSpec.from_exponents(exps)
+        if (exps, tensor_orders) not in built:
+            built[exps, tensor_orders] = compute_tensor(basis, spec, iv, tensor_orders)
+        ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=basis, iv=iv))
+        tensors.append(built[exps, tensor_orders])
+        orders.append(TruncationOrders(p))
+    assert tensors[1] is tensors[2]
+    return ispecs, tensors, orders
+
+
+def _per_spec(ispecs, tensors, orders, seed, n):
+    """Each spec's column by its own sample_truncated call on the block's table."""
+    max_j = max(max(o.p) for o in orders)
+    block = draw_table(2, max_j, ispecs[0].basis, ispecs[0].iv, seed, stream=range(n))
+    return block, np.stack([sample_truncated(i, t, block, o)
+                            for i, t, o in zip(ispecs, tensors, orders)], axis=1)
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_joint_small_blocks_equal_per_spec_sums(basis, n):
+    # blocks of fewer than _CERTIFY_ROWS rows sum every spec in one gather
+    # chain; each column keeps the bytes of its spec's own call, and of
+    # math.fsum over the whole box
+    ispecs, tensors, orders = _joint_set(basis, IV2)
+    got = sample_batch(ispecs, tensors, 2, orders, seed=31, n=n)
+    block, want = _per_spec(ispecs, tensors, orders, 31, n)
+    assert got.tobytes() == want.tobytes()
+    for r, table in enumerate(block.values):
+        for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, orders)):
+            assert got[r, c] == _full_box_fsum(tensor, ispec.indices, o.p, table)
+
+
+def test_joint_plan_cache_serves_no_stale_plan():
+    # tensors on another interval are built after the last ones are dropped,
+    # more times than the cache holds plans: each set gets its own plan
+    ivs = [IV, IV2, Interval(0.5, 1.75)] * sampler._PLAN_CACHE_SIZE
+    first = None
+    for step, iv in enumerate(ivs):
+        ispecs, tensors, orders = _joint_set(BasisKind.LEGENDRE, iv)
+        got = sample_batch(ispecs, tensors, 2, orders, seed=step, n=1 + step % 3)
+        assert got.tobytes() == _per_spec(ispecs, tensors, orders, step, 1 + step % 3)[1].tobytes()
+        assert len(sampler._PLANS) <= sampler._PLAN_CACHE_SIZE
+        if first is None:
+            first = weakref.ref(tensors[0])
+        del ispecs, tensors, orders
+        gc.collect()
+        if step < sampler._PLAN_CACHE_SIZE - 1:
+            assert first() is not None  # held by its plan
+    assert first() is None  # whose entry has gone
+    # a tensor made right after one is dropped often takes its id: tensors
+    # with other coefficients in the same support each get their own plan
+    ispecs, tensors, orders = (x[1:2] for x in _joint_set(BasisKind.TRIGONOMETRIC, IV))
+    for step in range(20):
+        scaled = [dataclasses.replace(t, data=(step + 2.0) * t.data) for t in tensors]
+        got = sample_batch(ispecs, scaled, 2, orders, seed=step, n=1)
+        assert got.tobytes() == _per_spec(ispecs, scaled, orders, step, 1)[1].tobytes()
+        del scaled
+        gc.collect()
+
+
+def test_joint_small_blocks_keep_every_check():
+    ispecs, tensors, orders = _joint_set(BasisKind.LEGENDRE, IV2)
+    sample_batch(ispecs, tensors, 2, orders, seed=1, n=1)  # a cached plan for this key
+    # the same tensors, orders and components with other specs: provenance
+    wrong_weight = [dataclasses.replace(ispecs[0], spec=WeightSpec.from_exponents((1,)))]
+    wrong_weight += ispecs[1:]
+    _raises("weight mismatch between spec and tensor", sample_batch,
+            wrong_weight, tensors, 2, orders, seed=1, n=1)
+    elsewhere = [dataclasses.replace(s, iv=IV) for s in ispecs]
+    _raises("interval mismatch between spec, tensor and table", sample_batch,
+            elsewhere, tensors, 2, orders, seed=1, n=1)
+    trig = [dataclasses.replace(s, basis=BasisKind.TRIGONOMETRIC) for s in ispecs]
+    _raises("basis mismatch between spec, tensor and table", sample_batch,
+            trig, tensors, 2, orders, seed=1, n=1)
+    # orders beyond the tensor's, or of the wrong length
+    too_deep = orders[:1] + [TruncationOrders((6, 5))] + orders[2:]
+    _raises("orders (6, 5) exceed tensor orders (5, 5)", sample_batch,
+            ispecs, tensors, 2, too_deep, seed=1, n=1)
+    short = orders[:1] + [TruncationOrders((5,))] + orders[2:]
+    _raises("need 2 truncation orders, got 1", sample_batch,
+            ispecs, tensors, 2, short, seed=1, n=1)
+    # and the plan cached before still gives the per-spec bytes
+    got = sample_batch(ispecs, tensors, 2, orders, seed=1, n=1)
+    assert got.tobytes() == _per_spec(ispecs, tensors, orders, 1, 1)[1].tobytes()
+
+
+def test_joint_plan_cache_under_threads():
+    # more spec sets than the cache holds plans, sampled from more threads
+    # than cores with a short switch interval: lookups race evictions, and
+    # every row keeps its single-threaded bytes
+    sets = []
+    for step in range(sampler._PLAN_CACHE_SIZE + 3):
+        ispecs, tensors, orders = _joint_set(BasisKind.LEGENDRE, Interval(0.0, 1.0 + step))
+        sets.append((ispecs[step % 6:], tensors[step % 6:], orders[step % 6:]))
+    want = [sample_batch(s[0], s[1], 2, s[2], seed=i, n=1 + i % 5) for i, s in enumerate(sets)]
+    failures = []
+
+    def work(offset):
+        try:
+            for rep in range(30):
+                i = (offset + rep) % len(sets)
+                ispecs, tensors, orders = sets[i]
+                got = sample_batch(ispecs, tensors, 2, orders, seed=i, n=1 + i % 5)
+                if got.tobytes() != want[i].tobytes():
+                    failures.append(i)
+        except Exception as exc:  # kept, so a thread that raises fails the test
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(sampler._PLANS) <= sampler._PLAN_CACHE_SIZE

@@ -13,7 +13,9 @@ import pytest
 
 import stratint
 import stratint.cli  # the tracer wraps names in every module its sites list
-from stratint import sde_demo
+from stratint import coefficients, sampler, sde_demo
+from stratint.basis import BasisKind, Interval
+from stratint.kernel import WeightSpec
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -81,4 +83,35 @@ def test_traced_study_and_integrate_count_their_work(tracer_module):
     assert values["rng.calls"] == n_paths + 2
     assert values["rng.variates"] == n_paths * 16 * max(levels) * 5 + 2 * steps * 5
     assert values["coefficients.builds"] == 0 and values["sampler.contractions"] == 0
+    assert np.all(spans["end"] >= spans["start"])
+
+
+@pytest.mark.parametrize("n, contractions", [(1, 0), (128, 2)])
+def test_traced_sample_batch_counts_tables_and_contractions(tracer_module, n, contractions):
+    # a block of fewer than _CERTIFY_ROWS rows sums both specs at once; a
+    # larger one makes one sample_truncated call per spec, whose work
+    # function reads the truncation orders from args[3]
+    iv = Interval(0.0, 0.01)
+    ispecs, tensors, orders = [], [], []
+    for exps, indices in (((0,), (1,)), ((0, 0), (1, 2))):
+        spec = WeightSpec.from_exponents(exps)
+        ispecs.append(sampler.IntegralSpec(spec=spec, indices=indices,
+                                           basis=BasisKind.LEGENDRE, iv=iv))
+        tensors.append(coefficients.compute_tensor(BasisKind.LEGENDRE, spec, iv, (4,) * len(exps)))
+        orders.append(sampler.TruncationOrders.uniform(len(exps), 4))
+    want = sampler.sample_batch(ispecs, tensors, 2, orders, 3, n)
+    tracer = tracer_module.Tracer(stratint)
+    tracer.install()
+    try:
+        got = sampler.sample_batch(ispecs, tensors, 2, orders, 3, n, 1)  # as workloads.py calls it
+    finally:
+        tracer.uninstall()
+    assert got.tobytes() == want.tobytes()
+    values, error, spans = tracer_module.analyse(tracer)
+    assert values["sampler.batches"] == 1
+    assert values["sampler.tables"] == 1
+    assert values["rng.calls"] == 1  # both components in one draw
+    assert values["rng.variates"] == n * 2 * 5
+    assert values["sampler.contractions"] == contractions
+    assert values["sampler.terms"] == (5 + 25 if contractions else 0)
     assert np.all(spans["end"] >= spans["start"])
