@@ -51,7 +51,7 @@ class Interval:
         return self.T - self.t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and positive weights of a quadrature rule on some [t, T]."""
 
@@ -161,7 +161,8 @@ def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
-@functools.lru_cache(maxsize=None)
+# an entry holds n * n doubles; a `coeffs` benchmark process builds at 9 distinct n
+@functools.lru_cache(maxsize=16)
 def _integration_matrix(n: int) -> np.ndarray:
     """S with (S @ f)[i] = int_{-1}^{x_i} f for f sampled at the n Gauss nodes x on [-1, 1].
 

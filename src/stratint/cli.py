@@ -36,7 +36,6 @@ from .sde_demo import SCHEMES, convergence_study, gbm, two_noise
 __all__ = ["main", "build_parser"]
 
 _PROBLEMS = {"gbm": gbm, "two-noise": two_noise}
-_SUITES = ("golden", "orthonormality", "partitions", "trace", "fastpath")
 # converge draws its rows as batched tables of at most this many streams
 _CONVERGE_BLOCK = 2048
 # rows are formatted and written this many at a time (a coeffs CSV block: at
@@ -369,15 +368,18 @@ def _suite_fastpath(seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
+# verify's suites by name, each called with the run's seed (only fastpath draws)
+_SUITES = {
+    "golden": lambda seed: _suite_golden(),
+    "orthonormality": lambda seed: _suite_orthonormality(),
+    "partitions": lambda seed: _suite_partitions(),
+    "trace": lambda seed: _suite_trace(),
+    "fastpath": _suite_fastpath,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = {
-        "golden": _suite_golden,
-        "orthonormality": _suite_orthonormality,
-        "partitions": _suite_partitions,
-        "trace": _suite_trace,
-        "fastpath": lambda: _suite_fastpath(args.seed),
-    }[args.suite]
-    checks = suite()
+    checks = _SUITES[args.suite](args.seed)
     failed = sum(1 for _, ok, _ in checks if not ok)
     with _output(args) as fh:
         for name, ok, detail in checks:

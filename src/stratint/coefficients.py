@@ -7,7 +7,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +58,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffTensor:
     """Box of coefficients data[j_1, ..., j_k], index j_1 on the innermost factor.
 
-    `data` is read-only and owns its memory (a view is copied), so what
-    `support` and `gather` derive from it is kept in a private cache that
-    never goes stale and goes with the tensor; it takes no part in repr,
-    equality or the cache file. It holds one entry per box and per (box,
-    components, width) asked for, each read-only. Threads that miss the
-    same entry at once compute equal values, and the last store wins.
+    A plain immutable value: `data` is read-only and owns its memory (a view
+    is copied), so what is derived from a tensor never goes stale. Tensors
+    compare and hash by identity.
     """
 
     kind: BasisKind
@@ -75,7 +72,6 @@ class CoeffTensor:
     iv: Interval
     orders: tuple[int, ...]
     data: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.data.base is not None:  # a view: its base could still be written
@@ -83,40 +79,12 @@ class CoeffTensor:
         self.data.setflags(write=False)
 
     def support(self, p: tuple[int, ...]) -> Support:
-        """Nonzero entries of the box data[:p_1 + 1, ..., :p_k + 1], found once per box.
-
-        Index arrays take the narrowest unsigned type that holds their values.
-        """
-        found = self._cache.get(p)
-        if found is None:
-            if len(p) != len(self.orders) or any(not 0 <= q <= o for q, o in zip(p, self.orders)):
-                raise ArgumentError(f"box {p} is not inside tensor orders {self.orders}")
-            box = self.data[tuple(slice(0, q + 1) for q in p)]
-            nonzero = np.nonzero(box)
-            found = Support(tuple(_read_only(a.astype(np.min_scalar_type(q)))
-                                  for a, q in zip(nonzero, p)),
-                            _read_only(box[nonzero]))
-            self._cache[p] = found
-        return found
-
-    def gather(self, p: tuple[int, ...], indices: tuple[int, ...], width: int) -> tuple:
-        """Per axis l, where the support's factor of component indices[l] sits
-        in a flat table row that holds `width` values per component.
-
-        These are np.intp, the index type numpy's fancy indexing uses without
-        a conversion on every call.
-        """
-        key = (p, indices, width)
-        found = self._cache.get(key)
-        if found is None:
-            axes = self.support(p).axes
-            if len(indices) != len(p) or min(indices) < 0 or width <= max(p):
-                raise ArgumentError(f"cannot gather box {p} of components {indices} "
-                                    f"from rows of width {width}")
-            found = tuple(_read_only(i * width + a.astype(np.intp))
-                          for i, a in zip(indices, axes))
-            self._cache[key] = found
-        return found
+        """Nonzero entries of the box data[:p_1 + 1, ..., :p_k + 1], with np.intp axes."""
+        if len(p) != len(self.orders) or any(not 0 <= q <= o for q, o in zip(p, self.orders)):
+            raise ArgumentError(f"box {p} is not inside tensor orders {self.orders}")
+        box = self.data[tuple(slice(0, q + 1) for q in p)]
+        nonzero = np.nonzero(box)
+        return Support(nonzero, box[nonzero])
 
 
 def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> None:

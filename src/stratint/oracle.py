@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshPath:
     """Uniformish mesh t = tau_0 < ... < tau_N = T with increments; row 0 is dtau."""
 

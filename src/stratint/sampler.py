@@ -41,7 +41,7 @@ _CERTIFY_ROWS = 8
 _SAFE_MAGNITUDE = 2.0**1020
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianTable:
     """Variates zeta_j^(i) in rows 1..m; row 0 holds the deterministic dt column int phi_j.
 
@@ -86,7 +86,7 @@ class TruncationOrders:
     p: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(self.p))  # a cache key of the tensor's support
+        object.__setattr__(self, "p", tuple(self.p))  # part of a plan's cache key
         if not self.p or any(q < 0 for q in self.p):
             raise ArgumentError(f"truncation orders must be >= 0, got {self.p}")
 
@@ -137,22 +137,6 @@ def _check_provenance(ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianT
         raise ArgumentError("interval mismatch between spec, tensor and table")
 
 
-def _check_sample(
-    ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianTable, orders: TruncationOrders
-) -> None:
-    k = ispec.spec.k
-    _check_provenance(ispec, tensor, table)
-    p = orders.p
-    if len(p) != k:
-        raise ArgumentError(f"need {k} truncation orders, got {len(p)}")
-    if p != tensor.orders and any(q > o for q, o in zip(p, tensor.orders)):
-        raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
-    if max(p) > table.max_j:
-        raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
-    if max(ispec.indices) > table.m:
-        raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
-
-
 def _overflow(ispec: IntegralSpec) -> DomainError:
     return DomainError(f"a sample of components {ispec.indices} on [{ispec.iv.t!r}, "
                        f"{ispec.iv.T!r}] overflows double precision")
@@ -160,15 +144,70 @@ def _overflow(ispec: IntegralSpec) -> DomainError:
 
 class _Plan(NamedTuple):
     """The support terms of one or more specs, concatenated: per axis, where
-    each term's factor sits in a flat table row; the coefficients; each
-    spec's segment [a, b) of the terms; and whether an axis beyond a spec's
-    multiplicity reads a slot holding 1.0, one past the end of the row."""
+    each term's factor sits in a flat table row, component * width + j; the
+    coefficients; each spec's segment [a, b) of the terms; and whether an
+    axis beyond a spec's multiplicity reads a slot holding 1.0, one past the
+    end of the row."""
 
     gather: tuple[np.ndarray, ...]
     coeffs: np.ndarray
     bounds: tuple[tuple[int, int], ...]
     padded: bool
-    tensors: tuple  # held, so no id in the plan's cache key is reused while it lives
+
+
+# the sampler's plans, oldest out first, keyed by (tensors, orders, indices,
+# width, m); a key holds its tensors, whose data never change. The `sample`
+# benchmark workload asks for 12 keys: 6 Legendre and 4 trigonometric
+# one-spec plans and one joint plan of each basis
+_PLANS: dict[tuple, _Plan] = {}
+_PLAN_CACHE_SIZE = 16
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
+          orders: list[TruncationOrders], table: GaussianTable) -> _Plan:
+    """The plan of the specs' support terms in rows of the table, each axis
+    padded to the largest k.
+
+    Every check but provenance depends on the key alone, so a cached plan
+    re-checks provenance only; a new one passes every check first.
+    """
+    width = table.max_j + 1
+    key = (tuple(tensors), tuple(o.p for o in orders), tuple(s.indices for s in ispecs),
+           width, table.m)
+    for ispec, tensor in zip(ispecs, tensors):
+        _check_provenance(ispec, tensor, table)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    k = max(s.spec.k for s in ispecs)
+    slot = (table.m + 1) * width
+    axes, coeffs, bounds, end = [], [], [], 0
+    for ispec, tensor, o in zip(ispecs, tensors, orders):
+        p = o.p
+        if len(p) != ispec.spec.k:
+            raise ArgumentError(f"need {ispec.spec.k} truncation orders, got {len(p)}")
+        if p != tensor.orders and any(q > t for q, t in zip(p, tensor.orders)):
+            raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
+        if max(p) > table.max_j:
+            raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
+        if max(ispec.indices) > table.m:
+            raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
+        support = tensor.support(p)
+        pad = np.full(len(support.coeffs), slot, dtype=np.intp)
+        axes.append(tuple(i * width + a for i, a in zip(ispec.indices, support.axes))
+                    + (pad,) * (k - ispec.spec.k))
+        coeffs.append(support.coeffs)
+        bounds.append((end, end + len(support.coeffs)))
+        end += len(support.coeffs)
+    plan = _Plan(tuple(_read_only(np.concatenate(a)) for a in zip(*axes)),
+                 _read_only(np.concatenate(coeffs)), tuple(bounds),
+                 any(s.spec.k < k for s in ispecs))
+    with _PLANS_LOCK:
+        while len(_PLANS) >= _PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = plan
+    return plan
 
 
 def _segment_sums(values: np.ndarray, plan: _Plan, ispecs: Sequence[IntegralSpec],
@@ -222,18 +261,14 @@ def sample_truncated(
     least). One of _CERTIFY_ROWS rows or more is summed by a certified
     vectorised sum, with a per-row math.fsum for the rows it cannot certify;
     a smaller one sums each row by math.fsum, as sample_batch sums a small
-    block of several specs. The support and the gather positions are cached
-    on the tensor. Raises DomainError when a value overflows double
-    precision.
+    block of several specs. The terms are gathered by a plan from the
+    sampler's plan cache (_plan). Raises DomainError when a value overflows
+    double precision.
     """
-    _check_sample(ispec, tensor, table, orders)
-    p = orders.p
+    plan = _plan([ispec], [tensor], [orders], table)
     values = table.values if table.values.ndim == 3 else table.values[None]
-    support = tensor.support(p)
-    gather = tensor.gather(p, ispec.indices, table.max_j + 1)
-    step = max(1, _CONTRACT_TERMS // max(1, len(support.coeffs)))
+    step = max(1, _CONTRACT_TERMS // max(1, len(plan.coeffs)))
     sums = np.empty(len(values))
-    plan = _Plan(gather, support.coeffs, ((0, len(support.coeffs)),), False, (tensor,))
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
         if len(block) < _CERTIFY_ROWS:
@@ -242,10 +277,10 @@ def sample_truncated(
         # one contiguous copy with the rows last, so one term's values over
         # the rows are contiguous
         z = np.ascontiguousarray(block.reshape(len(block), -1).T)
-        terms = z[gather[0]]
-        for g in gather[1:]:
+        terms = z[plan.gather[0]]
+        for g in plan.gather[1:]:
             terms *= z[g]
-        terms *= support.coeffs[:, None]
+        terms *= plan.coeffs[:, None]
         try:
             sums[lo:lo + step] = _column_sums(terms)
         except (OverflowError, ValueError):  # from math.fsum
@@ -255,56 +290,11 @@ def sample_truncated(
     return float(sums[0]) if table.values.ndim == 2 else sums
 
 
-# sample_batch's plans for blocks of fewer than _CERTIFY_ROWS rows, oldest
-# out first, keyed by (tensor ids, orders, indices, width, m)
-_PLANS: dict[tuple, _Plan] = {}
-_PLAN_CACHE_SIZE = 8
-_PLANS_LOCK = threading.Lock()
-
-
-def _joint_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
-                orders: list[TruncationOrders], table: GaussianTable) -> _Plan:
-    """The plan of all specs of a block, each axis padded to the largest k.
-
-    A cached plan has passed every check of sample_truncated but provenance,
-    which depends on the specs and the table, not on the key; a new one
-    passes them all first.
-    """
-    width = table.max_j + 1
-    key = (tuple(map(id, tensors)), tuple(o.p for o in orders),
-           tuple(s.indices for s in ispecs), width, table.m)
-    plan = _PLANS.get(key)
-    if plan is not None:
-        for ispec, tensor in zip(ispecs, tensors):
-            _check_provenance(ispec, tensor, table)
-        return plan
-    for ispec, tensor, o in zip(ispecs, tensors, orders):
-        _check_sample(ispec, tensor, table, o)
-    k = max(s.spec.k for s in ispecs)
-    slot = (table.m + 1) * width
-    axes, coeffs, bounds, end = [], [], [], 0
-    for ispec, tensor, o in zip(ispecs, tensors, orders):
-        c = tensor.support(o.p).coeffs
-        pad = np.full(len(c), slot, dtype=np.intp)
-        axes.append(tensor.gather(o.p, ispec.indices, width) + (pad,) * (k - ispec.spec.k))
-        coeffs.append(c)
-        bounds.append((end, end + len(c)))
-        end += len(c)
-    plan = _Plan(tuple(_read_only(np.concatenate(a)) for a in zip(*axes)),
-                 _read_only(np.concatenate(coeffs)), tuple(bounds),
-                 any(s.spec.k < k for s in ispecs), tuple(tensors))
-    with _PLANS_LOCK:
-        while len(_PLANS) >= _PLAN_CACHE_SIZE:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = plan
-    return plan
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _joint_sums(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
                 orders: list[TruncationOrders], table: GaussianTable, out: np.ndarray) -> None:
     """Every spec's sample of each row of a small block, into out[row, spec]."""
-    _segment_sums(table.values, _joint_plan(ispecs, tensors, orders, table), ispecs, out)
+    _segment_sums(table.values, _plan(ispecs, tensors, orders, table), ispecs, out)
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -627,7 +617,7 @@ def sample_batch(
     _CERTIFY_ROWS rows or more is contracted by one sample_truncated call
     per spec; a smaller one, such as the one row of a solver's step, sums
     all specs' support terms in one gather chain, with the bytes of those
-    calls. `threads` is checked and accepted for compatibility; it changes
+    calls. Both read their plans from the sampler's plan cache. `threads` is checked and accepted for compatibility; it changes
     neither the output nor the work done.
     """
     if not ispecs:

@@ -51,7 +51,7 @@ class SdeProblem:
             raise ArgumentError(f"need a finite t_end > 0, got {self.t_end}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceResult:
     """Per-level RMS terminal errors against a 16x reference, with log-log slope."""
 

@@ -161,6 +161,19 @@ def test_integration_matrix_exact_on_monomials(n):
     assert np.max(np.abs(got - want)) < 1e-14
 
 
+def test_integration_matrix_cache_is_bounded():
+    # building at more n than the cache holds keeps it within its bound, and
+    # a matrix built again after its entry has gone has the same bytes
+    bound = _integration_matrix.cache_info().maxsize
+    assert bound >= 9  # the distinct n of one `coeffs` benchmark process
+    first = _integration_matrix(3).tobytes()
+    for n in range(4, bound + 8):
+        _integration_matrix(n)
+        assert _integration_matrix.cache_info().currsize <= bound
+    assert _integration_matrix(3).tobytes() == first
+    assert first == _integration_matrix.__wrapped__(3).tobytes()
+
+
 @given(
     j=st.integers(min_value=0, max_value=8),
     u=st.floats(min_value=0.0, max_value=1.0),

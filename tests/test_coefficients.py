@@ -18,14 +18,22 @@ from stratint import (
     CacheFormatError,
     CapabilityError,
     DomainError,
+    IntegralSpec,
     Interval,
     StaleCacheError,
+    TruncationOrders,
     WeightSpec,
     cache_load,
     cache_store,
     compute_tensor,
+    convergence_study,
+    draw_path,
+    draw_table,
     eval_K_star,
+    gauss_rule,
+    gbm,
     phi_matrix,
+    sample_truncated,
 )
 from stratint import coefficients
 from stratint.coefficients import _nodes, _structural_zeros, _tensor, _trig_structural_zeros
@@ -424,41 +432,55 @@ def test_support_of_a_box():
         support = tensor.support(p)
         assert np.array_equal(np.ravel_multi_index(support.axes, box.shape), np.flatnonzero(box))
         assert support.coeffs.tobytes() == box.reshape(-1)[np.flatnonzero(box)].tobytes()
-        assert [a.dtype for a in support.axes] == [np.uint8] * 3
-        with pytest.raises(ValueError):
-            support.coeffs[...] = 0.0
-        gather = tensor.gather(p, (1, 0, 2), 9)
-        assert [g.dtype for g in gather] == [np.intp] * 3
-        for i, g, a in zip((1, 0, 2), gather, support.axes):
-            assert np.array_equal(g, 9 * i + a.astype(np.intp))
+        assert [a.dtype for a in support.axes] == [np.intp] * 3
     for bad in ((7, 5, 6), (6, 5), (-1, 0, 0)):
         with pytest.raises(ArgumentError):
             tensor.support(bad)
-    with pytest.raises(ArgumentError):
-        tensor.gather((6, 5, 6), (1, 0, 2), 6)  # a row of width 6 holds j <= 5 only
 
 
-def test_support_cache_is_private(tmp_path):
-    # a used tensor prints, compares, copies and stores like a fresh one
+def test_a_sampled_tensor_is_a_plain_value(tmp_path):
+    # sampling leaves nothing on a tensor: a used one holds the same fields,
+    # prints, copies and stores like a fresh one, and cannot be changed
     iv = Interval(2.5, 3.75)
     spec = WeightSpec.from_exponents((1, 0))
     used = compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, (6, 9))
     fresh = dataclasses.replace(used)
-    used.support((6, 9))
-    used.gather((4, 9), (1, 2), 12)
-    assert len(used._cache) == 3 and fresh._cache == {}
-    assert repr(used) == repr(fresh) and "_cache" not in repr(used)
-    assert used == fresh
-    assert dataclasses.replace(used)._cache == {}
-    with pytest.raises(ValueError):
-        dataclasses.replace(used, _cache={})
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.TRIGONOMETRIC, iv=iv)
+    for n in (1, 9):
+        table = draw_table(2, 11, BasisKind.TRIGONOMETRIC, iv, seed=n, stream=range(n))
+        sample_truncated(ispec, used, table, TruncationOrders((4, 9)))
+    assert vars(used).keys() == vars(fresh).keys()
+    assert repr(used) == repr(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.data = fresh.data
     cache_store(os.fspath(tmp_path / "used.stcf"), used)
     cache_store(os.fspath(tmp_path / "fresh.stcf"), fresh)
     assert (tmp_path / "used.stcf").read_bytes() == (tmp_path / "fresh.stcf").read_bytes()
 
 
+_UNIT = Interval(0.0, 1.0)
+# a value type that holds arrays, and one way to build an instance of it
+_ARRAY_VALUES = {
+    "CoeffTensor": lambda: compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 0)),
+                                          _UNIT, (3, 3)),
+    "GaussianTable": lambda: draw_table(2, 4, BasisKind.LEGENDRE, _UNIT, seed=3),
+    "QuadratureRule": lambda: gauss_rule(5, _UNIT),
+    "MeshPath": lambda: draw_path(2, 8, _UNIT, seed=3),
+    "ConvergenceResult": lambda: convergence_study(gbm(), "milstein", (2, 4, 8, 16), 4, seed=3),
+}
+
+
+@pytest.mark.parametrize("make", list(_ARRAY_VALUES.values()), ids=list(_ARRAY_VALUES))
+def test_array_values_compare_by_identity(make):
+    # an array has no single truth value, so field-wise == would raise: two
+    # instances built alike compare unequal, and each equals itself
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, a, b}) == 2
+
+
 def test_tensor_of_a_view_is_not_changed_through_its_base():
-    # the support cache relies on data never changing
+    # the sampler's cached plans rely on data never changing
     iv = Interval(0.0, 1.0)
     tensor = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents((0, 0)), iv, (4, 4))
     base = tensor.data.copy()

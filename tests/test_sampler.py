@@ -499,37 +499,84 @@ def test_large_support_block_uses_the_certified_sum(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-def test_support_cache_shared_across_boxes_and_tables():
-    # one tensor used in turn with two boxes and two table widths gives the
-    # bytes of a fresh tensor per call, on the small and the certified path
+def _count_plans(monkeypatch):
+    """A list that gets one entry per plan the sampler builds from here on."""
+    built = []
+
+    def plan(*args):
+        built.append(args)
+        return make(*args)
+
+    make = sampler._Plan
+    monkeypatch.setattr(sampler, "_Plan", plan)
+    return built
+
+
+def test_support_cache_shared_across_boxes_and_tables(monkeypatch):
+    # one tensor used in turn with two boxes and two table widths gives each
+    # row the bytes of math.fsum over its whole box, on the small and the
+    # certified path, from one plan per box and width
     spec = WeightSpec.from_exponents((1, 0, 2))
     shared = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (8, 8, 8))
     ispec = IntegralSpec(spec=spec, indices=(1, 0, 2), basis=BasisKind.LEGENDRE, iv=IV2)
+    built = _count_plans(monkeypatch)
     for n in (1, 5, 300):
         for p in ((8, 8, 8), (5, 3, 8)):
             for max_j in (10, 20):
                 table = draw_table(2, max_j, BasisKind.LEGENDRE, IV2, seed=n, stream=range(n))
-                fresh = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (8, 8, 8))
                 got = sample_truncated(ispec, shared, table, TruncationOrders(p))
-                want = sample_truncated(ispec, fresh, table, TruncationOrders(p))
-                assert got.tobytes() == want.tobytes(), (n, p, max_j)
-    # two boxes, and the gather positions of each box in each table width
-    assert len(shared._cache) == 2 + 2 * 2
+                want = [_full_box_fsum(shared, (1, 0, 2), p, t) for t in table.values]
+                assert got.tobytes() == np.array(want).tobytes(), (n, p, max_j)
+    assert len(built) == 2 * 2
+    assert sum(key[0] == (shared,) for key in sampler._PLANS) == 2 * 2
 
 
-def test_repeated_calls_do_not_grow_the_support_cache():
-    ispecs, tensors, orders = [], [], []
-    for exps, indices, p in _BENCH_SPECS[BasisKind.LEGENDRE]:
-        spec = WeightSpec.from_exponents(exps)
-        ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=BasisKind.LEGENDRE, iv=IV))
-        tensors.append(compute_tensor(BasisKind.LEGENDRE, spec, IV, (p,) * len(exps)))
-        orders.append(TruncationOrders.uniform(len(exps), p))
-    sample_batch(ispecs, tensors, 2, orders, seed=1, n=1)
-    sizes = [len(t._cache) for t in tensors]
-    assert sizes == [2] * len(tensors)  # one box, one table width
-    for seed, n in ((2, 1), (3, 5), (4, 300), (5, 1)):
-        sample_batch(ispecs, tensors, 2, orders, seed=seed, n=n)
-        assert [len(t._cache) for t in tensors] == sizes
+def test_plan_gathers_from_flat_table_rows():
+    # term t's factor on axis l sits at component * width + j in a table row
+    # of width max_j + 1 per component; a spec of smaller k reads the slot one
+    # past the end of the row, which holds 1.0
+    iv = Interval(0.5, 1.75)
+    specs = (WeightSpec.from_exponents((0, 1, 0)), WeightSpec.from_exponents((1,)))
+    tensors = [compute_tensor(BasisKind.LEGENDRE, specs[0], iv, (6, 5, 6)),
+               compute_tensor(BasisKind.LEGENDRE, specs[1], iv, (6,))]
+    ispecs = [IntegralSpec(spec=s, indices=i, basis=BasisKind.LEGENDRE, iv=iv)
+              for s, i in zip(specs, ((1, 0, 2), (2,)))]
+    orders = [TruncationOrders((3, 0, 5)), TruncationOrders((6,))]
+    table = draw_table(2, 8, BasisKind.LEGENDRE, iv, seed=1)
+    plan = sampler._plan(ispecs, tensors, orders, table)
+    deep, flat = tensors[0].support((3, 0, 5)).axes, tensors[1].support((6,)).axes
+    size = len(deep[0])
+    assert [g.dtype for g in plan.gather] == [np.intp] * 3
+    assert np.array_equal(plan.gather[0], np.concatenate((9 * 1 + deep[0], 9 * 2 + flat[0])))
+    for l, i in ((1, 0), (2, 2)):
+        pad = np.full(len(flat[0]), 3 * 9)
+        assert np.array_equal(plan.gather[l], np.concatenate((9 * i + deep[l], pad)))
+    assert plan.bounds == ((0, size), (size, len(plan.coeffs))) and plan.padded
+    assert not any(a.flags.writeable for a in (*plan.gather, plan.coeffs))
+    short = draw_table(2, 5, BasisKind.LEGENDRE, iv, seed=1)  # a row holds j <= 5 only
+    _raises("table holds indices up to 5, need 6", sampler._plan, ispecs, tensors, orders, short)
+
+
+def test_sample_traffic_fits_the_plan_cache(monkeypatch):
+    # the `sample` benchmark workload's two spec sets at its block sizes ask
+    # for 12 plans: a second round of the same calls builds none
+    sets = []
+    for basis, specs in _BENCH_SPECS.items():
+        iv = Interval(0.0, 0.01)
+        ispecs, tensors, orders = [], [], []
+        for exps, indices, p in specs:
+            spec = WeightSpec.from_exponents(exps)
+            ispecs.append(IntegralSpec(spec=spec, indices=indices, basis=basis, iv=iv))
+            tensors.append(compute_tensor(basis, spec, iv, (p,) * len(exps)))
+            orders.append(TruncationOrders.uniform(len(exps), p))
+        sets.append((ispecs, tensors, orders))
+    built = _count_plans(monkeypatch)
+    for round_ in range(2):
+        for n in (2, 128, 1, 64, 512):
+            for ispecs, tensors, orders in sets:
+                sample_batch(ispecs, tensors, 2, orders, seed=n, n=n)
+        assert len(built) == 12, round_
+    assert 12 <= sampler._PLAN_CACHE_SIZE
 
 
 def _raises(message, fn, *args, **kwargs):
@@ -924,7 +971,8 @@ def test_joint_small_blocks_equal_per_spec_sums(basis, n):
 
 def test_joint_plan_cache_serves_no_stale_plan():
     # tensors on another interval are built after the last ones are dropped,
-    # more times than the cache holds plans: each set gets its own plan
+    # more times than the cache holds plans: each set gets its own plan, and
+    # a tensor lives only while a plan's key holds it
     ivs = [IV, IV2, Interval(0.5, 1.75)] * sampler._PLAN_CACHE_SIZE
     first = None
     for step, iv in enumerate(ivs):
@@ -936,16 +984,25 @@ def test_joint_plan_cache_serves_no_stale_plan():
             first = weakref.ref(tensors[0])
         del ispecs, tensors, orders
         gc.collect()
-        if step < sampler._PLAN_CACHE_SIZE - 1:
-            assert first() is not None  # held by its plan
-    assert first() is None  # whose entry has gone
+        held = first()
+        assert held is None or any(held in key[0] for key in sampler._PLANS)
+        assert step > 0 or held is not None  # held by the plans just made
+        del held
+    assert first() is None  # whose entries have gone
     # a tensor made right after one is dropped often takes its id: tensors
-    # with other coefficients in the same support each get their own plan
+    # with other coefficients in the same support each get their own plan,
+    # for a joint block and for one spec's block on either path
     ispecs, tensors, orders = (x[1:2] for x in _joint_set(BasisKind.TRIGONOMETRIC, IV))
     for step in range(20):
         scaled = [dataclasses.replace(t, data=(step + 2.0) * t.data) for t in tensors]
         got = sample_batch(ispecs, scaled, 2, orders, seed=step, n=1)
         assert got.tobytes() == _per_spec(ispecs, scaled, orders, step, 1)[1].tobytes()
+        for n in (1, 9):
+            table = draw_table(2, 5, BasisKind.TRIGONOMETRIC, IV, seed=step, stream=range(n))
+            got = sample_truncated(ispecs[0], scaled[0], table, orders[0])
+            want = [_full_box_fsum(scaled[0], ispecs[0].indices, orders[0].p, t)
+                    for t in table.values]
+            assert got.tobytes() == np.array(want).tobytes(), (step, n)
         del scaled
         gc.collect()
 
