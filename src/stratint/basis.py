@@ -161,7 +161,7 @@ def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
-# an entry holds n * n doubles; a `coeffs` benchmark process builds at 9 distinct n
+# an entry holds n * n doubles; only Legendre tensors use it, at one n per build
 @functools.lru_cache(maxsize=16)
 def _integration_matrix(n: int) -> np.ndarray:
     """S with (S @ f)[i] = int_{-1}^{x_i} f for f sampled at the n Gauss nodes x on [-1, 1].

@@ -269,8 +269,7 @@ def _suite_golden() -> list[tuple[str, bool, str]]:
     p = 10
     for iv in (Interval(0.0, 1.0), Interval(2.5, 3.75)):
         for name, (basis, k) in CLOSED_FORM_NAMES.items():
-            trig = basis is BasisKind.TRIGONOMETRIC
-            top = 2 * p if trig else p
+            top = 2 * p if basis is BasisKind.TRIGONOMETRIC else p
             shape = (top + 1,) * k
             index = np.indices(shape).reshape(k, -1)
             units = np.zeros((index.shape[1], k + 1, top + 1))
@@ -282,8 +281,7 @@ def _suite_golden() -> list[tuple[str, bool, str]]:
             spec = WeightSpec.from_exponents(CLOSED_FORM_EXPONENTS[name])
             want = compute_tensor(basis, spec, iv, (top,) * k).data
             err = float(np.max(np.abs(got - want)))
-            tol = 1e-9 if trig else 1e-10
-            checks.append((f"{name} p={p} [{iv.t},{iv.T}]", err < tol, f"max err {err:.3g}"))
+            checks.append((f"{name} p={p} [{iv.t},{iv.T}]", err < 1e-10, f"max err {err:.3g}"))
     return checks
 
 
@@ -352,12 +350,10 @@ def _suite_fastpath(seed: int) -> list[tuple[str, bool, str]]:
     iv = Interval(0.0, 1.0)
     p = 20
     for name, (basis, k) in CLOSED_FORM_NAMES.items():
-        trig = basis is BasisKind.TRIGONOMETRIC
-        box = 2 * p if trig else p
+        box = 2 * p if basis is BasisKind.TRIGONOMETRIC else p
         spec = WeightSpec.from_exponents(CLOSED_FORM_EXPONENTS[name])
         tensor = compute_tensor(basis, spec, iv, (box,) * k)
-        tol = 1e-12 if k == 1 and not trig else (5e-9 if name in
-              ("I01", "I10", "I02", "I20", "I11") else 1e-9 if trig else 1e-10)
+        tol = 1e-12 if k == 1 else 5e-9 if name in ("I01", "I10", "I02", "I20", "I11") else 1e-10
         table = draw_table(2, box, basis, iv, seed, stream=range(10))
         indices = (1,) if k == 1 else (1, 2)
         ispec = IntegralSpec(spec=tensor.spec, indices=indices, basis=basis, iv=iv)

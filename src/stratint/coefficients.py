@@ -42,7 +42,7 @@ MAX_MULTIPLICITY = 4
 MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
-_CACHE_VERSION = 2  # 2: trigonometric tensors carry the exact zeros of _trig_structural_zeros
+_CACHE_VERSION = 3  # 3: trigonometric tensors come from the closed form
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
 
 
@@ -98,25 +98,14 @@ def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> Non
         raise CapabilityError(f"Legendre orders supported up to {MAX_LEGENDRE_ORDER}, got {orders}")
 
 
-def _nodes(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> int:
-    """Gauss node count N for the collocation in _tensor.
-
-    Legendre: inner integrands have degree < N, where the integration matrix is
-    exact, and the last one degree <= 2N - 1, where the rule is. Trigonometric:
-    in z on [-1, 1] the deepest integrand is a polynomial of degree sum deg psi_l
-    + k - 1 times terms of angular frequency up to pi * sum (o_l + 1) // 2; its
-    Legendre series is at rounding level once N passes both by a margin.
-    """
-    degree = sum(w.degree for w in spec.weights) + spec.k
-    if kind is BasisKind.LEGENDRE:
-        return sum(orders) + degree
-    return math.ceil(math.pi * sum((o + 1) // 2 for o in orders)) + degree + 16
+def _nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
+    """Gauss node count N for _tensor: inner integrands have degree < N, where the
+    integration matrix is exact, the last one degree <= 2N - 1, where the rule is."""
+    return sum(orders) + sum(w.degree for w in spec.weights) + spec.k
 
 
-def _tensor(
-    kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int
-) -> np.ndarray:
-    """Nested integration by collocation at the n nodes of one Gauss-Legendre rule.
+def _tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> np.ndarray:
+    """Legendre coefficients by collocation at the n nodes of one Gauss-Legendre rule.
 
     F_l = int_t^x psi_l phi_{j_l} F_{l-1} is held by its values at the nodes,
     shape (o_1 + 1, ..., o_l + 1, n); each level is one product with the spectral
@@ -129,7 +118,7 @@ def _tensor(
     def level_rows(level: int) -> np.ndarray:
         """psi_level * phi_j at the nodes for every j of that level, shape (o + 1, n)."""
         psi = spec.weights[level].value(rule.nodes, 0.0)
-        return psi * phi_matrix(kind, orders[level], rule.nodes, iv)
+        return psi * phi_matrix(BasisKind.LEGENDRE, orders[level], rule.nodes, iv)
 
     f = np.ones(n)
     for level in range(spec.k - 1):  # inside the loop: k = 1 needs no integration matrix
@@ -162,75 +151,86 @@ def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
     return (lo > 0) | (par == 1)
 
 
-@functools.lru_cache(maxsize=32)
-def _trig_structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
-    """Read-only mask of the trigonometric coefficients that vanish by frequency
-    and degree alone; it depends on the weights' degrees and the orders only,
-    so a process that builds one case on many intervals finds it once.
+@functools.lru_cache(maxsize=16)
+def _primitives(nu_len: int, a_len: int) -> np.ndarray:
+    """p[nu, a, b] with int_0^x y^a e(nu y) dy = sum_b p[nu, a, b] x^b e(nu x) + const,
+    e(y) = exp(2 pi i y): by parts, -i i^(a-b) a!/b! / (2 pi nu)^(a-b+1) for nu > 0
+    and b <= a, and x^(a+1) / (a+1) for nu = 0."""
+    a, b = np.arange(a_len)[:, None], np.arange(a_len + 1)
+    fact = np.cumprod([1.0, *range(1, a_len + 1)])
+    step = np.where(a >= b, np.array([-1j, 1, 1j, -1])[(a - b) % 4] * fact[a] / fact[b], 0)
+    out = np.zeros((nu_len, a_len, a_len + 1), dtype=complex)
+    inv = 0.5 / math.pi / np.arange(1, nu_len)[:, None, None]  # 1 / (2 pi nu)
+    out[1:] = step * inv ** np.maximum(a - b + 1, 1)
+    out[0, a[:, 0], a[:, 0] + 1] = 1.0 / (a[:, 0] + 1)
+    return _read_only(out)
 
-    On x = u / L in [0, 1], phi_j is cos (j even) or sin (j odd) of 2 pi r x,
-    r = (j + 1) // 2. Each nested integral is tracked, per multi-index prefix, by
-    the monomials x^a T(2 pi nu x) it may hold: a bool array over (prefix, a,
-    T, nu), T 0 for cos and 1 for sin. A weight degree d and phi_j send (a, T,
-    nu) to a + d at nu + r and |nu - r|, of type cos when T matches phi_j's and
-    sin otherwise; sin at nu = 0 drops out. int_0^x of x^a maps nu = 0 to
-    (a + 1, cos, 0), and nu > 0 to degrees a..0 at nu whose types alternate
-    from the flipped one, plus the constant when degree 0 is a cos. int_0^1
-    keeps cos at nu = 0, cos at a >= 2 and sin at a >= 1; the outer level
-    applies that test to the products directly, without forming them.
+
+def _times_phi(z: np.ndarray, o: int, count: int, zero: float, sign: int) -> np.ndarray:
+    """f_j / 2 (g[nu - sign r_j] + s_j g[nu + sign r_j]) as (nu < count, j <= o, ., .),
+    g[nu] = z[nu], g[-nu] = conj z[nu], g[0] = zero z[0]: phi_j = sqrt 2 cos(2 pi r_j x)
+    has f_j, s_j = sqrt 2, 1, sqrt 2 sin has -i sqrt 2, -1, and phi_0 = 1 has 1, 1."""
+    j = np.arange(o + 1)[:, None, None]
+    r = sign * ((j[:, 0, 0] + 1) // 2)
+    off = max(len(z), count + (o + 1) // 2) - 1  # g[nu] sits at g[off + nu]
+    g = np.zeros((2 * off + 1, *z.shape[1:]), dtype=complex)
+    g[off + 1 - len(z):off + len(z)] = np.concatenate([z[:0:-1].conj(), z[:1] * zero, z[1:]])
+    out, hi = g[off + np.arange(count)[:, None] - r], g[off + np.arange(count)[:, None] + r]
+    hi *= 1 - 2 * (j % 2)
+    out += hi
+    out *= np.where(j == 0, 0.5, np.where(j % 2, -1j, 1) * math.sqrt(0.5))
+    return out
+
+
+def _trig_bytes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
+    """Peak bytes that _trig_tensor holds at once, worked out from its shapes."""
+    nu_len, prefix, a_len, peak = 1, 1, 1, 0
+    for level, (w, o) in enumerate(zip(spec.weights, orders)):
+        peak = max(peak, 16 * nu_len * prefix * (2 * a_len + w.degree))  # old and new state
+        a_len += w.degree
+        state, r = 16 * nu_len * prefix * a_len, (o + 1) // 2
+        if level < spec.k - 1:  # state, two-sided copy, two products; or an integral
+            peak = max(peak, 3 * state + 3 * 16 * (nu_len + r) * (o + 1) * prefix * a_len)
+            nu_len, prefix, a_len = nu_len + r, prefix * (o + 1), a_len + 1
+    # the outer table (with its primitives and per-j factors) and its products,
+    # the state's copy, or the result and its transpose
+    table = 16 * nu_len * a_len * (o + 1) + 48 * (nu_len + r) * a_len + 64 * (o + 1)
+    result = 8 * prefix * (o + 1)
+    return 2**20 + max(peak, state + table + max(state, table, result) + result)
+
+
+def _trig_tensor(spec: WeightSpec, length: float, orders: tuple[int, ...]) -> np.ndarray:
+    """Trigonometric coefficients in closed form, on x = (s - t) / L in [0, 1].
+
+    phi_j is L^(-1/2) times 1, sqrt 2 sin(2 pi r x) (j odd) or sqrt 2 cos(2 pi r x)
+    (j even), r = (j + 1) // 2. Each nested integral is Re sum z[nu, a] x^a e(nu x),
+    held per multi-index prefix, newest index first, as z[nu, prefix, a]. A weight
+    raises a; phi_j moves nu to nu + r and |nu - r|, conjugated below 0; int_0^x
+    maps each nu by _primitives, less the value at x = 0; the outer int_0^1 is the
+    primitive at 1, where e(nu) = 1, less that at 0. An entry no term reaches is 0.0.
     """
-    def times_weight(state: np.ndarray, w: WeightPoly) -> np.ndarray:
-        """Raise the degrees by each degree of w with a nonzero coefficient."""
-        degrees = [d for d, c in enumerate(w.coeffs) if c != 0.0]
-        *prefix, a_len, _, nu_len = state.shape
-        out = np.zeros((*prefix, a_len + max(degrees, default=0), 2, nu_len), dtype=bool)
-        for d in degrees:
-            out[..., d:d + a_len, :, :] |= state
-        return out
-
-    state = np.zeros((1, 2, 1), dtype=bool)  # (a, T, nu); the prefix axes come first
-    state[0, 0, 0] = True
-    for w, o in zip(spec.weights[:-1], orders[:-1]):
-        shifted = times_weight(state, w)
-        *prefix, a_len, _, nu_len = shifted.shape
-        r, tau = np.arange(1, o + 2) // 2, np.arange(o + 1) % 2
-        # on the mirror image E[nu] = shifted[|nu|], nu + r and |nu - r| read
-        # E[nu' - r] and E[nu' + r]: two sets of windows of one padded array
-        top, width = r[-1], nu_len + r[-1]
-        mirror = np.zeros((*prefix, a_len, 2, width + 2 * top), dtype=bool)  # nu at nu + top
-        mirror[..., top:top + nu_len] = shifted
-        m = min(top, nu_len - 1)
-        mirror[..., top - m:top + 1] |= shifted[..., m::-1]
-        window = np.lib.stride_tricks.sliding_window_view(mirror, width, axis=-1)
-        by_r = window[..., top::-1, :] | window[..., top:, :]  # (prefix, a, T, r, nu')
-        mixed = np.take(np.moveaxis(by_r, -2, len(prefix)), r, axis=len(prefix))
-        mixed = np.where(tau[:, None, None, None] == 1, mixed[..., ::-1, :], mixed)
-        mixed[..., 1, 0] = False
-        # int_0^x: degree m from degree a >= m flips the type a - m + 1 times,
-        # so swap the types of odd a, OR the suffixes over a, swap even m back
-        odd = (np.arange(a_len) % 2 == 1)[:, None, None]
-        upper = mixed[..., 1:]
-        suffix = np.logical_or.accumulate(
-            np.where(odd, upper[..., ::-1, :], upper)[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
-        state = np.zeros((*prefix, o + 1, a_len + 1, 2, width), dtype=bool)
-        state[..., 1:, 0, 0] = mixed[..., 0, 0]
-        state[..., :-1, :, 1:] = np.where(odd, suffix, suffix[..., ::-1, :])
-        state[..., 0, 0, 0] |= state[..., 0, 0, 1:].any(axis=-1)
-
-    shifted = times_weight(state, spec.weights[-1])
-    *prefix, a_len, _, nu_len = shifted.shape
-    o = orders[-1]
-    r, tau = np.arange(1, o + 2) // 2, np.arange(o + 1) % 2
-    a = np.arange(a_len)
-    a_hi = np.where(shifted.any(axis=-1), a[:, None], -2).max(axis=-2)  # (prefix, T)
-    freqs = np.zeros((*prefix, 2, nu_len + 1), dtype=bool)  # r >= nu_len reads False
-    freqs[..., :nu_len] = shifted.any(axis=-3)
-    keep = (a_hi[..., tau] >= 2) | (a_hi[..., 1 - tau] >= 1)
-    keep |= freqs[..., tau, np.minimum(r, nu_len)]
-    # j = 0 multiplies by a constant: cos at nu > 0 needs a >= 2 as above
-    cos_hi = np.where(shifted[..., 0, 1:].any(axis=-1), a, -2).max(axis=-1)
-    keep[..., 0] = freqs[..., 0, 0] | (cos_hi >= 2) | (a_hi[..., 1] >= 1)
-    return _read_only(~keep)
+    length = np.float64(length)  # c_d L^d overflows to inf, not OverflowError
+    z = np.ones((1, 1, 1), dtype=complex)
+    for level, (w, o) in enumerate(zip(spec.weights, orders)):
+        if w.coeffs != (1.0,):  # degree a + d gains c_d L^d z[..., a]
+            z = z @ sum(c * length**d * np.eye(z.shape[2], z.shape[2] + w.degree, d)
+                        for d, c in enumerate(w.coeffs) if c)
+        (nu_len, prefix, a_len), r = z.shape, (o + 1) // 2
+        if level == spec.k - 1:
+            break
+        z = _times_phi(z, o, nu_len + r, 2.0, 1).reshape(nu_len + r, (o + 1) * prefix, a_len)
+        z[0] *= 0.5  # nu = 0 keeps one of its two halves
+        z = z @ _primitives(nu_len + r, a_len)
+        z[0, :, 0] -= z[1:, :, 0].real.sum(axis=0)
+    prims = _primitives if (nu_len + r) * a_len**2 <= 2**14 else _primitives.__wrapped__
+    ends = prims(nu_len + r, a_len)[:, None, :, 1:].sum(axis=-1)  # a large one is not kept
+    table = _times_phi(ends * length ** (spec.k / 2), o, nu_len, 1.0, -1)[:, :, 0]
+    # L^(k/2) int_0^1 x^a e(nu x) phi_j, conjugated: real pairs dot z's to Re(z . table)
+    table = np.conj(table.transpose(1, 0, 2), order="C").view(np.float64).reshape(o + 1, -1)
+    data = z.transpose(1, 0, 2).reshape(prefix, -1).view(np.float64) @ table.T
+    data += 0.0  # -0.0 to +0.0
+    data = data.reshape(tuple(q + 1 for q in orders[-2::-1]) + (o + 1,))
+    return np.ascontiguousarray(data.transpose(*range(spec.k - 2, -1, -1), spec.k - 1))
 
 
 def compute_tensor(
@@ -238,22 +238,25 @@ def compute_tensor(
 ) -> CoeffTensor:
     """Every coefficient with j_l <= orders[l-1], as one read-only array.
 
-    The entries that the basis's zero rule proves zero (_structural_zeros,
-    _trig_structural_zeros) are exact 0.0; zeros a rule misses come out as
-    rounding noise. Raises DomainError when a coefficient is not finite: the
-    interval is too long, or the weights too large, for double precision.
+    Legendre entries that _structural_zeros proves zero are exact 0.0, those it
+    misses are rounding noise; trigonometric entries no term reaches are 0.0 too.
+    Raises DomainError when a coefficient is not finite: the interval is too
+    long, or the weights too large, for double precision.
     """
     orders = tuple(int(o) for o in orders)
     _validate(kind, spec, orders)
-    n = _nodes(kind, spec, orders)
-    # the deepest level's two work arrays, the result (no larger) and the N x N matrices
-    work = math.prod(o + 1 for o in orders[:-1]) * n
-    if 8 * (3 * work + n * n) > MAX_TENSOR_BYTES:
+    n = _nodes(spec, orders)
+    # Legendre: the deepest level's two work arrays, the result (no larger), the N x N matrices
+    need = (8 * (3 * math.prod(o + 1 for o in orders[:-1]) * n + n * n)
+            if kind is BasisKind.LEGENDRE else _trig_bytes(spec, orders))
+    if need > MAX_TENSOR_BYTES:
         raise CapabilityError(f"orders {orders} need over {MAX_TENSOR_BYTES >> 30} GiB to build")
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned of
-        data = _tensor(kind, spec, iv, orders, n)
-    zeros = _structural_zeros if kind is BasisKind.LEGENDRE else _trig_structural_zeros
-    data[zeros(spec, orders)] = 0.0
+        if kind is BasisKind.LEGENDRE:
+            data = _tensor(spec, iv, orders, n)
+            data[_structural_zeros(spec, orders)] = 0.0
+        else:
+            data = _trig_tensor(spec, iv.length(), orders)
     if not np.isfinite(data).all():
         raise DomainError(f"{kind.value} coefficients of orders {orders} on "
                           f"[{iv.t!r}, {iv.T!r}] overflow double precision")

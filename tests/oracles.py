@@ -60,6 +60,33 @@ def quad_coeff(kind, exps, t, T, js):
     return float(level(k - 1, np.asarray(T)))
 
 
+def collocation_tensor(kind, exps, t, T, orders, n):
+    """Every coefficient of the box by collocation at n Gauss-Legendre nodes.
+
+    Each nested integral is held by its values at the nodes and integrated
+    from t through its Legendre series (numpy.polynomial's legint), which is
+    exact below degree n and converges fast for the smooth trigonometric
+    integrands; the outer integral is the Gauss rule itself. Axes as the
+    tensor's, innermost first.
+    """
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(n)
+    half = 0.5 * (T - t)
+    s = t + half * (x + 1.0)
+    m = np.arange(n)
+    to_series = (leg.legvander(x, n - 1) * w[:, None]).T * ((2 * m + 1) / 2.0)[:, None]
+    integrate = half * leg.legvander(x, n) @ leg.legint(np.eye(n), lbnd=-1) @ to_series
+
+    def rows(level):
+        phi = [phi_independent(kind, j, s, t, T) for j in range(orders[level] + 1)]
+        return (t - s) ** exps[level] * np.array(phi)
+
+    f = np.ones(n)
+    for level in range(len(exps) - 1):
+        f = (f[..., None, :] * rows(level)) @ integrate.T
+    return f @ (rows(len(exps) - 1) * (half * w)).T
+
+
 # Exact trigonometric coefficients. On x = u / L in [0, 1], with weights
 # (-x)^e and phi_j = cos (j even) or sin (j odd) of 2 pi r x, r = (j + 1) // 2,
 # every nested integral is a finite sum of terms x^a cos(2 pi nu x) and

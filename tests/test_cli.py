@@ -91,24 +91,26 @@ def test_coeffs_rebuilds_a_cache_with_a_non_finite_payload(tmp_path):
 
 
 def test_coeffs_rebuilds_a_version_1_cache(tmp_path):
-    # version 1 stored trigonometric tensors with rounding noise where the
-    # zero rule now writes 0; a hit on such a file would print other bytes
+    # versions 1 and 2 stored collocated trigonometric tensors, with rounding
+    # noise where the closed form now writes 0 (version 1 everywhere, version 2
+    # where its zero rule missed); a hit on such a file would print other bytes
     kind, spec = stratint.BasisKind.TRIGONOMETRIC, stratint.WeightSpec.from_exponents((0, 0))
     iv, orders = stratint.Interval(0.0, 1.0), (8, 8)
     cache = os.fspath(tmp_path / "t.stcf")
     argv = ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "8")
     fresh = run(*argv).stdout
-    noisy = coefficients._tensor(kind, spec, iv, orders, coefficients._nodes(kind, spec, orders))
     exact = stratint.compute_tensor(kind, spec, iv, orders).data
-    assert np.count_nonzero(noisy) > np.count_nonzero(exact)
-    stratint.cache_store(cache, stratint.CoeffTensor(kind, spec, iv, orders, noisy))
-    blob = open(cache, "rb").read()
-    with open(cache, "wb") as fh:
-        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    proc = run(*argv, "--cache", cache)
-    assert proc.stdout == fresh and proc.stderr == b""
-    assert struct.unpack_from("<I", open(cache, "rb").read(), 4) == (coefficients._CACHE_VERSION,)
-    assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
+    noisy = np.where(exact == 0.0, 1e-17, exact)
+    for version in (1, 2):
+        stratint.cache_store(cache, stratint.CoeffTensor(kind, spec, iv, orders, noisy))
+        blob = open(cache, "rb").read()
+        with open(cache, "wb") as fh:
+            fh.write(blob[:4] + struct.pack("<I", version) + blob[8:])
+        proc = run(*argv, "--cache", cache)
+        assert proc.stdout == fresh and proc.stderr == b""
+        stored = struct.unpack_from("<I", open(cache, "rb").read(), 4)
+        assert stored == (coefficients._CACHE_VERSION,)
+        assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
 
 
 def test_sample_reproducible_and_thread_invariant():
@@ -325,11 +327,14 @@ FROZEN_STDOUT = {
          "--interval", "1.25", "2.0", "--seed", "0", "--format", "json"),
         "b04114d596a993314703808691c18681b3460a6525e042d68b121194d471c67f"),
     # re-recorded when compute_tensor came to zero the trigonometric entries
-    # that vanish by frequency and degree (_trig_structural_zeros): 1600 of
-    # the 1681 values, rounding noise up to 1.1e-15 of the largest, print as 0
+    # that vanish by frequency and degree: 1600 of the 1681 values, rounding
+    # noise up to 1.1e-15 of the largest, print as 0. Re-recorded again when
+    # trigonometric tensors came to be built in closed form: 79 values moved,
+    # by up to 1.1e-15 of the largest, toward exact (the largest error against
+    # the printed I00 expansion went 5.7e-16 -> 2.8e-17); the zeros are the same
     "coeffs-trigonometric-csv": (
         ("coeffs", "--basis", "trigonometric", "--exps", "0,0", "--orders", "40", "--seed", "0"),
-        "aef0bd9c8bb039b174f7bc176632252b6b58ea14fde0191cc5ac7e13867ee674"),
+        "73e4d6b3d7b9893728a24df4978adf4411db5cfca344a403d23ba7adcd2cb787"),
     # these two were recorded when coeffs wrote index columns and values
     # through _emit, one "%" per row; the k=4 table spans two row templates
     "coeffs-legendre-o128-csv": (
@@ -364,9 +369,12 @@ FROZEN_STDOUT = {
     # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved.
     # Re-recorded again when the trigonometric zero rule dropped the noise
     # terms from the series: I1t's |diff| went 5.05e-15 -> 1.47e-15 and
-    # I00t's 3.22e-15 -> 2.78e-15
+    # I00t's 3.22e-15 -> 2.78e-15. And again when trigonometric tensors came
+    # to be built in closed form, which moved them toward exact: I1t's |diff|
+    # went 1.47e-15 -> 2.22e-16, I2t's 2.72e-15 -> 1.11e-16 and I00t's
+    # 2.78e-15 -> 3.33e-16
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
-                        "abedb03c1a0cdf0ff2c1b3c8f5a4602faec5df9ccb79f0ca93d73e1701096158"),
+                        "35507b054e8ae2e838cec8c662b12f61e84bbcbb679d5efd2135e80606d5c9fa"),
 }
 
 

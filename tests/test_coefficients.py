@@ -1,10 +1,12 @@
 """Coefficient tensors: golden expansions, quadrature oracle, caching."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +38,10 @@ from stratint import (
     sample_truncated,
 )
 from stratint import coefficients
-from stratint.coefficients import _nodes, _structural_zeros, _tensor, _trig_structural_zeros
+from stratint.coefficients import _nodes, _structural_zeros, _tensor, _trig_bytes
 
 from oracles import (
+    collocation_tensor,
     legendre_k1_golden,
     legendre_k2_banded,
     quad_coeff,
@@ -115,7 +118,7 @@ def test_k4_volume(kind):
 
 
 # (weight exponents, order per axis) up to k=1 o=400, k=2 o=160, k=3 o=24, k=4 o=8
-TRIG_RULE_CASES = [
+RULE_CASES = [
     ((3,), 400), ((0,), 57), ((2,), 1),
     ((1, 3), 160), ((0, 2), 33),
     ((0, 2, 3), 24), ((3, 1, 0), 5),
@@ -124,32 +127,40 @@ TRIG_RULE_CASES = [
 
 
 RULE_INTERVALS = [Interval(0.0, 1.0), Interval(2.5, 3.75), Interval(-3.0, 97.0)]
-_ZERO_RULE = {BasisKind.LEGENDRE: _structural_zeros,
-              BasisKind.TRIGONOMETRIC: _trig_structural_zeros}
 
 
-def _check_node_rule(kind, iv, exps, order):
+def _former_trig_nodes(exps, orders):
+    # the Gauss node count of the collocation that trigonometric tensors came
+    # from before their closed form: a margin past the highest frequency
+    return math.ceil(math.pi * sum((o + 1) // 2 for o in orders)) + sum(exps) + len(exps) + 16
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", RULE_CASES)
+def test_trig_node_rule_converged(iv, exps, order):
+    # an independent collocation at the former node rule, and at twice as many
+    # nodes, agrees with the closed form; its own rounding reaches 2.7e-13 of
+    # the largest entry, at (1, 3) o=160
+    orders = (order,) * len(exps)
+    got = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents(exps), iv, orders)
+    n = _former_trig_nodes(exps, orders)
+    for nodes in (n, 2 * n):
+        ref = collocation_tensor("trigonometric", exps, iv.t, iv.T, orders, nodes)
+        assert np.max(np.abs(got.data - ref)) <= 1e-12 * np.max(np.abs(ref)), nodes
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", RULE_CASES)
+def test_legendre_node_rule_converged(iv, exps, order):
     # the tensor at the rule's node count already equals the one at twice as many
     spec = WeightSpec.from_exponents(exps)
     orders = (order,) * len(exps)
-    n = _nodes(kind, spec, orders)
-    got = _tensor(kind, spec, iv, orders, n)
-    ref = _tensor(kind, spec, iv, orders, 2 * n)
+    n = _nodes(spec, orders)
+    got = _tensor(spec, iv, orders, n)
+    ref = _tensor(spec, iv, orders, 2 * n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    got[_ZERO_RULE[kind](spec, orders)] = 0.0
-    assert np.array_equal(compute_tensor(kind, spec, iv, orders).data, got)
-
-
-@pytest.mark.parametrize("iv", RULE_INTERVALS)
-@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
-def test_trig_node_rule_converged(iv, exps, order):
-    _check_node_rule(BasisKind.TRIGONOMETRIC, iv, exps, order)
-
-
-@pytest.mark.parametrize("iv", RULE_INTERVALS)
-@pytest.mark.parametrize("exps,order", TRIG_RULE_CASES)
-def test_legendre_node_rule_converged(iv, exps, order):
-    _check_node_rule(BasisKind.LEGENDRE, iv, exps, order)
+    got[_structural_zeros(spec, orders)] = 0.0
+    assert np.array_equal(compute_tensor(BasisKind.LEGENDRE, spec, iv, orders).data, got)
 
 
 @pytest.mark.parametrize("iv", RULE_INTERVALS)
@@ -163,7 +174,7 @@ def test_structural_zeros_sound(iv, exps, order):
     # every entry the support rule zeroes is rounding noise in the unmasked collocation
     spec = WeightSpec.from_exponents(exps)
     orders = (order,) * len(exps)
-    raw = _tensor(BasisKind.LEGENDRE, spec, iv, orders, _nodes(BasisKind.LEGENDRE, spec, orders))
+    raw = _tensor(spec, iv, orders, _nodes(spec, orders))
     zero = _structural_zeros(spec, orders)
     assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
 
@@ -176,25 +187,36 @@ def test_structural_zeros_sound(iv, exps, order):
     ((0, 0, 0, 0), 5), ((0, 1, 0, 0), 5), ((3, 0, 0, 2), 5),
 ])
 def test_trig_structural_zeros_sound(iv, exps, order):
-    # every entry the trigonometric rule zeroes is rounding noise in the
-    # unmasked collocation, at the rule's node count and at twice as many
-    spec = WeightSpec.from_exponents(exps)
+    # every entry the closed form gives as exact 0.0 is zero in the exact oracle
     orders = (order,) * len(exps)
-    zero = _trig_structural_zeros(spec, orders)
-    n = _nodes(BasisKind.TRIGONOMETRIC, spec, orders)
-    for nodes in (n, 2 * n):
-        raw = _tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders, nodes)
-        assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
+    data = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents(exps), iv, orders).data
+    zeros = [tuple(map(int, js)) for js in zip(*np.nonzero(data == 0.0))]
+    assert not [js for js in zeros if trig_exact(exps, js)]
 
 
 @pytest.mark.parametrize("n", range(1, 66))
 def test_trig_structural_zeros_match_golden_patterns(n):
-    # the rule finds every zero of the printed k = 1 and I00 expansions
-    k2 = _trig_structural_zeros(WeightSpec.from_exponents((0, 0)), (n - 1, n - 1))
-    assert np.array_equal(k2, trig_k2_pattern(1.0, n) == 0.0)
+    # the closed form gives exact 0.0 at every zero of the printed k = 1 and
+    # I00 expansions, and nowhere else
+    def zeros(exps):
+        spec, orders = WeightSpec.from_exponents(exps), (n - 1,) * len(exps)
+        return compute_tensor(BasisKind.TRIGONOMETRIC, spec, Interval(0.0, 1.0), orders).data == 0.0
+
+    assert np.array_equal(zeros((0, 0)), trig_k2_pattern(1.0, n) == 0.0)
     for exp in (1, 2):
-        k1 = _trig_structural_zeros(WeightSpec.from_exponents((exp,)), (n - 1,))
-        assert np.array_equal(k1, trig_k1_golden(exp, 1.0, n) == 0.0)
+        assert np.array_equal(zeros((exp,)), trig_k1_golden(exp, 1.0, n) == 0.0)
+
+
+def test_trig_golden_at_high_order():
+    # the closed form keeps to rounding where the collocation drifted to 6.0e-14
+    # (exps 1, o = 8192) and 1.6e-14 (I00, o = 1000) of the largest entry
+    iv = Interval(2.5, 3.75)
+    k1 = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents((1,)), iv, (8192,))
+    want = trig_k1_golden(1, iv.length(), 8193)
+    assert np.max(np.abs(k1.data - want)) <= 1e-15 * np.max(np.abs(want))
+    k2 = compute_tensor(BasisKind.TRIGONOMETRIC, WeightSpec.from_exponents((0, 0)), iv, (1000,) * 2)
+    want = trig_k2_pattern(iv.length(), 1001)
+    assert np.max(np.abs(k2.data - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("exp", [1, 2])
@@ -226,9 +248,11 @@ _EXACT_GRID = [
     for k, p in ((1, 8), (2, 8), (3, 5), (4, 3))
     for exps in itertools.product(range(3), repeat=k)
 ] + [((0, 0), 20), ((0, 0), 40), ((1, 0, 2), 8), ((1, 2, 0, 3), 4)]
-# entries on _EXACT_GRID that the rule keeps and the exact oracle proves zero:
-# their terms cancel, which no frequency/degree rule sees
-_TRIG_RULE_MISSES = 56
+# entries on _EXACT_GRID that the exact oracle proves zero but the closed form
+# does not give as 0.0: terms reach them and cancel, in the outer integral or
+# between integration levels (the frequency/degree zero rule the closed form
+# replaced missed 56)
+_TRIG_MISSES = 32
 
 
 def test_trig_structural_zeros_against_exact_oracle():
@@ -238,23 +262,23 @@ def test_trig_structural_zeros_against_exact_oracle():
         spec = WeightSpec.from_exponents(exps)
         orders = (p,) * len(exps)
         data = compute_tensor(BasisKind.TRIGONOMETRIC, spec, iv, orders).data
-        rule = _trig_structural_zeros(spec, orders)
         exact = np.zeros(data.shape)
         zero = np.zeros(data.shape, dtype=bool)
         for js in np.ndindex(data.shape):
             zero[js] = not trig_exact(exps, js)
             if not zero[js]:
                 exact[js] = trig_exact_value(exps, js, iv.length())
-        assert not np.any(rule & ~zero), (exps, p)  # sound: no zero it claims is nonzero
+        assert not np.any((data == 0.0) & ~zero), (exps, p)  # sound: every 0.0 is exact
         scale = np.max(np.abs(exact))
-        # where the rule keeps an exact zero, the collocation leaves only noise
-        assert np.max(np.abs(data[zero & ~rule]), initial=0.0) <= 1e-14 * scale
-        misses += np.count_nonzero(zero & ~rule)
+        # every exact zero is +0.0 but for the misses, which carry only noise
+        missed = zero & ((data != 0.0) | np.signbit(data))
+        assert np.max(np.abs(data[missed]), initial=0.0) <= 1e-14 * scale
+        misses += np.count_nonzero(missed)
         # nonzero entries to 1e-13 relative; the smallest, down to 1e-5 of the
-        # largest, carry the collocation's rounding of ~1e-16 of the largest
+        # largest, carry rounding of ~1e-16 of the largest
         err = np.abs(data - exact)[~zero]
         assert np.all(err <= 1e-13 * np.abs(exact[~zero]) + 2e-15 * scale), (exps, p)
-    assert misses == _TRIG_RULE_MISSES
+    assert misses == _TRIG_MISSES
 
 
 @pytest.mark.parametrize("iv", RULE_INTERVALS)
@@ -266,7 +290,7 @@ def test_legendre_k2_zeros_exact(iv):
 
 
 @pytest.mark.parametrize("kind,exps,order", [
-    (BasisKind.TRIGONOMETRIC, (0,), 10**7),
+    (BasisKind.TRIGONOMETRIC, (0, 0), 10**5),  # the result alone takes 80 GB
     (BasisKind.LEGENDRE, (0, 0, 0, 0), 512),
 ])
 def test_oversized_request_refused_before_allocating(monkeypatch, kind, exps, order):
@@ -274,9 +298,34 @@ def test_oversized_request_refused_before_allocating(monkeypatch, kind, exps, or
         raise AssertionError("gauss_rule called")
 
     monkeypatch.setattr(coefficients, "gauss_rule", no_rule)
-    with pytest.raises(CapabilityError):
-        compute_tensor(kind, WeightSpec.from_exponents(exps), Interval(0.0, 1.0),
-                       (order,) * len(exps))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            compute_tensor(kind, WeightSpec.from_exponents(exps), Interval(0.0, 1.0),
+                           (order,) * len(exps))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("exps,order", [((0, 0), 800), ((1, 0, 2), 40), ((0, 0, 0, 0), 16)])
+def test_trig_guard_counts_what_is_built(exps, order):
+    # the guard's estimate is 1 to 1.5 times the traced peak of a build, and
+    # the engine's caches keep under 4 MB once the tensor is dropped
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tensor = compute_tensor(BasisKind.TRIGONOMETRIC, spec, Interval(0.5, 1.75), orders)
+        peak = tracemalloc.get_traced_memory()[1]
+        del tensor
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _trig_bytes(spec, orders) <= 1.5 * peak
+    assert kept < 4 * 2**20
 
 
 @pytest.mark.parametrize("kind", list(BasisKind))

@@ -551,9 +551,11 @@ def _frozen_moment_cases():
 # SHA-256 of float.hex of E[X] and E[XY] over _frozen_moment_cases, recorded
 # while every pairing of all Gaussian axes was enumerated and mixed ones dropped.
 # Re-recorded when compute_tensor came to zero the trigonometric entries that
-# vanish by frequency and degree (_trig_structural_zeros): one trigonometric
-# value of 196 moved, by 1.5e-16 relative; the Legendre values are unchanged
-FROZEN_MOMENTS = "b93c0230be21ec50c3c605955900c193c7156bc77c4b75b1e14e593200d6bf35"
+# vanish by frequency and degree: one trigonometric value of 196 moved, by
+# 1.5e-16 relative. Re-recorded again when trigonometric tensors came to be
+# built in closed form, whose entries moved toward exact: 42 trigonometric
+# values moved, by at most 3.3e-15 relative; the Legendre values are unchanged
+FROZEN_MOMENTS = "7d639fcf1b636033ed6728e0ff16c507ba0da25b19cb0c6e9cc30bb2ccfbe306"
 
 
 def test_truncated_moment_frozen_bytes():

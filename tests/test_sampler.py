@@ -243,16 +243,18 @@ _FROZEN_SPECS = (
 # SHA-256 of the rows of n = 1, 7, 300 at threads=1, then n = 600 at threads=2,
 # recorded when every row drew its own table; the trigonometric two were
 # re-recorded when compute_tensor came to zero the entries that vanish by
-# frequency and degree (_trig_structural_zeros), which moved the last bits
+# frequency and degree, which moved the last bits, and again when trigonometric
+# tensors came to be built in closed form, whose entries moved toward exact:
+# rows moved by at most 1.6e-15 of their column's largest value
 FROZEN_BATCH = {
     ("legendre", 0.5, 1.75):
         "2b845c4da888ad4f0421d4697d1d9a948152f1ddc8a16e867ac1acdb7d5f3284",
     ("legendre", 2.5, 3.0):
         "bb600c3949d6e6769fc80e84cbe129409abacf29d70951262ed6766747b7fc90",
     ("trigonometric", 0.5, 1.75):
-        "ccec2476769a7390f4d47e29d39fb9341f616af6a9a9aa6f0dc6e1451cf45943",
+        "412d9e92c8a490dc7197b23527c44a8adcca71c23aeb53666197cf75b004e404",
     ("trigonometric", 2.5, 3.0):
-        "2f070e94b24b9f968fa8e5bea30157936de45e6b2356f7c20c9f2ed03aec5165",
+        "caea83137caa1fe3e4b5b8fec0ba3b8a2929d29b25951403eceadeeb3c2170a5",
 }
 
 
@@ -370,12 +372,15 @@ _BENCH_SPECS = {
 }
 # SHA-256 of 2048 rows of that set on [0, 0.01], recorded when each row was
 # summed by its own math.fsum. The trigonometric digest was re-recorded when
-# compute_tensor came to zero the entries that vanish by frequency and degree
-# (_trig_structural_zeros): rows moved by at most 1.7e-15 of their column's
-# largest value, and a row now sums 194 terms instead of 815
+# compute_tensor came to zero the entries that vanish by frequency and degree:
+# rows moved by at most 1.7e-15 of their column's largest value, and a row now
+# sums 194 terms instead of 815. It was re-recorded again when trigonometric
+# tensors came to be built in closed form: entries moved toward exact (I00's
+# largest error against its printed expansion went 2.4e-18 -> 2.2e-19), rows
+# by at most 1.7e-15 of their column's largest value, on the same 194 terms
 FROZEN_BENCH_ROWS = {
     BasisKind.LEGENDRE: "a0c42adb558b2f23716ed5e0a8d65160c3a4d896254b5a998f2e39194d626c13",
-    BasisKind.TRIGONOMETRIC: "85890bc20144dfdc2ed24741ebfd58d90c2d84a51cbeedb0a8573c162738df11",
+    BasisKind.TRIGONOMETRIC: "0584218e30958dd870ec04f8c0b73e75681f8bc4e6c59b27ffcf2a542767053a",
 }
 
 
