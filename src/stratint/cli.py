@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisKind, Interval, gauss_rule, phi_matrix
-from .coefficients import CoeffTensor, cache_load, cache_store, compute_tensor
+from .coefficients import CoeffTensor, cache_load, cache_store, check_bytes, compute_tensor
 from .errors import ArgumentError, CacheFormatError, CapabilityError, DomainError, StaleCacheError
 from .kernel import WeightSpec
 from .oracle import enumerate_pair_partitions, truncated_moment
@@ -206,6 +206,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     kind = BasisKind(args.basis)
     iv = Interval(args.interval[0], args.interval[1])
+    check_bytes(8 * args.n * len(args.spec), f"--n {args.n} rows of {len(args.spec)} spec(s)")
     ispecs, tensors, orders = [], [], []
     for text in args.spec:
         exps, indices = _parse_spec(text)
@@ -228,6 +229,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     ladder = _parse_int_list(args.p_ladder)
     m = max(indices)
     max_j = 2 * args.p_ref if basis is BasisKind.TRIGONOMETRIC else args.p_ref
+    # a block's table, and its draw's words, uniforms and normals
+    block = min(args.n, _CONVERGE_BLOCK)
+    check_bytes(8 * block * (4 * m + 1) * (max_j + 1), f"--p-ref {args.p_ref} on {block} rows")
     sq = np.zeros(len(ladder))
     for lo in range(0, args.n, _CONVERGE_BLOCK):
         rows = range(lo, min(lo + _CONVERGE_BLOCK, args.n))

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 MAX_MULTIPLICITY = 4
-# Rough peak memory of one tensor build; larger requests raise CapabilityError.
+# The package's one memory bound: the rough peak of one tensor build, or of
+# the working arrays of one block of rows or paths; check_bytes refuses more.
 MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
@@ -233,6 +234,13 @@ def _trig_tensor(spec: WeightSpec, length: float, orders: tuple[int, ...]) -> np
     return np.ascontiguousarray(data.transpose(*range(spec.k - 2, -1, -1), spec.k - 1))
 
 
+def check_bytes(need: int, what: str) -> None:
+    """Raise CapabilityError, before anything is allocated, when `what` needs
+    more than MAX_TENSOR_BYTES bytes."""
+    if need > MAX_TENSOR_BYTES:
+        raise CapabilityError(f"{what} need over {MAX_TENSOR_BYTES >> 30} GiB")
+
+
 def compute_tensor(
     kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
@@ -249,8 +257,7 @@ def compute_tensor(
     # Legendre: the deepest level's two work arrays, the result (no larger), the N x N matrices
     need = (8 * (3 * math.prod(o + 1 for o in orders[:-1]) * n + n * n)
             if kind is BasisKind.LEGENDRE else _trig_bytes(spec, orders))
-    if need > MAX_TENSOR_BYTES:
-        raise CapabilityError(f"orders {orders} need over {MAX_TENSOR_BYTES >> 30} GiB to build")
+    check_bytes(need, f"orders {orders}")
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned of
         if kind is BasisKind.LEGENDRE:
             data = _tensor(spec, iv, orders, n)

@@ -34,7 +34,10 @@ _U_MAX = np.nextafter(1.0, 0.0)
 _local = threading.local()
 
 # scipy.special.ndtri, imported by the first draw: importing scipy.special
-# costs more than the rest of the package, and only draws need it.
+# costs more than the rest of the package, and only draws need it. A numpy
+# port of Cephes ndtri is a dead end: it keeps scipy's bits only with libm's
+# log, not np.log (1247 of 20 M draws differ), and is 4-75x slower at every
+# size (61.5 against 0.8 us for a one-row table, 16.3 against 3.75 ms for 180 k).
 _ndtri = None
 
 

@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import check_bytes
 from .errors import ArgumentError
 from .rng import DOMAIN_PATH, normal_stream
 # draw_table and sample_closed_form are unused here but stay module
@@ -33,22 +34,38 @@ _STUDY_CHUNK = 50
 class SdeProblem:
     """Ito SDE dX = drift dt + diffusion dW with the contractions Milstein needs.
 
-    gdg(x)[..., :, i1, i2] must equal the Jacobian of diffusion column i2
-    applied to diffusion column i1. Coefficient callables must broadcast over
-    leading batch axes (the shipped problems do).
+    coefficients(x) maps x of shape (..., dim), any leading axes, to shape
+    (..., dim, 1 + m + m * m): per component d, the drift, the m diffusion
+    columns, then gdg[d, i, j] in row-major (i, j) order, the Jacobian of
+    diffusion column j applied to column i. drift, diffusion and gdg slice
+    it to shapes (..., dim), (..., dim, m) and (..., dim, m, m).
     """
 
     dim: int
     m: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
-    gdg: Callable[[np.ndarray], np.ndarray]
+    coefficients: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     t_end: float
 
     def __post_init__(self) -> None:
+        if self.dim < 1 or self.m < 1:
+            raise ArgumentError(f"need dim >= 1 and m >= 1, got dim={self.dim}, m={self.m}")
+        if np.shape(self.x0) != (self.dim,):
+            raise ArgumentError(f"x0 must have shape ({self.dim},), got {np.shape(self.x0)}")
+        if not np.isfinite(self.x0).all():
+            raise ArgumentError(f"x0 must be finite, got {self.x0}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ArgumentError(f"need a finite t_end > 0, got {self.t_end}")
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        return self.coefficients(x)[..., 0]
+
+    def diffusion(self, x: np.ndarray) -> np.ndarray:
+        return self.coefficients(x)[..., 1:1 + self.m]
+
+    def gdg(self, x: np.ndarray) -> np.ndarray:
+        f = self.coefficients(x)
+        return f[..., 1 + self.m:].reshape(f.shape[:-1] + (self.m, self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,15 +80,9 @@ class ConvergenceResult:
 
 def gbm(mu: float = 1.0, sigma: float = 1.0, x0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
     """Scalar geometric Brownian motion dX = mu X dt + sigma X dW."""
-    return SdeProblem(
-        dim=1,
-        m=1,
-        drift=lambda x: mu * x,
-        diffusion=lambda x: sigma * x[..., :, None],
-        gdg=lambda x: sigma * sigma * x[..., :, None, None],
-        x0=np.array([x0]),
-        t_end=t_end,
-    )
+    c = np.array([mu, sigma, sigma * sigma])
+    return SdeProblem(dim=1, m=1, coefficients=lambda x: x[..., :, None] * c,
+                      x0=np.array([x0]), t_end=t_end)
 
 
 def two_noise(t_end: float = 1.0) -> SdeProblem:
@@ -81,50 +92,20 @@ def two_noise(t_end: float = 1.0) -> SdeProblem:
         np.array([[0.0, 0.6], [0.0, 0.0]]),
         np.array([[0.0, 0.0], [0.6, 0.0]]),
     ])
-    # Each coefficient is linear in x, so it is one product with a constant
-    # matrix whose rows are indexed by the component e of x: diffusion column i
-    # is b[i] x, and gdg[d, i, j] = sum_c b[j, d, c] b[i, c, e] x_e, since
-    # column j has Jacobian b[j] and is applied to column i. Every output is
-    # a single nonzero product, so no summation order can change its rounding.
-    drift_m = np.ascontiguousarray(a.T)
-    diffusion_m = np.einsum("ide->edi", b).reshape(2, 4)
-    gdg_m = np.einsum("jdc,ice->edij", b, b).reshape(2, 8)
-
-    return SdeProblem(
-        dim=2,
-        m=2,
-        drift=lambda x: x @ drift_m,
-        diffusion=lambda x: (x @ diffusion_m).reshape(x.shape[:-1] + (2, 2)),
-        gdg=lambda x: (x @ gdg_m).reshape(x.shape[:-1] + (2, 2, 2)),
-        x0=np.array([1.0, 1.0]),
-        t_end=t_end,
-    )
-
-
-def _euler_step(problem: SdeProblem, x: np.ndarray, h: float, dw: np.ndarray) -> np.ndarray:
-    g = problem.diffusion(x)
-    return x + problem.drift(x) * h + np.einsum("...dm,...m->...d", g, dw)
-
-
-def _milstein_step(
-    problem: SdeProblem, x: np.ndarray, h: float, dw: np.ndarray, ito: np.ndarray
-) -> np.ndarray:
-    """Milstein in Ito form (Kloeden & Platen 10.3): `ito` holds the Ito double
-    integrals I_(i,j) of the step, see _ito_areas."""
-    g = problem.diffusion(x)
-    corr = np.einsum("...dij,...ij->...d", problem.gdg(x), ito)
-    return x + problem.drift(x) * h + np.einsum("...dm,...m->...d", g, dw) + corr
-
-
-def _ito_areas(areas: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Ito double integrals I_(i,j) = J_(i,j) - h/2 delta_ij of the steps on
-    axis 0, of lengths hs, as a new array: convergence_study builds its coarser
-    levels from the areas J it was given."""
-    m = areas.shape[-1]
-    ito = areas.copy()
-    diag = ito.reshape(ito.shape[:-2] + (m * m,))[..., :: m + 1]
-    diag -= (0.5 * hs).reshape((-1,) + (1,) * (diag.ndim - 1))
-    return ito
+    # Each coefficient is linear in x, so all of them are one product with a
+    # constant matrix whose rows are indexed by the component e of x: the drift
+    # is a x, diffusion column i is b[i] x, and gdg[d, i, j] = sum_c b[j, d, c]
+    # b[i, c, e] x_e, since column j has Jacobian b[j] and is applied to column
+    # i. Every output is a single nonzero product, so no summation order can
+    # change its rounding.
+    packed = np.concatenate([
+        a.T[:, :, None],
+        np.einsum("ide->edi", b),
+        np.einsum("jdc,ice->edij", b, b).reshape(2, 2, 4),
+    ], axis=2).reshape(2, 14)
+    return SdeProblem(dim=2, m=2,
+                      coefficients=lambda x: (x @ packed).reshape(x.shape[:-1] + (2, 7)),
+                      x0=np.array([1.0, 1.0]), t_end=t_end)
 
 
 def integrate(
@@ -154,9 +135,14 @@ def _chunk_increments(
     dw and areas are step-major: dw[s, a] and areas[s, a] belong to step s of
     path a, and areas are the J_(i,j) of each step, so each step reads one
     contiguous block. Each area is the closed form I00 of its step's rows.
+    A block whose arrays, with _run_level's increments, would pass the
+    package's memory bound is refused before any is made.
     """
     m = problem.m
     n_paths = len(rows)
+    # per step: each path's draws, dw, J and v, and one draw's words, uniforms and normals
+    per_step = n_paths * (m * (p + 1) + 1 + 2 * m + 2 * m * m) + 3 * (p + 1)
+    check_bytes(8 * n_ref * per_step, f"{n_paths} path(s) of {n_ref} steps at p={p}")
     z = np.empty((n_paths, m, n_ref, p + 1))
     for local, r in enumerate(rows):
         for i in range(1, m + 1):
@@ -189,6 +175,21 @@ def _coarsen(dw: np.ndarray, areas: np.ndarray, f: int) -> tuple[np.ndarray, np.
     return dwr.sum(1), coarse
 
 
+def _step_increments(hs: np.ndarray, dw: np.ndarray, areas: np.ndarray | None) -> np.ndarray:
+    """Step-major v[s, a] = [h, dW_1..dW_m, I_(i,j) in row-major order] as a
+    column, for step s of path a, where I_(i,j) = J_(i,j) - h/2 delta_ij are
+    the Ito double integrals of the areas J; with no areas, only [h, dW]."""
+    n, n_paths, m = dw.shape
+    v = np.empty((n, n_paths, 1 + m + (0 if areas is None else m * m), 1))
+    v[:, :, 0, 0] = hs[:, None]
+    v[:, :, 1:1 + m, 0] = dw
+    if areas is not None:
+        ito = v[:, :, 1 + m:, 0]
+        ito[...] = areas.reshape(n, n_paths, m * m)
+        ito[..., :: m + 1] -= 0.5 * hs[:, None, None]
+    return v
+
+
 def _run_level(
     problem: SdeProblem,
     scheme: str,
@@ -197,14 +198,19 @@ def _run_level(
     areas: np.ndarray | None,
 ) -> np.ndarray:
     """End states of every path after the steps hs; dw and areas are step-major,
-    and Euler reads no areas."""
+    and Euler reads no areas. A step is one coefficient call F and one product
+    F @ v with its increments, Milstein in Ito form (Kloeden & Platen 10.3).
+    Euler takes the first 1 + m columns, so no gdg, even inf, meets a zero."""
+    width = 1 + problem.m + problem.m * problem.m
+    shape = np.shape(problem.coefficients(problem.x0))
+    if shape != (problem.dim, width):
+        raise ArgumentError(f"coefficients(x0) must have shape ({problem.dim}, {width}), "
+                            f"got {shape}")
+    v = _step_increments(hs, dw, None if scheme == "euler" else areas)
+    coefficients, cols = problem.coefficients, v.shape[2]
     x = np.broadcast_to(problem.x0, (dw.shape[1], problem.dim)).copy()
-    if scheme == "euler":
-        for h, dw_step in zip(hs.tolist(), dw):
-            x = _euler_step(problem, x, h, dw_step)
-        return x
-    for h, dw_step, ito_step in zip(hs.tolist(), dw, _ito_areas(areas, hs)):
-        x = _milstein_step(problem, x, h, dw_step, ito_step)
+    for vs in v:
+        x = x + (coefficients(x)[..., :cols] @ vs)[..., 0]
     return x
 
 

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,28 @@ def test_sde_negative_p_usage_error():
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # z in the study's increments alone would take 1.28 TiB
+    ["sde", "--n", "1", "--ladder", "1,2,4,1000000000"],
+    ["sde", "--n", "1", "--p", "100000000000", "--ladder", "1,2,4,8"],
+    ["converge", "--p-ref", "100000000000", "--n", "2"],
+    # the result alone would take 8 TB
+    ["sample", "--spec", "0,0:1,2", "--n", "1000000000000"],
+], ids=["sde-steps", "sde-p", "converge", "sample"])
+def test_oversized_request_usage_error(argv, capsys):
+    # these printed numpy's _ArrayMemoryError with a traceback and exited 1;
+    # now they are refused before any large array is made
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "GiB" in err
+
+
 @pytest.mark.parametrize("command", [
     # the coefficients overflow: inf and nan were printed with exit 0
     ["coeffs", "--basis", "legendre", "--exps", "2", "--orders", "3", "--interval", "0", "1e200"],
@@ -359,12 +382,15 @@ FROZEN_STDOUT = {
     # printed here moved by at most 6e-14 relative. They were re-recorded again
     # when the study's areas came to be sampler._i00, which takes the band
     # difference first, so J_(1,1) is exactly h z0^2 / 2: the slope moved
-    # 0.93583707458317911 -> ...922 and the rms at 8 steps in its last digits
+    # 0.93583707458317911 -> ...922 and the rms at 8 steps in its last digits.
+    # Re-recorded again when each step became one product of the packed
+    # coefficients with [h, dW, I]: every rms moved, by at most 2.6e-14
+    # relative, and the slope went ...922 -> 0.93583707458318743 (8.8e-15)
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
-                "4fe38c0418af534efd828883a386b6ed5e8a329e96c30ccf86b2f4830965db49"),
+                "fb5e1ffa784fd8a3899e6e6ef26286101a72fad088f9610aefe1ee4f43c476f4"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
-                 "d7cb07bb271bfaa9b1de8b9e98393814ba9e0a6356966101730b59c1e2a625c0"),
+                 "afcee3b551b886f6c103dcd92d7f9627bae117b51335731a18efc063339c1f3b"),
     # re-recorded when the closed forms' band sums became three-operand
     # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved.
     # Re-recorded again when the trigonometric zero rule dropped the noise

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,19 @@ import pytest
 from stratint import (
     ArgumentError,
     BasisKind,
+    CapabilityError,
     GaussianTable,
     Interval,
+    SdeProblem,
     convergence_study,
     gbm,
     integrate,
     sample_closed_form,
     two_noise,
 )
-from stratint import sde_demo
 from stratint.basis import basis_integrals
 from stratint.rng import DOMAIN_PATH, normal_stream
-from stratint.sde_demo import _chunk_increments, _coarsen, _ito_areas, _run_level
+from stratint.sde_demo import _chunk_increments, _coarsen, _run_level, _step_increments
 
 
 def test_gbm_problem_shape():
@@ -195,26 +197,33 @@ def test_convergence_study_validation():
 def test_integrate_frozen_values():
     # re-recorded when integrate became path 0 of the study's increments: it
     # read one table stream per step (DOMAIN_TABLE) and now reads stream 0 of
-    # DOMAIN_PATH, so SDE paths have one RNG layout and one Levy-area builder
+    # DOMAIN_PATH, so SDE paths have one RNG layout and one Levy-area builder.
+    # Re-recorded when each step became one product of the packed coefficients
+    # with [h, dW, I]: the sum's order moved both values by 2.1e-16 relative
     x = integrate(two_noise(), "milstein", 16, seed=3)
-    assert x.tolist() == [0.7669730997697113, 1.064354958977383]
+    assert x.tolist() == [0.7669730997697112, 1.0643549589773833]
 
 
 # SHA-256 of the end states over (steps, p) = (1, 10), (37, 0), (300, 10),
 # (64, 130), re-recorded with test_integrate_frozen_values when integrate moved
 # from one table stream per step to stream 0 of DOMAIN_PATH;
-# test_integrate_is_path_zero_of_the_study pins the new layout to the study's
+# test_integrate_is_path_zero_of_the_study pins the new layout to the study's.
+# All four were re-recorded when each step became one product of the packed
+# coefficients [drift | diffusion | gdg] with the increments [h, dW, I], which
+# adds the terms in another order: 18 of the 24 end values moved, the largest
+# by 1.0e-15 relative (test_ito_form_matches_midpoint_form checks the new
+# step against the term-by-term one)
 FROZEN_INTEGRATE = {
     ("gbm", "euler"):
-        "76236b6826799c5b35ab84e9435d06723e43bd8ef241bab85722f4237d16dac2",
+        "996dc3727e27527d81197a415ac68e59f2b8468e6bcc31aaaef33858c49973b1",
     ("gbm", "milstein"):
-        "f1e45cf77f0103e856f8fabefda37421eaad754c31b49b5778f100bbeaa47003",
+        "4102fdcb1cf919ab6ef3c5eaf8f984b6e3940fe2de6e2ac19f8024bf28047005",
     ("two_noise", "euler"):
-        "f4e630b9dc5f1a3e3e4cd63d9c65663e12f7ee58c37bd799016ef760a259c1ae",
+        "7d9fba20c9f7b14ba6c81af3176d7404f6a0f58b04c6c656a2696eefb88705b0",
     # re-recorded when the study's areas came to be sampler._i00, which takes
     # the band difference in one three-operand einsum per direction
     ("two_noise", "milstein"):
-        "31c14b0bbc93b48f00ee95c562644874b97c090e0ad4b857dbb5ce24aec950a1",
+        "f1cccf15201d0e3872e9d8248cdada32458b5a65819f1f60ca84f2e9c0f21630",
 }
 
 
@@ -227,55 +236,122 @@ def test_integrate_frozen_bytes(problem, scheme):
     assert digest.hexdigest() == FROZEN_INTEGRATE[problem, scheme]
 
 
-def _midpoint_step(problem, x, h, dw, areas):
-    """Milstein in midpoint form, the reference for the Ito form: it takes the
-    areas J and takes h/2 times the diagonal of gdg off the drift at every step."""
-    gdg = problem.gdg(x)
-    f = problem.drift(x) - 0.5 * np.einsum("...dii->...d", gdg)
-    g = problem.diffusion(x)
-    corr = np.einsum("...dij,...ij->...d", gdg, areas)
-    return x + f * h + np.einsum("...dm,...m->...d", g, dw) + corr
+def sin_cos():
+    """dX = sin X dt + cos X dW, whose gdg is cos X times d(cos X)/dX = -sin X cos X."""
+    def coefficients(x):
+        s, c = np.sin(x), np.cos(x)
+        return np.stack([s, c, -s * c], axis=-1)
+    return SdeProblem(dim=1, m=1, coefficients=coefficients, x0=np.array([0.5]), t_end=1.0)
 
 
-@pytest.fixture
-def midpoint_form(monkeypatch):
-    """Runs a callable with the midpoint-form step fed the areas J themselves."""
-    def run(fn, *args):
-        with monkeypatch.context() as patch:
-            patch.setattr(sde_demo, "_milstein_step", _midpoint_step)
-            patch.setattr(sde_demo, "_ito_areas", lambda areas, hs: areas)
-            return fn(*args)
-    return run
+def _midpoint_level(problem, scheme, hs, dw, areas):
+    """End states of a level stepped as the schemes were first written: one
+    einsum per term, and Milstein in midpoint form, fed the areas J with h/2
+    times the diagonal of gdg taken off the drift at every step."""
+    x = np.broadcast_to(problem.x0, (dw.shape[1], problem.dim)).copy()
+    for s, h in enumerate(hs.tolist()):
+        f = problem.drift(x)
+        noise = np.einsum("...dm,...m->...d", problem.diffusion(x), dw[s])
+        if scheme == "milstein":
+            gdg = problem.gdg(x)
+            f = f - 0.5 * np.einsum("...dii->...d", gdg)
+            noise = noise + np.einsum("...dij,...ij->...d", gdg, areas[s])
+        x = x + f * h + noise
+    return x
 
 
-@pytest.mark.parametrize("make", [gbm, two_noise])
+def _midpoint_study(problem, scheme, ladder, n_paths, seed, p):
+    """convergence_study's rms, for at most one block of paths, by _midpoint_level."""
+    n_ref = 16 * max(ladder)
+    hs, dw, areas = _chunk_increments(problem, range(n_paths), n_ref, seed, p)
+    x_ref = _midpoint_level(problem, scheme, hs, dw, areas)
+    sq = []
+    for n in ladder:
+        dwb, areab = _coarsen(dw, areas, n_ref // n)
+        hb = np.diff(problem.t_end * (np.arange(n + 1) / n))
+        sq.append(np.sum((_midpoint_level(problem, scheme, hb, dwb, areab) - x_ref) ** 2))
+    return np.sqrt(np.array(sq) / n_paths)
+
+
+@pytest.mark.parametrize("make", [gbm, two_noise, sin_cos])
 @pytest.mark.parametrize("scheme", ["euler", "milstein"])
-def test_ito_form_matches_midpoint_form(midpoint_form, make, scheme):
+def test_ito_form_matches_midpoint_form(make, scheme):
+    # the library steps with one contraction of the packed coefficients and
+    # the Ito integrals I; this loop reads the same increments and calls
+    # drift, diffusion and gdg term by term
     for seed in (0, 5, 31):
         for p in (0, 10, 130):
             for steps in (1, 37, 300):
                 got = integrate(make(), scheme, steps, seed, p)
-                want = midpoint_form(integrate, make(), scheme, steps, seed, p)
+                increments = _chunk_increments(make(), range(1), steps, seed, p)
+                want = _midpoint_level(make(), scheme, *increments)[0]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             for ladder, n_paths in (((1, 2, 4, 8), 9), ((2, 4, 8, 16), 4)):
                 got = convergence_study(make(), scheme, ladder, n_paths, seed, p)
-                want = midpoint_form(convergence_study, make(), scheme, ladder, n_paths, seed, p)
-                np.testing.assert_allclose(got.rms, want.rms, rtol=1e-12, atol=0)
+                want = _midpoint_study(make(), scheme, ladder, n_paths, seed, p)
+                np.testing.assert_allclose(got.rms, want, rtol=1e-12, atol=0)
 
 
 def test_ito_areas_shift_the_diagonal_only():
     rng = np.random.default_rng(4)
     areas = rng.standard_normal((5, 3, 2, 2))
+    dw = rng.standard_normal((5, 3, 2))
     hs = rng.uniform(0.1, 1.0, 5)
     kept = areas.copy()
-    ito = _ito_areas(areas, hs)
+    v = _step_increments(hs, dw, areas)
     assert areas.tobytes() == kept.tobytes()
+    assert v.shape == (5, 3, 7, 1)
+    assert np.array_equal(v[:, :, 0, 0], np.broadcast_to(hs[:, None], (5, 3)))
+    assert v[:, :, 1:3, 0].tobytes() == dw.tobytes()
     want = areas - 0.5 * hs[:, None, None, None] * np.eye(2)
-    assert ito.tobytes() == want.tobytes()
+    assert v[:, :, 3:, 0].tobytes() == want.reshape(5, 3, 4).tobytes()
+    # without areas, as Euler steps, only [h, dW]
+    assert _step_increments(hs, dw, None).tobytes() == v[:, :, :3].tobytes()
     # one step of m = 1 paths, as integrate passes them: I_(1,1) = (dW^2 - h) / 2
-    dw = rng.standard_normal(7)
-    ito1 = _ito_areas((0.5 * dw * dw)[:, None, None], np.full(7, 1.0))
-    assert np.array_equal(ito1[:, 0, 0], 0.5 * dw * dw - 0.5)
+    dw1 = rng.standard_normal((7, 1, 1))
+    v1 = _step_increments(np.full(7, 1.0), dw1, 0.5 * dw1[..., None] * dw1[..., None])
+    assert np.array_equal(v1[:, 0, 2, 0], 0.5 * dw1[:, 0, 0] ** 2 - 0.5)
+
+
+def _problem(**changes):
+    fields = dict(dim=1, m=1, coefficients=gbm().coefficients, x0=np.array([1.0]), t_end=1.0)
+    return SdeProblem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes", [
+    dict(dim=0, x0=np.zeros(0)),
+    dict(m=0),
+    dict(x0=np.array([1.0, 2.0])),
+    dict(x0=np.array(1.0)),
+    dict(x0=np.array([math.nan])),
+    dict(x0=np.array([-math.inf])),
+], ids=["dim", "m", "x0-length", "x0-scalar", "x0-nan", "x0-inf"])
+def test_problems_refused_where_built(changes):
+    _problem()
+    with pytest.raises(ArgumentError):
+        _problem(**changes)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 4), (3,), (1, 1, 3), (3, 1)])
+def test_coefficients_of_the_wrong_shape_refused(shape):
+    # checked on the first evaluation of a level, naming the shape it needs,
+    # not left to fail as a broadcast error a step later
+    prob = _problem(coefficients=lambda x: np.zeros(x.shape[:-1] + shape))
+    with pytest.raises(ArgumentError, match=r"shape \(1, 3\)"):
+        integrate(prob, "milstein", 4, seed=0)
+    with pytest.raises(ArgumentError, match=r"shape \(1, 3\)"):
+        convergence_study(prob, "euler", (1, 2, 4, 8), n_paths=2, seed=0)
+
+
+def test_oversized_integrate_refused_before_allocating():
+    # the draws alone would take 7 TB; tests/test_cli.py covers the studies
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            integrate(gbm(), "milstein", 8, seed=0, p=10**11)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _two_noise_einsum():
