@@ -357,14 +357,13 @@ def _suite_fastpath(seed: int) -> list[tuple[str, bool, str]]:
         box = 2 * p if basis is BasisKind.TRIGONOMETRIC else p
         spec = WeightSpec.from_exponents(CLOSED_FORM_EXPONENTS[name])
         tensor = compute_tensor(basis, spec, iv, (box,) * k)
-        tol = 1e-12 if k == 1 else 5e-9 if name in ("I01", "I10", "I02", "I20", "I11") else 1e-10
         table = draw_table(2, box, basis, iv, seed, stream=range(10))
         indices = (1,) if k == 1 else (1, 2)
         ispec = IntegralSpec(spec=tensor.spec, indices=indices, basis=basis, iv=iv)
         closed = sample_closed_form(name, table, iv, p, indices)
         generic = sample_truncated(ispec, tensor, table, TruncationOrders.uniform(k, box))
         worst = float(np.max(np.abs(closed - generic)))
-        checks.append((f"fastpath {name} p={p}", worst < tol, f"max |diff| = {worst:.3g}"))
+        checks.append((f"fastpath {name} p={p}", worst < 1e-12, f"max |diff| = {worst:.3g}"))
     return checks
 
 

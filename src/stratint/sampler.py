@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -381,10 +381,11 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
 def _band(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over the last axis of x * y * w, for a whole batch in one call.
 
-    With three operands numpy's einsum adds each row's products (x * y) * w in
-    index order whatever the layout of x and y, so a batch row has the bytes
-    of the same sum over one table. Its two-operand reductions run SIMD
-    kernels that numpy picks by layout.
+    A batch row has the bytes of the same sum over one table. In a probe of
+    546 cases (numpy 2.4, AVX-512), the BLAS form (x * y) @ w broke that in
+    190 of the 210 cases that tried it, and no two-operand einsum layout did.
+    The three-operand form stays because the closed-form digests record its
+    bytes.
     """
     return np.einsum("...q,...q,q->...", x, y, w)
 
@@ -429,16 +430,14 @@ def _i01(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
 
 
-def _i10(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = b[..., 0] * a[..., 1] / math.sqrt(3.0) if p >= 1 else 0.0
-    if p >= 2:
-        i = np.arange(p - 1)
-        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 5)) * (2 * i + 3))
-        br += (_band(b[..., 2:p + 1], a[..., :p - 1], (i + 1) * d)
-               - _band(b[..., :p - 1], a[..., 2:p + 1], (i + 2) * d))
-    i = np.arange(p + 1)
-    br += _band(a[..., :p + 1], b[..., :p + 1], 1.0 / ((2.0 * i - 1) * (2 * i + 3)))
-    return -0.5 * length * _i00(a, b, length, p) - 0.25 * length**2 * br
+def _shuffled(a: np.ndarray, b: np.ndarray, length: float, p: int, kind: str,
+              mirror: Callable) -> float:
+    """I_(l,0)(a, b) = I_l(a) I_0(b) - I_(0,l)(b, a), by the Stratonovich product
+    rule; exact at every truncation, as C^(l0)_(j1 j2) + C^(0l)_(j2 j1) = c^l_j1 c^0_j2."""
+    return _leg_k1(a, length, p, kind) * _leg_k1(b, length, p, "I0") - mirror(b, a, length, p)
+
+
+_i10 = functools.partial(_shuffled, kind="I1", mirror=_i01)
 
 
 def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
@@ -461,24 +460,7 @@ def _i02(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
     )
 
 
-def _i20(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:
-    br = a[..., 0] * b[..., 0] / 3.0
-    br += 2.0 * b[..., 0] * a[..., 2] / (3.0 * math.sqrt(5.0)) if p >= 2 else 0.0
-    if p >= 3:
-        i = np.arange(p - 2)
-        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 7)) * (2 * i + 3) * (2 * i + 5))
-        br += (_band(b[..., 3:p + 1], a[..., :p - 2], (i + 1.0) * (i + 2) * d)
-               - _band(b[..., :p - 2], a[..., 3:p + 1], (i + 2.0) * (i + 3) * d))
-    if p >= 1:
-        i = np.arange(p)
-        d = 1.0 / (np.sqrt((2.0 * i + 1) * (2 * i + 3)) * (2 * i - 1) * (2 * i + 5))
-        br += (_band(b[..., 1:p + 1], a[..., :p], (i * i + 3.0 * i - 1) * d)
-               - _band(b[..., :p], a[..., 1:p + 1], (i * i + i - 3.0) * d))
-    return (
-        -0.25 * length**2 * _i00(a, b, length, p)
-        - length * _i10(a, b, length, p)
-        + 0.125 * length**3 * br
-    )
+_i20 = functools.partial(_shuffled, kind="I2", mirror=_i02)
 
 
 def _i11(a: np.ndarray, b: np.ndarray, length: float, p: int) -> float:

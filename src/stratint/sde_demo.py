@@ -123,25 +123,25 @@ def integrate(
         raise ArgumentError(f"need steps >= 1, got {steps}")
     if p < 0:
         raise ArgumentError(f"need p >= 0, got {p}")
-    hs, dw, areas = _chunk_increments(problem, range(1), steps, seed, p)
-    return _run_level(problem, scheme, hs, dw, areas)[0]
+    return _run_level(problem, _increments(problem, scheme, range(1), steps, seed, p))[0]
 
 
-def _chunk_increments(
-    problem: SdeProblem, rows: range, n_ref: int, seed: int, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step (h, dw, areas) on the reference mesh for a block of paths.
+def _increments(
+    problem: SdeProblem, scheme: str, rows: range, n_ref: int, seed: int, p: int
+) -> np.ndarray:
+    """Step-major increments of a block of paths on the reference mesh.
 
-    dw and areas are step-major: dw[s, a] and areas[s, a] belong to step s of
-    path a, and areas are the J_(i,j) of each step, so each step reads one
-    contiguous block. Each area is the closed form I00 of its step's rows.
-    A block whose arrays, with _run_level's increments, would pass the
+    v[s, a] is a column for step s of path a: [h, dW_1..dW_m] for Euler, and
+    for Milstein also the Ito double integrals I_(i,j) = J_(i,j) - h/2 delta_ij
+    in row-major (i, j) order, where J_(i,j) is the closed form I00 of the
+    step's rows. Only Milstein builds J. A block whose arrays would pass the
     package's memory bound is refused before any is made.
     """
     m = problem.m
     n_paths = len(rows)
-    # per step: each path's draws, dw, J and v, and one draw's words, uniforms and normals
-    per_step = n_paths * (m * (p + 1) + 1 + 2 * m + 2 * m * m) + 3 * (p + 1)
+    n_areas = 0 if scheme == "euler" else m * m
+    # per step: each path's draws, v and J, and one draw's words, uniforms and normals
+    per_step = n_paths * (m * (p + 1) + 1 + m + 2 * n_areas) + 3 * (p + 1)
     check_bytes(8 * n_ref * per_step, f"{n_paths} path(s) of {n_ref} steps at p={p}")
     z = np.empty((n_paths, m, n_ref, p + 1))
     for local, r in enumerate(rows):
@@ -149,66 +149,53 @@ def _chunk_increments(
             z[local, i - 1] = normal_stream(
                 seed, r, i, n_ref * (p + 1), DOMAIN_PATH
             ).reshape(n_ref, p + 1)
-    grid = problem.t_end * (np.arange(n_ref + 1) / n_ref)
-    hs = np.diff(grid)
-    dw = np.empty((n_ref, n_paths, m))
+    hs = np.diff(problem.t_end * (np.arange(n_ref + 1) / n_ref))
     zs = z.transpose(2, 0, 1, 3)
-    np.multiply(np.sqrt(hs)[:, None, None], zs[..., 0], out=dw)
-    areas = _i00(zs[:, :, :, None], zs[:, :, None], hs[:, None, None, None], p)
-    return hs, dw, areas
-
-
-def _coarsen(dw: np.ndarray, areas: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step-major (dw, areas) of the steps made of f consecutive steps each.
-
-    By Chen's relation a coarse step's J_(i,j) is the sum of its steps' J_(i,j)
-    plus, for each step, the coarse step's i-increment so far times that
-    step's j-increment.
-    """
-    n, n_paths, m = dw.shape[0] // f, dw.shape[1], dw.shape[2]
-    dwr = dw.reshape(n, f, n_paths, m)
-    before = np.empty_like(dwr)
-    before[:, 0] = 0.0
-    np.cumsum(dwr[:, :-1], axis=1, out=before[:, 1:])
-    coarse = areas.reshape(n, f, n_paths, m, m).sum(1)
-    coarse += np.matmul(before.transpose(0, 2, 3, 1), dwr.transpose(0, 2, 1, 3))
-    return dwr.sum(1), coarse
-
-
-def _step_increments(hs: np.ndarray, dw: np.ndarray, areas: np.ndarray | None) -> np.ndarray:
-    """Step-major v[s, a] = [h, dW_1..dW_m, I_(i,j) in row-major order] as a
-    column, for step s of path a, where I_(i,j) = J_(i,j) - h/2 delta_ij are
-    the Ito double integrals of the areas J; with no areas, only [h, dW]."""
-    n, n_paths, m = dw.shape
-    v = np.empty((n, n_paths, 1 + m + (0 if areas is None else m * m), 1))
-    v[:, :, 0, 0] = hs[:, None]
-    v[:, :, 1:1 + m, 0] = dw
-    if areas is not None:
-        ito = v[:, :, 1 + m:, 0]
-        ito[...] = areas.reshape(n, n_paths, m * m)
+    cols = [np.broadcast_to(hs[:, None, None], (n_ref, n_paths, 1)),
+            np.sqrt(hs)[:, None, None] * zs[..., 0]]
+    if n_areas:
+        ito = _i00(zs[:, :, :, None], zs[:, :, None], hs[:, None, None, None], p)
+        ito = ito.reshape(n_ref, n_paths, n_areas)
         ito[..., :: m + 1] -= 0.5 * hs[:, None, None]
-    return v
+        cols.append(ito)
+    del z, zs  # free the draws, the largest array, before v is made
+    return np.concatenate(cols, axis=2)[..., None]
 
 
-def _run_level(
-    problem: SdeProblem,
-    scheme: str,
-    hs: np.ndarray,
-    dw: np.ndarray,
-    areas: np.ndarray | None,
-) -> np.ndarray:
-    """End states of every path after the steps hs; dw and areas are step-major,
-    and Euler reads no areas. A step is one coefficient call F and one product
-    F @ v with its increments, Milstein in Ito form (Kloeden & Platen 10.3).
-    Euler takes the first 1 + m columns, so no gdg, even inf, meets a zero."""
+def _coarsen(v: np.ndarray, f: int, h: np.ndarray, m: int) -> np.ndarray:
+    """The increments v of the steps h, each made of f consecutive steps.
+
+    dW is summed. By Chen's relation a coarse step's I_(i,j) is the sum of its
+    steps' I_(i,j) plus, for each step, the coarse step's i-increment so far
+    times that step's j-increment; the steps' -h/2 diagonal terms add up to
+    the coarse step's -H/2.
+    """
+    n, n_paths, width = len(h), v.shape[1], v.shape[2]
+    fine = v.reshape(n, f, n_paths, width)
+    coarse = fine.sum(1)[..., None]
+    coarse[:, :, 0, 0] = h[:, None]
+    if width > 1 + m:
+        dw = fine[..., 1:1 + m]
+        before = np.empty_like(dw)
+        before[:, 0] = 0.0
+        np.cumsum(dw[:, :-1], axis=1, out=before[:, 1:])
+        cross = np.matmul(before.transpose(0, 2, 3, 1), dw.transpose(0, 2, 1, 3))
+        coarse[:, :, 1 + m:, 0] += cross.reshape(n, n_paths, m * m)
+    return coarse
+
+
+def _run_level(problem: SdeProblem, v: np.ndarray) -> np.ndarray:
+    """End states of every path after the steps of the step-major increments v.
+    A step is one coefficient call F and one product F @ v with its increments,
+    Milstein in Ito form (Kloeden & Platen 10.3). Euler's v holds the first
+    1 + m columns only, so no gdg, even inf, meets a zero."""
     width = 1 + problem.m + problem.m * problem.m
     shape = np.shape(problem.coefficients(problem.x0))
     if shape != (problem.dim, width):
         raise ArgumentError(f"coefficients(x0) must have shape ({problem.dim}, {width}), "
                             f"got {shape}")
-    v = _step_increments(hs, dw, None if scheme == "euler" else areas)
     coefficients, cols = problem.coefficients, v.shape[2]
-    x = np.broadcast_to(problem.x0, (dw.shape[1], problem.dim)).copy()
+    x = np.broadcast_to(problem.x0, (v.shape[1], problem.dim)).copy()
     for vs in v:
         x = x + (coefficients(x)[..., :cols] @ vs)[..., 0]
     return x
@@ -240,12 +227,11 @@ def convergence_study(
     done = 0
     while done < n_paths:
         rows = range(done, min(done + _STUDY_CHUNK, n_paths))
-        hs, dw, areas = _chunk_increments(problem, rows, n_ref, seed, p)
-        x_ref = _run_level(problem, scheme, hs, dw, areas)
+        v = _increments(problem, scheme, rows, n_ref, seed, p)
+        x_ref = _run_level(problem, v)
         for li, n in enumerate(levels):
-            grid = problem.t_end * (np.arange(n + 1) / n)
-            dwb, areab = _coarsen(dw, areas, n_ref // n)
-            x_n = _run_level(problem, scheme, np.diff(grid), dwb, areab)
+            h = np.diff(problem.t_end * (np.arange(n + 1) / n))
+            x_n = _run_level(problem, _coarsen(v, n_ref // n, h, problem.m))
             sq_err[li] += float(np.sum((x_n - x_ref) ** 2))
         done = rows.stop
     rms = np.sqrt(sq_err / n_paths)

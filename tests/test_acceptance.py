@@ -222,7 +222,7 @@ def test_criterion_6_fast_path_equivalence():
             tensors[name] = compute_tensor(
                 BasisKind.LEGENDRE, spec, iv, (p,) * len(exps)
             )
-        for name, tol in [(n, 1e-10) for n in finite] + [(n, 5e-9) for n in chained]:
+        for name in finite + chained:
             tensor = tensors[name]
             k = tensor.spec.k
             worst = 0.0
@@ -237,7 +237,7 @@ def test_criterion_6_fast_path_equivalence():
                         ispec, tensor, table, TruncationOrders.uniform(k, p)
                     )
                     worst = max(worst, abs(fast - slow))
-            assert worst < tol, (name, worst)
+            assert worst < 1e-13, (name, worst)
 
 
 def test_criterion_7_partition_counts():

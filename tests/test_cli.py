@@ -385,12 +385,15 @@ FROZEN_STDOUT = {
     # 0.93583707458317911 -> ...922 and the rms at 8 steps in its last digits.
     # Re-recorded again when each step became one product of the packed
     # coefficients with [h, dW, I]: every rms moved, by at most 2.6e-14
-    # relative, and the slope went ...922 -> 0.93583707458318743 (8.8e-15)
+    # relative, and the slope went ...922 -> 0.93583707458318743 (8.8e-15).
+    # Re-recorded again when coarse levels came to sum the Ito integrals I in
+    # place of the areas J: the rms at 16 and 64 steps moved by at most 5.1e-15
+    # relative, and the slope went ...8743 -> 0.9358370745831851 (2.5e-15)
     "sde-csv": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0"),
-                "fb5e1ffa784fd8a3899e6e6ef26286101a72fad088f9610aefe1ee4f43c476f4"),
+                "ff5818f31a7f0086acd1e990d814b8646d5a4501917fb12575c3a19ddf41c43a"),
     "sde-json": (("sde", "--ladder", "8,16,32,64", "--n", "20", "--seed", "0",
                   "--format", "json"),
-                 "afcee3b551b886f6c103dcd92d7f9627bae117b51335731a18efc063339c1f3b"),
+                 "a4acec68dc0c7824a9ee7747751569ba383744e1e8b667dd488636a7c95449ed"),
     # re-recorded when the closed forms' band sums became three-operand
     # einsums (sampler._band): the printed |diff| of I01-I11 and I00t moved.
     # Re-recorded again when the trigonometric zero rule dropped the noise
@@ -398,9 +401,11 @@ FROZEN_STDOUT = {
     # I00t's 3.22e-15 -> 2.78e-15. And again when trigonometric tensors came
     # to be built in closed form, which moved them toward exact: I1t's |diff|
     # went 1.47e-15 -> 2.22e-16, I2t's 2.72e-15 -> 1.11e-16 and I00t's
-    # 2.78e-15 -> 3.33e-16
+    # 2.78e-15 -> 3.33e-16. And again when I10 and I20 came to be derived by
+    # the Stratonovich product rule: I10's |diff| went 5.55e-16 -> 5e-16,
+    # I20's 8.33e-16 -> 8.88e-16 and I11's 9.44e-16 -> 8.33e-16
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
-                        "35507b054e8ae2e838cec8c662b12f61e84bbcbb679d5efd2135e80606d5c9fa"),
+                        "958c119779d9207b4db4cdaa9fbf194c65f48596af9173c9152334d9457d43c6"),
 }
 
 

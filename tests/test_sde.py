@@ -20,9 +20,10 @@ from stratint import (
     sample_closed_form,
     two_noise,
 )
+from stratint import sampler, sde_demo
 from stratint.basis import basis_integrals
 from stratint.rng import DOMAIN_PATH, normal_stream
-from stratint.sde_demo import _chunk_increments, _coarsen, _run_level, _step_increments
+from stratint.sde_demo import _coarsen, _increments, _run_level
 
 
 def test_gbm_problem_shape():
@@ -92,73 +93,93 @@ def test_integrate_is_path_zero_of_the_study(make, scheme):
     for p in (0, 10, 130):
         for steps, seed in ((1, 0), (37, 5), (64, 31)):
             got = integrate(make(), scheme, steps, seed, p)
-            hs, dw, areas = _chunk_increments(make(), range(3), steps, seed, p)
-            want = _run_level(make(), scheme, hs, dw, areas)[0]
+            want = _run_level(make(), _increments(make(), scheme, range(3), steps, seed, p))[0]
             assert got.tobytes() == want.tobytes()
+
+
+def _draws(prob, rows, n_ref, seed, p):
+    """z[a, i, s]: the p + 1 normals of step s of path a for component i + 1."""
+    return np.stack([[normal_stream(seed, r, i, n_ref * (p + 1), DOMAIN_PATH)
+                      .reshape(n_ref, p + 1) for i in range(1, prob.m + 1)] for r in rows])
+
+
+def _ito(v, m):
+    """The I_(i,j) of step-major increments v, as a (steps, paths, m, m) array."""
+    return v[:, :, 1 + m:, 0].reshape(v.shape[:2] + (m, m))
 
 
 @pytest.mark.parametrize("make", [gbm, two_noise])
 def test_chunk_areas_are_the_closed_form_of_each_step(make):
-    # the study's J_(i,j) of each step is the library's I00 closed form on
-    # that step's rows, bit for bit, and J_(i,i) is exactly h z0^2 / 2
+    # each step's I_(i,j) is the library's I00 closed form J_(i,j) on that
+    # step's rows, bit for bit, with h/2 taken off the diagonal, where
+    # J_(i,i) is exactly h z0^2 / 2; dW is sqrt(h) z0
     prob = make()
-    rows, n_ref, seed = range(2, 5), 8, 11
+    m, rows, n_ref, seed = prob.m, range(2, 5), 8, 11
     for p in (0, 10, 130):
-        hs, dw, areas = _chunk_increments(prob, rows, n_ref, seed, p)
-        z = np.stack([[normal_stream(seed, r, i, n_ref * (p + 1), DOMAIN_PATH)
-                       .reshape(n_ref, p + 1) for i in range(1, prob.m + 1)] for r in rows])
-        for s, h in enumerate(hs.tolist()):
+        v = _increments(prob, "milstein", rows, n_ref, seed, p)
+        ito, z = _ito(v, m), _draws(prob, rows, n_ref, seed, p)
+        for s in range(n_ref):
+            h = v[s, 0, 0, 0]
             iv = Interval(0.0, h)
             for a in range(len(rows)):
-                values = np.empty((prob.m + 1, p + 1))
+                assert v[s, a, 0, 0] == h
+                values = np.empty((m + 1, p + 1))
                 values[0] = basis_integrals(BasisKind.LEGENDRE, iv, p)
                 values[1:] = z[a, :, s]
-                table = GaussianTable(m=prob.m, max_j=p, values=values,
+                table = GaussianTable(m=m, max_j=p, values=values,
                                       basis=BasisKind.LEGENDRE, iv=iv, seed=seed, stream=s)
-                for i in range(prob.m):
+                for i in range(m):
                     z0 = z[a, i, s, 0]
-                    assert areas[s, a, i, i] == 0.5 * h * (z0 * z0)
-                    for j in range(prob.m):
+                    assert v[s, a, 1 + i, 0] == math.sqrt(h) * z0
+                    assert ito[s, a, i, i] == 0.5 * h * (z0 * z0) - 0.5 * h
+                    for j in range(m):
                         want = sample_closed_form("I00", table, iv, p, (i + 1, j + 1))
-                        assert areas[s, a, i, j].tobytes() == np.float64(want).tobytes()
+                        want -= 0.5 * h if i == j else 0.0
+                        assert ito[s, a, i, j].tobytes() == np.float64(want).tobytes()
 
 
 def test_chunk_increment_identities():
-    prob = gbm()
-    hs, dw, areas = _chunk_increments(prob, rows=range(4), n_ref=32, seed=5, p=8)
-    assert hs.shape == (32,)
-    # step-major: step s of path a is dw[s, a]
-    assert dw.shape == (32, 4, 1)
-    assert areas.shape == (32, 4, 1, 1)
-    # area symmetrization: A_ij + A_ji = dW_i dW_j on every cell
-    prob2 = two_noise()
-    _, dw2, areas2 = _chunk_increments(prob2, rows=range(3), n_ref=16, seed=5, p=8)
-    sym = areas2 + np.swapaxes(areas2, -1, -2)
-    outer = np.einsum("ani,anj->anij", dw2, dw2)
+    v = _increments(gbm(), "milstein", rows=range(4), n_ref=32, seed=5, p=8)
+    # step-major: step s of path a is v[s, a] = [h, dW, I_(1,1)]
+    assert v.shape == (32, 4, 3, 1)
+    assert np.array_equal(v[:, :, 0, 0], np.full((32, 4), 1.0 / 32))
+    # I_(i,j) + I_(j,i) = dW_i dW_j - h delta_ij on every cell
+    v2 = _increments(two_noise(), "milstein", rows=range(3), n_ref=16, seed=5, p=8)
+    dw2, ito2 = v2[:, :, 1:3, 0], _ito(v2, 2)
+    sym = ito2 + np.swapaxes(ito2, -1, -2)
+    outer = np.einsum("ani,anj->anij", dw2, dw2) - v2[:, :, 0, 0, None, None] * np.eye(2)
     assert np.allclose(sym, outer, atol=1e-14)
-    # diagonal areas are exactly half the squared increment
-    diag = np.einsum("anii->ani", areas2)
-    assert np.allclose(diag, 0.5 * dw2**2, atol=1e-14)
+    # the diagonal is (dW^2 - h) / 2
+    diag = np.einsum("anii->ani", ito2)
+    assert np.allclose(diag, 0.5 * dw2**2 - 0.5 * v2[:, :, :1, 0], atol=1e-14)
 
 
 def test_coarse_steps_follow_chen():
-    # J over a coarse step of f fine steps, path by path and step by step
-    _, dw, areas = _chunk_increments(two_noise(), rows=range(3), n_ref=24, seed=9, p=6)
+    # I over a coarse step of f fine steps, path by path and step by step
+    v = _increments(two_noise(), "milstein", rows=range(3), n_ref=24, seed=9, p=6)
     f = 4
-    dwb, areab = _coarsen(dw, areas, f)
-    assert dwb.shape == (6, 3, 2) and areab.shape == (6, 3, 2, 2)
+    h = np.diff(np.arange(7) / 6)
+    vb = _coarsen(v, f, h, 2)
+    assert vb.shape == (6, 3, 7, 1)
+    assert np.array_equal(vb[:, :, 0, 0], np.broadcast_to(h[:, None], (6, 3)))
+    dw, ito = v[:, :, 1:3, 0], _ito(v, 2)
+    dwb, itob = vb[:, :, 1:3, 0], _ito(vb, 2)
     for c in range(6):
         for a in range(3):
             so_far = np.zeros(2)
             want = np.zeros((2, 2))
             for k in range(c * f, (c + 1) * f):
-                want += areas[k, a] + np.outer(so_far, dw[k, a])
+                want += ito[k, a] + np.outer(so_far, dw[k, a])
                 so_far += dw[k, a]
             np.testing.assert_allclose(dwb[c, a], so_far, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(areab[c, a], want, rtol=1e-13, atol=1e-15)
-    # and the coarse areas keep the symmetrization of the fine ones
-    sym = areab + np.swapaxes(areab, -1, -2)
-    assert np.allclose(sym, np.einsum("ani,anj->anij", dwb, dwb), atol=1e-14)
+            np.testing.assert_allclose(itob[c, a], want, rtol=1e-13, atol=1e-15)
+    # the coarse I keep I_(i,j) + I_(j,i) = dW_i dW_j - H delta_ij
+    sym = itob + np.swapaxes(itob, -1, -2)
+    outer = np.einsum("ani,anj->anij", dwb, dwb) - h[:, None, None, None] * np.eye(2)
+    assert np.allclose(sym, outer, atol=1e-14)
+    # Euler's coarse steps are the [h, dW] prefix of Milstein's, bit for bit
+    ve = _increments(two_noise(), "euler", rows=range(3), n_ref=24, seed=9, p=6)
+    assert _coarsen(ve, f, h, 2).tobytes() == np.ascontiguousarray(vb[:, :, :3]).tobytes()
 
 
 def test_convergence_study_gbm_milstein():
@@ -260,14 +281,35 @@ def _midpoint_level(problem, scheme, hs, dw, areas):
     return x
 
 
+def _midpoint_increments(problem, rows, n_ref, seed, p):
+    """Per-step (h, dw, areas J) of the study's paths, with J rebuilt from the
+    library's Ito integrals as J_(i,j) = I_(i,j) + h/2 delta_ij."""
+    m = problem.m
+    v = _increments(problem, "milstein", rows, n_ref, seed, p)
+    hs = v[:, 0, 0, 0]
+    return hs, v[:, :, 1:1 + m, 0], _ito(v, m) + 0.5 * hs[:, None, None, None] * np.eye(m)
+
+
+def _midpoint_coarsen(dw, areas, f):
+    """(dw, J) of the steps made of f consecutive steps each, by Chen's relation
+    with one pass over the fine steps of every coarse step at once."""
+    dwr = dw.reshape((len(dw) // f, f) + dw.shape[1:])
+    ar = areas.reshape((len(areas) // f, f) + areas.shape[1:])
+    dwb, areab = np.zeros_like(dwr[:, 0]), np.zeros_like(ar[:, 0])
+    for k in range(f):
+        areab += ar[:, k] + dwb[..., :, None] * dwr[:, k, ..., None, :]
+        dwb += dwr[:, k]
+    return dwb, areab
+
+
 def _midpoint_study(problem, scheme, ladder, n_paths, seed, p):
     """convergence_study's rms, for at most one block of paths, by _midpoint_level."""
     n_ref = 16 * max(ladder)
-    hs, dw, areas = _chunk_increments(problem, range(n_paths), n_ref, seed, p)
+    hs, dw, areas = _midpoint_increments(problem, range(n_paths), n_ref, seed, p)
     x_ref = _midpoint_level(problem, scheme, hs, dw, areas)
     sq = []
     for n in ladder:
-        dwb, areab = _coarsen(dw, areas, n_ref // n)
+        dwb, areab = _midpoint_coarsen(dw, areas, n_ref // n)
         hb = np.diff(problem.t_end * (np.arange(n + 1) / n))
         sq.append(np.sum((_midpoint_level(problem, scheme, hb, dwb, areab) - x_ref) ** 2))
     return np.sqrt(np.array(sq) / n_paths)
@@ -283,7 +325,7 @@ def test_ito_form_matches_midpoint_form(make, scheme):
         for p in (0, 10, 130):
             for steps in (1, 37, 300):
                 got = integrate(make(), scheme, steps, seed, p)
-                increments = _chunk_increments(make(), range(1), steps, seed, p)
+                increments = _midpoint_increments(make(), range(1), steps, seed, p)
                 want = _midpoint_level(make(), scheme, *increments)[0]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             for ladder, n_paths in (((1, 2, 4, 8), 9), ((2, 4, 8, 16), 4)):
@@ -293,24 +335,37 @@ def test_ito_form_matches_midpoint_form(make, scheme):
 
 
 def test_ito_areas_shift_the_diagonal_only():
-    rng = np.random.default_rng(4)
-    areas = rng.standard_normal((5, 3, 2, 2))
-    dw = rng.standard_normal((5, 3, 2))
-    hs = rng.uniform(0.1, 1.0, 5)
-    kept = areas.copy()
-    v = _step_increments(hs, dw, areas)
-    assert areas.tobytes() == kept.tobytes()
-    assert v.shape == (5, 3, 7, 1)
-    assert np.array_equal(v[:, :, 0, 0], np.broadcast_to(hs[:, None], (5, 3)))
-    assert v[:, :, 1:3, 0].tobytes() == dw.tobytes()
-    want = areas - 0.5 * hs[:, None, None, None] * np.eye(2)
-    assert v[:, :, 3:, 0].tobytes() == want.reshape(5, 3, 4).tobytes()
-    # without areas, as Euler steps, only [h, dW]
-    assert _step_increments(hs, dw, None).tobytes() == v[:, :, :3].tobytes()
-    # one step of m = 1 paths, as integrate passes them: I_(1,1) = (dW^2 - h) / 2
-    dw1 = rng.standard_normal((7, 1, 1))
-    v1 = _step_increments(np.full(7, 1.0), dw1, 0.5 * dw1[..., None] * dw1[..., None])
-    assert np.array_equal(v1[:, 0, 2, 0], 0.5 * dw1[:, 0, 0] ** 2 - 0.5)
+    # I_(i,j) = J_(i,j) - h/2 delta_ij: off the diagonal I is J's I00 closed
+    # form unchanged, and Euler's increments are Milstein's [h, dW] prefix
+    rows, n_ref, seed, p = range(3), 5, 4, 10
+    for prob in (gbm(), two_noise()):
+        m = prob.m
+        v = _increments(prob, "milstein", rows, n_ref, seed, p)
+        euler = _increments(prob, "euler", rows, n_ref, seed, p)
+        assert v.shape == (n_ref, 3, 1 + m + m * m, 1) and euler.shape == (n_ref, 3, 1 + m, 1)
+        assert euler.tobytes() == np.ascontiguousarray(v[:, :, :1 + m]).tobytes()
+        z = _draws(prob, rows, n_ref, seed, p).transpose(2, 0, 1, 3)
+        h = v[:, :, :1, :1]
+        areas = sampler._i00(z[:, :, :, None], z[:, :, None], h, p)
+        want = areas - 0.5 * h * np.eye(m)
+        assert _ito(v, m).tobytes() == want.tobytes()
+
+
+def test_euler_builds_no_areas(monkeypatch):
+    # Euler reads only [h, dW], so neither its study nor integrate calls the
+    # closed form I00
+    want_study = convergence_study(two_noise(), "euler", (2, 4, 8, 16), 3, seed=1)
+    want_path = integrate(two_noise(), "euler", 40, seed=1)
+
+    def refuse(*args):
+        raise AssertionError("Euler built a Levy area")
+
+    monkeypatch.setattr(sde_demo, "_i00", refuse)
+    got = convergence_study(two_noise(), "euler", (2, 4, 8, 16), 3, seed=1)
+    assert got.rms.tobytes() == want_study.rms.tobytes()
+    assert integrate(two_noise(), "euler", 40, seed=1).tobytes() == want_path.tobytes()
+    with pytest.raises(AssertionError, match="Levy area"):
+        integrate(two_noise(), "milstein", 40, seed=1)
 
 
 def _problem(**changes):
