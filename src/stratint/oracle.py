@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
@@ -15,7 +16,7 @@ from .coefficients import CoeffTensor
 from .errors import ArgumentError, CapabilityError
 from .kernel import WeightPoly, WeightSpec
 from .rng import DOMAIN_PATH, normal_stream
-from .sampler import GaussianTable, IntegralSpec, TruncationOrders
+from .sampler import GaussianTable, IntegralSpec, TruncationOrders, _same
 
 __all__ = [
     "MeshPath",
@@ -216,7 +217,10 @@ def truncated_moment(
     """Exact E[X] or E[X Y] of truncated expansions via pair-partition matching.
 
     Isserlis' rule pairs only axes of one Wiener component, so the matchings
-    are the products of each component's own pairings.
+    are the products of each component's own pairings. They are compiled once
+    per structure (component indices and orders) by _moment_plan; a call
+    checks its arguments, then slices, runs one einsum per matching and sums
+    the contributions with math.fsum.
     """
     single = [isinstance(ispecs, IntegralSpec), isinstance(tensors, CoeffTensor),
               isinstance(orders, TruncationOrders)]
@@ -228,28 +232,59 @@ def truncated_moment(
     if len(ispecs) not in (1, 2) or len(tensors) != len(ispecs) or len(orders) != len(ispecs):
         raise ArgumentError("need one or two specs with matching tensors and orders")
     basis, iv = ispecs[0].basis, ispecs[0].iv
-    if any(s.basis is not basis for s in ispecs) or any(s.iv != iv for s in ispecs):
+    if any(s.basis is not basis for s in ispecs) or not all(_same(s.iv, iv) for s in ispecs):
         raise ArgumentError("specs must share basis and interval")
     total_k = sum(s.spec.k for s in ispecs)
     if total_k > _MAX_TOTAL_K:
         raise CapabilityError(f"total multiplicity {total_k} > {_MAX_TOTAL_K} not supported")
     for ispec, tensor, o in zip(ispecs, tensors, orders):
-        if tensor.kind is not basis or tensor.spec != ispec.spec or tensor.iv != iv:
+        if (tensor.kind is not basis or not _same(tensor.spec, ispec.spec)
+                or not _same(tensor.iv, iv)):
             raise ArgumentError("tensor does not match its spec")
-        if len(o.p) != ispec.spec.k or any(p > q for p, q in zip(o.p, tensor.orders)):
+        if len(o.p) != ispec.spec.k or (o.p != tensor.orders
+                                        and any(p > q for p, q in zip(o.p, tensor.orders))):
             raise ArgumentError(f"orders {o.p} exceed tensor orders {tensor.orders}")
 
+    plan = _moment_plan(tuple(s.indices for s in ispecs), tuple(o.p for o in orders))
+    if plan is None:
+        return 0.0
+    dt_operands = []
+    if plan.dt_tops:
+        dt_values = basis_integrals(basis, iv, max(plan.dt_tops))
+        dt_operands = [dt_values[: top + 1] for top in plan.dt_tops]
+    datas = [t.data for t in tensors]
+    return math.fsum([
+        float(np.einsum(subscripts, *[d[s] for d, s in zip(datas, slices)], *dt_operands))
+        for subscripts, slices in plan.matchings
+    ])
+
+
+class _MomentPlan(NamedTuple):
+    """Per matching, the einsum subscripts and each operand's slice tuple; and
+    the top index of each dt axis, in the order of its einsum operand."""
+
+    matchings: tuple[tuple[str, tuple[tuple[slice, ...], ...]], ...]
+    dt_tops: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_plan(indices_per_operand: tuple[tuple[int, ...], ...],
+                 orders_per_operand: tuple[tuple[int, ...], ...]) -> _MomentPlan | None:
+    """The matchings of truncated_moment for operands with these component
+    indices and truncation orders, or None when a component appears an odd
+    number of times. It keys on structure alone and holds no array, so one
+    plan serves every basis, interval and tensor of that structure."""
     # The axes of all operands in one row; spans[op] is the slice of op's axes.
-    comps = [c for ispec in ispecs for c in ispec.indices]
-    tops = [p for o in orders for p in o.p]
-    ends = list(itertools.accumulate(len(ispec.indices) for ispec in ispecs))
+    comps = [c for indices in indices_per_operand for c in indices]
+    tops = [p for orders in orders_per_operand for p in orders]
+    ends = list(itertools.accumulate(len(indices) for indices in indices_per_operand))
     spans = list(zip([0, *ends], ends))
     groups: dict[int, list[int]] = {}
     for n, comp in enumerate(comps):
         groups.setdefault(comp, []).append(n)
     dt_pos = groups.pop(0, [])
     if any(len(group) % 2 for group in groups.values()):
-        return 0.0
+        return None
     pairings = {n: enumerate_pair_partitions(n, n // 2) for n in {len(g) for g in groups.values()}}
     per_group = [
         [[(group[a - 1], group[b - 1]) for a, b in m.pairs] for m in pairings[len(group)]]
@@ -261,21 +296,16 @@ def truncated_moment(
     n_pairs = (len(comps) - len(dt_pos)) // 2
     dt_labels = list(_LABELS[n_pairs : n_pairs + len(dt_pos)])
     labels = [""] * len(comps)
-    dt_operands = []
-    if dt_pos:
-        dt_values = basis_integrals(basis, iv, max(tops[n] for n in dt_pos))
-        for n, lab in zip(dt_pos, dt_labels):
-            labels[n] = lab
-            dt_operands.append(dt_values[: tops[n] + 1])
+    for n, lab in zip(dt_pos, dt_labels):
+        labels[n] = lab
 
-    contributions = []
+    matchings = []
     for choice in itertools.product(*per_group):
         trims = list(tops)
         for lab, (na, nb) in zip(_LABELS, sorted(itertools.chain.from_iterable(choice))):
             labels[na] = labels[nb] = lab
             trims[na] = trims[nb] = min(tops[na], tops[nb])
-        operands = [t.data[tuple(slice(0, p + 1) for p in trims[lo:hi])]
-                    for t, (lo, hi) in zip(tensors, spans)]
+        slices = tuple(tuple(slice(0, p + 1) for p in trims[lo:hi]) for lo, hi in spans)
         terms = ["".join(labels[lo:hi]) for lo, hi in spans] + dt_labels
-        contributions.append(float(np.einsum(",".join(terms) + "->", *operands, *dt_operands)))
-    return math.fsum(contributions)
+        matchings.append((",".join(terms) + "->", slices))
+    return _MomentPlan(tuple(matchings), tuple(tops[n] for n in dt_pos))

@@ -75,7 +75,7 @@ class IntegralSpec:
             raise ArgumentError(
                 f"need {self.spec.k} component indices, got {len(self.indices)}"
             )
-        if any(i < 0 for i in self.indices):
+        if min(self.indices) < 0:
             raise ArgumentError(f"component indices must be >= 0, got {self.indices}")
 
 
@@ -87,7 +87,7 @@ class TruncationOrders:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", tuple(self.p))  # part of a plan's cache key
-        if not self.p or any(q < 0 for q in self.p):
+        if not self.p or min(self.p) < 0:
             raise ArgumentError(f"truncation orders must be >= 0, got {self.p}")
 
     @staticmethod
@@ -145,22 +145,27 @@ def _overflow(ispec: IntegralSpec) -> DomainError:
 class _Plan(NamedTuple):
     """The support terms of one or more specs, concatenated: per axis, where
     each term's factor sits in a flat table row, component * width + j; the
-    coefficients; each spec's segment [a, b) of the terms; and whether an
-    axis beyond a spec's multiplicity reads a slot holding 1.0, one past the
-    end of the row."""
+    coefficients; each spec's segment [a, b) of the terms; whether an axis
+    beyond a spec's multiplicity reads a slot holding 1.0, one past the end
+    of the row; and the bytes the plan keeps alive in the cache, its arrays
+    and the data of its key's tensors."""
 
     gather: tuple[np.ndarray, ...]
     coeffs: np.ndarray
     bounds: tuple[tuple[int, int], ...]
     padded: bool
+    nbytes: int
 
 
 # the sampler's plans, oldest out first, keyed by (tensors, orders, indices,
-# width, m); a key holds its tensors, whose data never change. The `sample`
-# benchmark workload asks for 12 keys: 6 Legendre and 4 trigonometric
-# one-spec plans and one joint plan of each basis
+# width, m); a key holds its tensors, whose data never change. The cache
+# keeps at most _PLAN_CACHE_SIZE plans, and at most _PLAN_CACHE_BYTES of their
+# nbytes unless the newest alone holds more (a tensor in several keys counts
+# in each). The `sample` benchmark workload asks for 12 keys, 56 kB in all:
+# 6 Legendre and 4 trigonometric one-spec plans and one joint plan of each basis
 _PLANS: dict[tuple, _Plan] = {}
 _PLAN_CACHE_SIZE = 16
+_PLAN_CACHE_BYTES = 64 * 2**20  # eight Legendre (1,0,2) o=64 plans, 7.5 MB each
 _PLANS_LOCK = threading.Lock()
 
 
@@ -200,12 +205,16 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
         coeffs.append(support.coeffs)
         bounds.append((end, end + len(support.coeffs)))
         end += len(support.coeffs)
-    plan = _Plan(tuple(_read_only(np.concatenate(a)) for a in zip(*axes)),
-                 _read_only(np.concatenate(coeffs)), tuple(bounds),
-                 any(s.spec.k < k for s in ispecs))
+    gather = tuple(_read_only(np.concatenate(a)) for a in zip(*axes))
+    coeffs = _read_only(np.concatenate(coeffs))
+    held = {id(t): t.data.nbytes for t in tensors}
+    nbytes = sum(g.nbytes for g in gather) + coeffs.nbytes + sum(held.values())
+    plan = _Plan(gather, coeffs, tuple(bounds), any(s.spec.k < k for s in ispecs), nbytes)
     with _PLANS_LOCK:
-        while len(_PLANS) >= _PLAN_CACHE_SIZE:
-            del _PLANS[next(iter(_PLANS))]
+        total = sum(p.nbytes for p in _PLANS.values())
+        while _PLANS and (len(_PLANS) >= _PLAN_CACHE_SIZE
+                          or total + plan.nbytes > _PLAN_CACHE_BYTES):
+            total -= _PLANS.pop(next(iter(_PLANS))).nbytes
         _PLANS[key] = plan
     return plan
 

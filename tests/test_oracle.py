@@ -1,10 +1,14 @@
 """Discretization oracle, pair partitions, and exact moments."""
 
 import ast
+import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import os
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from stratint import (
     ArgumentError,
     BasisKind,
+    CapabilityError,
     Interval,
     IntegralSpec,
     MeshPath,
@@ -482,13 +487,133 @@ def test_moment_enumerates_within_components(monkeypatch):
     orders = TruncationOrders.uniform(4, 2)
 
     def built_for(indices):
+        # pairings are enumerated when a moment plan is compiled, and only then
+        oracle._moment_plan.cache_clear()
         built.clear()
         ispec = _ispec((0, 0, 0, 0), indices)
         truncated_moment([ispec] * 2, [tensor] * 2, [orders] * 2)
-        return sum(built)
+        compiled = sum(built)
+        truncated_moment([ispec] * 2, [tensor] * 2, [orders] * 2)
+        assert sum(built) == compiled
+        return compiled
 
     assert built_for((1, 2, 3, 4)) <= 4  # 105 when all eight axes are paired at once
     assert built_for((1, 1, 1, 1)) == 105
+
+
+def _moment_args(basis, iv, operands):
+    ispecs, tensors, orders = [], [], []
+    for exps, indices, p in operands:
+        ispecs.append(_ispec(exps, indices, iv, basis))
+        tensors.append(_tensor(exps, iv, 3, basis))
+        orders.append(TruncationOrders(p))
+    return ispecs, tensors, orders
+
+
+# (operands, whether the moment vanishes because a component appears an odd
+# number of times): one and two operands, dt axes, repeated components, k = 8
+_PLAN_CASES = (
+    ([((0, 0), (1, 1), (3, 2))], False),
+    ([((0, 1, 2), (0, 1, 1), (2, 3, 1))], False),
+    ([((0, 0), (1, 2), (3, 3))], True),
+    ([((1,), (0,), (2,))], False),
+    ([((1,), (1,), (3,))] * 2, False),
+    ([((0, 0), (1, 2), (3, 3)), ((1, 0), (2, 1), (2, 3))], False),
+    ([((0, 2, 1), (1, 0, 2), (3, 1, 2)), ((2, 0), (2, 0), (1, 3))], True),
+    ([((1, 0, 2), (0, 2, 0), (2, 3, 1)), ((0, 1), (2, 0), (3, 2))], False),
+    ([((0, 0, 0, 0), (1, 1, 2, 2), (2, 3, 1, 2)), ((0, 1, 0, 1), (2, 1, 2, 1), (3, 2, 2, 1))],
+     False),
+    ([((0, 1, 2, 0), (1, 1, 1, 1), (3, 2, 1, 3)), ((2, 0, 1, 1), (1, 1, 1, 1), (1, 3, 3, 2))],
+     False),
+)
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+@pytest.mark.parametrize("operands, vanishes", _PLAN_CASES)
+def test_moment_plan_hit_gives_the_bits_of_a_miss(basis, operands, vanishes):
+    ispecs, tensors, orders = _moment_args(basis, IV2, operands)
+    oracle._moment_plan.cache_clear()
+    first = truncated_moment(ispecs, tensors, orders)
+    assert oracle._moment_plan.cache_info().misses == 1
+    again = truncated_moment(ispecs, tensors, orders)
+    assert oracle._moment_plan.cache_info().hits == 1
+    assert float.hex(again) == float.hex(first)
+    assert (first == 0.0) if vanishes else first != 0.0
+    key = (tuple(s.indices for s in ispecs), tuple(o.p for o in orders))
+    assert (oracle._moment_plan(*key) is None) == vanishes
+
+
+def _arrays_in(value):
+    """Every numpy array reachable through the tuples of a value."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays_in(item)]
+    return []
+
+
+def test_one_moment_plan_serves_every_basis_and_interval():
+    operands = [((0, 1, 2), (1, 0, 2), (3, 2, 3)), ((1, 0, 2), (2, 0, 1), (3, 3, 1))]
+    oracle._moment_plan.cache_clear()
+    for basis, iv in itertools.product(BasisKind, (IV, IV2)):
+        ispecs, tensors, orders = _moment_args(basis, iv, operands)
+        got = truncated_moment(ispecs, tensors, orders)
+        arrays = [t.data[tuple(slice(0, q + 1) for q in o.p)] for t, o in zip(tensors, orders)]
+        want = isserlis_moment(arrays, [s.indices for s in ispecs], iv.length())
+        assert got == pytest.approx(want, rel=1e-12)
+    info = oracle._moment_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    plan = oracle._moment_plan((operands[0][1], operands[1][1]), (operands[0][2], operands[1][2]))
+    assert plan.dt_tops == (2, 3) and _arrays_in(plan) == []
+
+
+def test_moment_checks_run_on_the_cached_path():
+    # every argument error is raised after the plan of the same structure is
+    # cached, so no check is skipped on a plan hit
+    ispecs, tensors, orders = _moment_args(BasisKind.LEGENDRE, IV, [((0, 0), (1, 2), (3, 3))] * 2)
+    truncated_moment(ispecs, tensors, orders)
+
+    def raises(error, message, *args):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            truncated_moment(*args)
+
+    raises(ArgumentError, "pass one spec, tensor and orders, or a list of each",
+           ispecs[0], tensors, orders[0])
+    raises(ArgumentError, "need one or two specs with matching tensors and orders",
+           ispecs * 2, tensors * 2, orders * 2)
+    raises(ArgumentError, "need one or two specs with matching tensors and orders",
+           ispecs, tensors[:1], orders)
+    trig = [dataclasses.replace(s, basis=BasisKind.TRIGONOMETRIC) for s in ispecs]
+    raises(ArgumentError, "specs must share basis and interval",
+           [ispecs[0], trig[1]], tensors, orders)
+    raises(ArgumentError, "specs must share basis and interval",
+           [ispecs[0], dataclasses.replace(ispecs[1], iv=IV2)], tensors, orders)
+    deep = _ispec((0, 0, 0, 0, 0), (1, 1, 2, 2, 1))
+    raises(CapabilityError, "total multiplicity 9 > 8 not supported",
+           [deep, _ispec((0, 0, 0, 0), (1, 2, 3, 3))], tensors, orders)
+    raises(ArgumentError, "tensor does not match its spec", trig, tensors, orders)
+    raises(ArgumentError, "tensor does not match its spec",
+           [dataclasses.replace(s, iv=IV2) for s in ispecs], tensors, orders)
+    other = _tensor((1, 0), IV, 3)
+    raises(ArgumentError, "tensor does not match its spec", ispecs, [tensors[0], other], orders)
+    raises(ArgumentError, "orders (4, 3) exceed tensor orders (3, 3)",
+           ispecs, tensors, [orders[0], TruncationOrders((4, 3))])
+    raises(ArgumentError, "orders (3,) exceed tensor orders (3, 3)",
+           ispecs, tensors, [orders[0], TruncationOrders((3,))])
+    # and the cached plan still gives the moment
+    assert truncated_moment(ispecs, tensors, orders) == pytest.approx(
+        float(np.sum(tensors[0].data ** 2)), rel=1e-12)
+
+
+def test_moment_keeps_no_tensor_alive():
+    ispecs, tensors, orders = _moment_args(BasisKind.TRIGONOMETRIC, IV2,
+                                           [((0, 0), (1, 0), (3, 2))] * 2)
+    held = [weakref.ref(t) for t in tensors]
+    truncated_moment(ispecs, tensors, orders)
+    truncated_moment(ispecs, tensors, orders)  # from the cached plan
+    del tensors
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
 
 
 @st.composite

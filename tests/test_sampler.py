@@ -581,6 +581,38 @@ def test_sample_traffic_fits_the_plan_cache(monkeypatch):
                 sample_batch(ispecs, tensors, 2, orders, seed=n, n=n)
         assert len(built) == 12, round_
     assert 12 <= sampler._PLAN_CACHE_SIZE
+    assert sum(p.nbytes for p in sampler._PLANS.values()) <= sampler._PLAN_CACHE_BYTES
+
+
+def test_plan_cache_bound_by_bytes(monkeypatch):
+    # plans leave oldest first once their arrays and key tensors hold more
+    # than _PLAN_CACHE_BYTES, and a tensor lives only while a key holds it;
+    # the newest plan stays whatever its size
+    spec = WeightSpec.from_exponents((1, 0))
+    ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV2)
+    table = draw_table(2, 6, BasisKind.LEGENDRE, IV2, seed=3)
+    orders = TruncationOrders((6, 6))
+
+    def cache_one():
+        tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (6, 6))
+        sample_truncated(ispec, tensor, table, orders)
+        (plan,) = [p for key, p in sampler._PLANS.items() if key[0] == (tensor,)]
+        arrays = (*plan.gather, plan.coeffs, tensor.data)
+        assert plan.nbytes == sum(a.nbytes for a in arrays)
+        return weakref.ref(tensor), plan.nbytes
+
+    def fill(bound):
+        monkeypatch.setattr(sampler, "_PLANS", {})
+        monkeypatch.setattr(sampler, "_PLAN_CACHE_BYTES", bound)
+        (old, size), (new, _) = cache_one(), cache_one()
+        gc.collect()
+        return old() is not None, new() is not None, size
+
+    size = fill(2**40)[2]
+    assert fill(2 * size) == (True, True, size)  # up to the bound: both stay
+    assert fill(2 * size - 1) == (False, True, size)  # a byte over: the oldest goes
+    assert fill(1) == (False, True, size)  # over the bound alone: the newest stays
+    assert len(sampler._PLANS) == 1
 
 
 def _raises(message, fn, *args, **kwargs):
