@@ -71,14 +71,15 @@ def _coordinates(name: str, value: object) -> tuple[Sequence[int], bool]:
     """(coordinates, batched): one integer, or a sequence or range of them.
 
     A range of unit step is checked by its bounds, anything else element by
-    element.
+    element. A range is tested for first: the ABC check of Iterable costs
+    more than the rest of a one-row call's checks.
     """
-    if not isinstance(value, Iterable) or isinstance(value, (str, bytes)):
-        return (_coordinate(name, value),), False
-    if isinstance(value, range) and value.step == 1:
+    if type(value) is range and value.step == 1:
         if value and not (value.start >= 0 and value.stop <= 2**64):
             raise ArgumentError(f"{name} must be in [0, 2**64), got {value}")
         return value, True
+    if not isinstance(value, Iterable) or isinstance(value, (str, bytes)):
+        return (_coordinate(name, value),), False
     return [_coordinate(name, v) for v in value], True
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -95,6 +96,30 @@ class TruncationOrders:
         return TruncationOrders((p,) * k)
 
 
+def _draw(m: int, max_j: int, seed: int, stream: int | Sequence[int]) -> np.ndarray:
+    """The variates of the tables of `stream`: components 1..m, indices 0..max_j."""
+    if m < 1:
+        raise ArgumentError(f"need m >= 1 Wiener components, got {m}")
+    if max_j < 0:
+        raise ArgumentError(f"need max_j >= 0, got {max_j}")
+    # one draw of components 1..m, whose leading axes are the batch shape
+    # normal_stream gives `stream`
+    return normal_stream(seed, stream, range(1, m + 1), max_j + 1, DOMAIN_TABLE)
+
+
+def _table_rows(dt: np.ndarray, z: np.ndarray, pad: bool) -> np.ndarray:
+    """The values of the tables of the draw z (..., m, max_j + 1), each as one
+    flat row: the dt row, components 1..m, then a slot holding 1.0 if pad."""
+    *lead, m, width = z.shape
+    size = (m + 1) * width
+    rows = np.empty((*lead, size + pad))
+    rows[..., :width] = dt
+    rows[..., width:size] = z.reshape(*lead, m * width)
+    if pad:
+        rows[..., size] = 1.0
+    return rows
+
+
 def draw_table(
     m: int,
     max_j: int,
@@ -108,18 +133,10 @@ def draw_table(
     A sequence or range of streams gives a batch of shape (n, m + 1, max_j + 1)
     whose row r is the table of stream[r].
     """
-    if m < 1:
-        raise ArgumentError(f"need m >= 1 Wiener components, got {m}")
-    if max_j < 0:
-        raise ArgumentError(f"need max_j >= 0, got {max_j}")
-    # one draw of components 1..m, whose leading axes are the batch shape
-    # normal_stream gives `stream`
-    z = normal_stream(seed, stream, range(1, m + 1), max_j + 1, DOMAIN_TABLE)
-    values = np.empty(z.shape[:-2] + (m + 1, max_j + 1))
-    values[..., 0, :] = basis_integrals(basis, iv, max_j)
-    values[..., 1:, :] = z
-    return GaussianTable(m=m, max_j=max_j, values=values, basis=basis, iv=iv,
-                         seed=seed, stream=stream)
+    z = _draw(m, max_j, seed, stream)
+    values = _table_rows(basis_integrals(basis, iv, max_j), z, False)
+    return GaussianTable(m=m, max_j=max_j, values=values.reshape(*z.shape[:-2], m + 1, max_j + 1),
+                         basis=basis, iv=iv, seed=seed, stream=stream)
 
 
 def _same(a, b) -> bool:
@@ -128,13 +145,16 @@ def _same(a, b) -> bool:
     return a is b or a == b
 
 
-def _check_provenance(ispec: IntegralSpec, tensor: CoeffTensor, table: GaussianTable) -> None:
-    if tensor.kind is not ispec.basis or table.basis is not ispec.basis:
-        raise ArgumentError("basis mismatch between spec, tensor and table")
+def _provenance_error(ispec: IntegralSpec, tensor: CoeffTensor, basis: BasisKind,
+                      iv: Interval) -> str | None:
+    """Why the spec does not match its tensor and a table of basis and iv, or None."""
+    if tensor.kind is not ispec.basis or basis is not ispec.basis:
+        return "basis mismatch between spec, tensor and table"
     if not _same(tensor.spec, ispec.spec):
-        raise ArgumentError("weight mismatch between spec and tensor")
-    if not (_same(tensor.iv, ispec.iv) and _same(table.iv, ispec.iv)):
-        raise ArgumentError("interval mismatch between spec, tensor and table")
+        return "weight mismatch between spec and tensor"
+    if not (_same(tensor.iv, ispec.iv) and _same(iv, ispec.iv)):
+        return "interval mismatch between spec, tensor and table"
+    return None
 
 
 def _overflow(ispec: IntegralSpec) -> DomainError:
@@ -147,21 +167,36 @@ class _Plan(NamedTuple):
     each term's factor sits in a flat table row, component * width + j; the
     coefficients; each spec's segment [a, b) of the terms; whether an axis
     beyond a spec's multiplicity reads a slot holding 1.0, one past the end
-    of the row; and the bytes the plan keeps alive in the cache, its arrays
-    and the data of its key's tensors."""
+    of the row; the bytes the plan keeps alive in the cache, its arrays and
+    the data of its key's tensors; and the basis, interval, max_j and dt row
+    of the tables it reads."""
 
     gather: tuple[np.ndarray, ...]
     coeffs: np.ndarray
     bounds: tuple[tuple[int, int], ...]
     padded: bool
     nbytes: int
+    basis: BasisKind
+    iv: Interval
+    max_j: int
+    dt: np.ndarray
+
+
+class _Layout(NamedTuple):
+    """What a plan needs of the tables it reads, which a GaussianTable also has."""
+
+    m: int
+    max_j: int
+    basis: BasisKind
+    iv: Interval
 
 
 # the sampler's plans, oldest out first, keyed by (tensors, orders, indices,
-# width, m); a key holds its tensors, whose data never change. The cache
+# width, m), a key that _plan and _cached_plan each build; a key holds its
+# tensors, whose data never change. The cache
 # keeps at most _PLAN_CACHE_SIZE plans, and at most _PLAN_CACHE_BYTES of their
 # nbytes unless the newest alone holds more (a tensor in several keys counts
-# in each). The `sample` benchmark workload asks for 12 keys, 56 kB in all:
+# in each). The `sample` benchmark workload asks for 12 keys, 58 kB in all:
 # 6 Legendre and 4 trigonometric one-spec plans and one joint plan of each basis
 _PLANS: dict[tuple, _Plan] = {}
 _PLAN_CACHE_SIZE = 16
@@ -170,7 +205,7 @@ _PLANS_LOCK = threading.Lock()
 
 
 def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
-          orders: list[TruncationOrders], table: GaussianTable) -> _Plan:
+          orders: list[TruncationOrders], table: GaussianTable | _Layout) -> _Plan:
     """The plan of the specs' support terms in rows of the table, each axis
     padded to the largest k.
 
@@ -181,7 +216,8 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
     key = (tuple(tensors), tuple(o.p for o in orders), tuple(s.indices for s in ispecs),
            width, table.m)
     for ispec, tensor in zip(ispecs, tensors):
-        _check_provenance(ispec, tensor, table)
+        if error := _provenance_error(ispec, tensor, table.basis, table.iv):
+            raise ArgumentError(error)
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
@@ -207,9 +243,11 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
         end += len(support.coeffs)
     gather = tuple(_read_only(np.concatenate(a)) for a in zip(*axes))
     coeffs = _read_only(np.concatenate(coeffs))
+    dt = _read_only(basis_integrals(table.basis, table.iv, table.max_j))
     held = {id(t): t.data.nbytes for t in tensors}
-    nbytes = sum(g.nbytes for g in gather) + coeffs.nbytes + sum(held.values())
-    plan = _Plan(gather, coeffs, tuple(bounds), any(s.spec.k < k for s in ispecs), nbytes)
+    nbytes = sum(g.nbytes for g in gather) + coeffs.nbytes + dt.nbytes + sum(held.values())
+    plan = _Plan(gather, coeffs, tuple(bounds), any(s.spec.k < k for s in ispecs), nbytes,
+                 table.basis, table.iv, table.max_j, dt)
     with _PLANS_LOCK:
         total = sum(p.nbytes for p in _PLANS.values())
         while _PLANS and (len(_PLANS) >= _PLAN_CACHE_SIZE
@@ -219,19 +257,24 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
     return plan
 
 
-def _segment_sums(values: np.ndarray, plan: _Plan, ispecs: Sequence[IntegralSpec],
+def _fsum_or_inf(terms: memoryview) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum past the range, or inf - inf
+        return math.inf
+
+
+def _segment_sums(rows: np.ndarray, plan: _Plan, ispecs: Sequence[IntegralSpec],
                   out: np.ndarray) -> None:
     """math.fsum of each table's terms C * ((zeta_a * zeta_b) * zeta_c), one
     sum per spec segment, into out[row, segment].
 
-    Each table is read as one flat row, where 1-D fancy indexing is numpy's
-    fast path; a padded axis multiplies a term by 1.0, which leaves it
-    exact. Raises DomainError for the first spec with a sum that is not
-    finite, after the rest have been summed.
+    Each table is one flat row, which holds the slot of 1.0 when the plan is
+    padded: 1-D fancy indexing is numpy's fast path, and a padded axis
+    multiplies a term by 1.0, which leaves it exact. Raises DomainError for
+    the first spec with a sum that is not finite, after the rest have been
+    summed.
     """
-    rows = values.reshape(len(values), -1)
-    if plan.padded:
-        rows = np.concatenate((rows, np.ones((len(rows), 1))), axis=1)
     first, *rest = plan.gather
     bad = len(plan.bounds)
     for r, z in enumerate(rows):
@@ -240,13 +283,13 @@ def _segment_sums(values: np.ndarray, plan: _Plan, ispecs: Sequence[IntegralSpec
             terms *= z[g]
         terms *= plan.coeffs
         flat = memoryview(terms)
-        for c, (a, b) in enumerate(plan.bounds):
-            try:
-                out[r, c] = s = math.fsum(flat[a:b])
-            except (OverflowError, ValueError):  # a partial sum past the range, or inf - inf
-                s = math.inf
-            if not math.isfinite(s) and c < bad:
-                bad = c
+        try:
+            sums = [math.fsum(flat[a:b]) for a, b in plan.bounds]
+        except (OverflowError, ValueError):
+            sums = [_fsum_or_inf(flat[a:b]) for a, b in plan.bounds]
+        if not all(map(math.isfinite, sums)):
+            bad = min(bad, [math.isfinite(x) for x in sums].index(False))
+        out[r] = sums
     if bad < len(plan.bounds):
         raise _overflow(ispecs[bad])
 
@@ -281,7 +324,8 @@ def sample_truncated(
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
         if len(block) < _CERTIFY_ROWS:
-            _segment_sums(block, plan, (ispec,), sums[lo:lo + step, None])
+            rows = block.reshape(len(block), -1)
+            _segment_sums(rows, plan, (ispec,), sums[lo:lo + step, None])
             continue
         # one contiguous copy with the rows last, so one term's values over
         # the rows are contiguous
@@ -300,10 +344,9 @@ def sample_truncated(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _joint_sums(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
-                orders: list[TruncationOrders], table: GaussianTable, out: np.ndarray) -> None:
-    """Every spec's sample of each row of a small block, into out[row, spec]."""
-    _segment_sums(table.values, _plan(ispecs, tensors, orders, table), ispecs, out)
+def _joint_sums(plan: _Plan, ispecs: list[IntegralSpec], z: np.ndarray, out: np.ndarray) -> None:
+    """Every spec's sample of each table of a small block's draw z, into out[row, spec]."""
+    _segment_sums(_table_rows(plan.dt, z, plan.padded), plan, ispecs, out)
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -592,6 +635,41 @@ def _normalize_orders(
     return list(orders)
 
 
+def _whole(name: str, value: object) -> int:
+    """value as an int, or ArgumentError for anything but an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def _cached_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor], m: int,
+                 orders: TruncationOrders | list[TruncationOrders], n: int,
+                 threads: int) -> _Plan | None:
+    """The cached plan of a valid call of 1 to _CERTIFY_ROWS - 1 rows, or None.
+
+    The plan is looked up by _plan's key, built from the arguments. The key
+    pins every check but those of n, threads and each spec's provenance,
+    made here, and those of m and the seed, which the draw makes; a call
+    that fails a check here, or whose plan is not cached, gets None and
+    goes through every check in order.
+    """
+    if not (type(n) is int and 0 < n < _CERTIFY_ROWS and type(m) is int
+            and type(threads) is int and threads > 0):
+        return None
+    ps = ((orders.p,) * len(ispecs) if isinstance(orders, TruncationOrders)
+          else tuple(o.p for o in orders))
+    key = (tuple(tensors), ps, tuple(s.indices for s in ispecs),
+           max(map(max, ps), default=-1) + 1, m)
+    plan = _PLANS.get(key)
+    if plan is None or any(_provenance_error(s, t, plan.basis, plan.iv)
+                           for s, t in zip(ispecs, tensors)):
+        return None
+    return plan
+
+
 def sample_batch(
     ispecs: list[IntegralSpec],
     tensors: list[CoeffTensor],
@@ -608,13 +686,23 @@ def sample_batch(
     _CERTIFY_ROWS rows or more is contracted by one sample_truncated call
     per spec; a smaller one, such as the one row of a solver's step, sums
     all specs' support terms in one gather chain, with the bytes of those
-    calls. Both read their plans from the sampler's plan cache. `threads` is checked and accepted for compatibility; it changes
-    neither the output nor the work done.
+    calls. Both read their plans from the sampler's plan cache.
+
+    A call of fewer than _CERTIFY_ROWS rows looks its plan up before it
+    draws: when the plan is cached, only the checks the plan's key does not
+    pin are made again. `threads` is checked and accepted for
+    compatibility; it changes neither the output nor the work done.
     """
+    plan = _cached_plan(ispecs, tensors, m, orders, n, threads)
+    if plan is not None:
+        out = np.empty((n, len(ispecs)))
+        _joint_sums(plan, ispecs, _draw(m, plan.max_j, seed, range(n)), out)
+        return out
     if not ispecs:
         raise ArgumentError("need at least one integral spec")
     if len(tensors) != len(ispecs):
         raise ArgumentError(f"need {len(ispecs)} tensors, got {len(tensors)}")
+    n = _whole("n", n)
     if n < 0:
         raise ArgumentError(f"need n >= 0, got {n}")
     if threads < 1:
@@ -622,6 +710,7 @@ def sample_batch(
     basis, iv = ispecs[0].basis, ispecs[0].iv
     if any(s.basis is not basis or not _same(s.iv, iv) for s in ispecs):
         raise ArgumentError("all specs in a batch must share basis and interval")
+    m = _whole("m", m)
     if any(max(s.indices) > m for s in ispecs):
         raise ArgumentError(f"m={m} components cannot cover indices {[s.indices for s in ispecs]}")
     per_spec = _normalize_orders(ispecs, orders)
@@ -629,10 +718,12 @@ def sample_batch(
     out = np.empty((n, len(ispecs)))
     for lo in range(0, n, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n)
-        block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
         if hi - lo < _CERTIFY_ROWS:
-            _joint_sums(ispecs, tensors, per_spec, block, out[lo:hi])
+            z = _draw(m, max_j, seed, range(lo, hi))
+            plan = _plan(ispecs, tensors, per_spec, _Layout(m, max_j, basis, iv))
+            _joint_sums(plan, ispecs, z, out[lo:hi])
             continue
+        block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))
         for c, (ispec, tensor, o) in enumerate(zip(ispecs, tensors, per_spec)):
             out[lo:hi, c] = sample_truncated(ispec, tensor, block, o)
     return out

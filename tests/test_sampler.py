@@ -597,7 +597,7 @@ def test_plan_cache_bound_by_bytes(monkeypatch):
         tensor = compute_tensor(BasisKind.LEGENDRE, spec, IV2, (6, 6))
         sample_truncated(ispec, tensor, table, orders)
         (plan,) = [p for key, p in sampler._PLANS.items() if key[0] == (tensor,)]
-        arrays = (*plan.gather, plan.coeffs, tensor.data)
+        arrays = (*plan.gather, plan.coeffs, plan.dt, tensor.data)
         assert plan.nbytes == sum(a.nbytes for a in arrays)
         return weakref.ref(tensor), plan.nbytes
 
@@ -648,6 +648,9 @@ def test_sampling_error_messages():
     _raises("need 1 tensors, got 2", sample_batch, [ispec], [tensor] * 2, 2, o3, 1, 1)
     _raises("need n >= 0, got -1", sample_batch, [ispec], [tensor], 2, o3, 1, -1)
     _raises("need threads >= 1, got 0", sample_batch, [ispec], [tensor], 2, o3, 1, 1, 0)
+    for bad in (1.0, True, "3", None):
+        _raises(f"n must be an integer, got {bad!r}", sample_batch, [ispec], [tensor], 2, o3, 1, bad)
+        _raises(f"m must be an integer, got {bad!r}", sample_batch, [ispec], [tensor], bad, o3, 1, 1)
     elsewhere = IntegralSpec(spec=tensor.spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV2)
     _raises("all specs in a batch must share basis and interval", sample_batch,
             [ispec, elsewhere], [tensor, moved], 2, o3, 1, 1)
@@ -1060,6 +1063,10 @@ def test_joint_small_blocks_keep_every_check():
     trig = [dataclasses.replace(s, basis=BasisKind.TRIGONOMETRIC) for s in ispecs]
     _raises("basis mismatch between spec, tensor and table", sample_batch,
             trig, tensors, 2, orders, seed=1, n=1)
+    # one spec's basis or interval apart from the others'
+    for one in (trig[:1] + ispecs[1:], ispecs[:5] + elsewhere[5:]):
+        _raises("all specs in a batch must share basis and interval", sample_batch,
+                one, tensors, 2, orders, seed=1, n=1)
     # orders beyond the tensor's, or of the wrong length
     too_deep = orders[:1] + [TruncationOrders((6, 5))] + orders[2:]
     _raises("orders (6, 5) exceed tensor orders (5, 5)", sample_batch,
@@ -1067,9 +1074,77 @@ def test_joint_small_blocks_keep_every_check():
     short = orders[:1] + [TruncationOrders((5,))] + orders[2:]
     _raises("need 2 truncation orders, got 1", sample_batch,
             ispecs, tensors, 2, short, seed=1, n=1)
+    _raises("need 6 truncation orders, got 5", sample_batch,
+            ispecs, tensors, 2, orders[:5], seed=1, n=1)
+    # the arguments the plan's key does not hold: n, threads, m and the seed
+    for n in (-1, 1.0, True, "1"):
+        message = "need n >= 0, got -1" if n == -1 else f"n must be an integer, got {n!r}"
+        _raises(message, sample_batch, ispecs, tensors, 2, orders, seed=1, n=n)
+    _raises("need threads >= 1, got 0", sample_batch, ispecs, tensors, 2, orders, 1, 1, 0)
+    indices = [s.indices for s in ispecs]
+    for m in (0, 1):
+        _raises(f"m={m} components cannot cover indices {indices}", sample_batch,
+                ispecs, tensors, m, orders, seed=1, n=1)
+    _raises("m must be an integer, got 2.0", sample_batch, ispecs, tensors, 2.0, orders, 1, 1)
+    _raises("seed must be in [0, 2**64), got -1", sample_batch,
+            ispecs, tensors, 2, orders, seed=-1, n=1)
+    _raises("seed must be an integer, got 1.5", sample_batch,
+            ispecs, tensors, 2, orders, seed=1.5, n=1)
     # and the plan cached before still gives the per-spec bytes
     got = sample_batch(ispecs, tensors, 2, orders, seed=1, n=1)
     assert got.tobytes() == _per_spec(ispecs, tensors, orders, 1, 1)[1].tobytes()
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_joint_plan_hit_gives_the_bytes_of_a_miss(monkeypatch, basis):
+    # a call whose plan is cached looks it up before it draws and never
+    # reaches _plan; its rows are those of the call that built the plan
+    ispecs, tensors, orders = _joint_set(basis, IV2)
+    planned = []
+    make = sampler._plan
+    monkeypatch.setattr(sampler, "_plan", lambda *args: planned.append(args) or make(*args))
+    # a list of orders, and one TruncationOrders for a (0, 0) tensor sampled twice
+    for args in ((ispecs, tensors, orders), (ispecs[1:3], tensors[1:3], orders[1])):
+        for n in range(1, sampler._CERTIFY_ROWS):
+            monkeypatch.setattr(sampler, "_PLANS", {})
+            miss = sample_batch(args[0], args[1], 2, args[2], seed=40 + n, n=n)
+            assert len(planned) == 1
+            hit = sample_batch(args[0], args[1], 2, args[2], seed=40 + n, n=n)
+            assert len(planned) == 1
+            assert hit.tobytes() == miss.tobytes()
+            planned.clear()
+
+
+def test_joint_hits_from_two_threads_equal_sequential_calls():
+    # one-row calls on one cached plan from two threads at once, with a
+    # short switch interval: the calls share no buffer that one could
+    # overwrite while the other reads it
+    ispecs, tensors, orders = _joint_set(BasisKind.LEGENDRE, IV2)
+    seeds = range(200)
+    want = [sample_batch(ispecs, tensors, 2, orders, seed=s, n=1).tobytes() for s in seeds]
+    got = [[], []]
+    failures = []
+
+    def work(t):
+        try:
+            for s in seeds:
+                got[t].append(sample_batch(ispecs, tensors, 2, orders, seed=s, n=1).tobytes())
+        except Exception as exc:  # kept, so a thread that raises fails the test
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert got == [want, want]
 
 
 def test_joint_plan_cache_under_threads():

@@ -88,9 +88,10 @@ def test_traced_study_and_integrate_count_their_work(tracer_module):
 
 @pytest.mark.parametrize("n, contractions", [(1, 0), (128, 2)])
 def test_traced_sample_batch_counts_tables_and_contractions(tracer_module, n, contractions):
-    # a block of fewer than _CERTIFY_ROWS rows sums both specs at once; a
-    # larger one makes one sample_truncated call per spec, whose work
-    # function reads the truncation orders from args[3]
+    # a block of fewer than _CERTIFY_ROWS rows sums both specs at once from
+    # one draw, with no GaussianTable; a larger one draws a table and makes
+    # one sample_truncated call per spec, whose work function reads the
+    # truncation orders from args[3]
     iv = Interval(0.0, 0.01)
     ispecs, tensors, orders = [], [], []
     for exps, indices in (((0,), (1,)), ((0, 0), (1, 2))):
@@ -109,7 +110,7 @@ def test_traced_sample_batch_counts_tables_and_contractions(tracer_module, n, co
     assert got.tobytes() == want.tobytes()
     values, error, spans = tracer_module.analyse(tracer)
     assert values["sampler.batches"] == 1
-    assert values["sampler.tables"] == 1
+    assert values["sampler.tables"] == (1 if n >= sampler._CERTIFY_ROWS else 0)
     assert values["rng.calls"] == 1  # both components in one draw
     assert values["rng.variates"] == n * 2 * 5
     assert values["sampler.contractions"] == contractions
