@@ -112,6 +112,17 @@ def normal_stream(
     streams, batched = _coordinates("stream", stream)
     components, per_component = _coordinates("component", component)
     domain = _coordinate("domain", domain)
+    z = _normals(_words(seed, streams, components, count, domain))
+    if not per_component:
+        z = z[:, 0]
+    return z if batched else z[0]
+
+
+def _words(
+    seed: int, streams: Sequence[int], components: Sequence[int], count: int, domain: int
+) -> np.ndarray:
+    """Raw Philox words of every (stream, component) row, shape
+    (len(streams), len(components), count), from checked coordinates."""
     state = getattr(_local, "state", None)
     if state is None:
         _local.bits = np.random.Philox(0)
@@ -135,7 +146,4 @@ def normal_stream(
             bits.state = state
             rows[i] = bits.random_raw(count)
             i += 1
-    z = _normals(words)
-    if not per_component:
-        z = z[:, 0]
-    return z if batched else z[0]
+    return words

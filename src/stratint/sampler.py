@@ -458,13 +458,20 @@ def _leg_k1(a: np.ndarray, length: float, p: int, kind: str) -> float:
     return -0.25 * length**3.5 * s
 
 
+def _i00_band(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The band difference of J_(i,j), sum_i (a_(i-1) b_i - b_(i-1) a_i) /
+    sqrt(4 i^2 - 1), as one band per direction. Swapping a and b negates it
+    exactly, and with a == b it is exactly +0.0."""
+    i = np.arange(1, p + 1)
+    w = 1.0 / np.sqrt(4.0 * i * i - 1.0)
+    return _band(a[..., :p], b[..., 1:p + 1], w) - _band(b[..., :p], a[..., 1:p + 1], w)
+
+
 def _i00(a: np.ndarray, b: np.ndarray, length: float | np.ndarray, p: int) -> float:
     """The Levy area J_(i,j): a and b broadcast against each other, and so
     does length against the result. The band difference comes first, so with
     a == b it is exactly zero and the value is length / 2 * a0 * a0."""
-    i = np.arange(1, p + 1)
-    w = 1.0 / np.sqrt(4.0 * i * i - 1.0)
-    s = _band(a[..., :p], b[..., 1:p + 1], w) - _band(b[..., :p], a[..., 1:p + 1], w)
+    s = _i00_band(a, b, p)
     s += a[..., 0] * b[..., 0]
     s *= 0.5 * length
     return s

@@ -10,10 +10,12 @@ import numpy as np
 
 from .coefficients import check_bytes
 from .errors import ArgumentError
-from .rng import DOMAIN_PATH, normal_stream
-# draw_table and sample_closed_form are unused here but stay module
-# attributes, where perfbench/tracer.py wraps them.
-from .sampler import _i00, draw_table, sample_closed_form  # noqa: F401
+from .rng import DOMAIN_PATH, _coordinate, _normals, _words
+# normal_stream, draw_table and sample_closed_form are unused here but stay
+# module attributes, where perfbench/tracer.py wraps them: it reads each
+# traced name from the module's own namespace.
+from .rng import normal_stream  # noqa: F401
+from .sampler import _i00_band, _whole, draw_table, sample_closed_form  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -119,8 +121,10 @@ def integrate(
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}, pick one of {SCHEMES}")
+    steps = _whole("steps", steps)
     if steps < 1:
         raise ArgumentError(f"need steps >= 1, got {steps}")
+    p = _whole("p", p)
     if p < 0:
         raise ArgumentError(f"need p >= 0, got {p}")
     return _run_level(problem, _increments(problem, scheme, range(1), steps, seed, p))[0]
@@ -134,32 +138,50 @@ def _increments(
     v[s, a] is a column for step s of path a: [h, dW_1..dW_m] for Euler, and
     for Milstein also the Ito double integrals I_(i,j) = J_(i,j) - h/2 delta_ij
     in row-major (i, j) order, where J_(i,j) is the closed form I00 of the
-    step's rows. Only Milstein builds J. A block whose arrays would pass the
-    package's memory bound is refused before any is made.
+    step's rows. Only Milstein builds J.
+
+    Step s of path a reads the p + 1 normals zeta of stream a, components
+    1..m, of DOMAIN_PATH, as normal_stream lays them out. Every raw word is
+    drawn, but only the normals the scheme reads are converted: zeta_0 alone
+    for Euler and for Milstein with one noise, whose one area is
+    J_(1,1) = h/2 zeta_0^2, and all p + 1 for Milstein with m >= 2, where
+    J_(i,j) and J_(j,i), i < j, share one band difference. A block whose
+    arrays would pass the package's memory bound is refused before any is
+    made.
     """
     m = problem.m
     n_paths = len(rows)
     n_areas = 0 if scheme == "euler" else m * m
-    # per step: each path's draws, v and J, and one draw's words, uniforms and normals
-    per_step = n_paths * (m * (p + 1) + 1 + m + 2 * n_areas) + 3 * (p + 1)
+    width = 1 if scheme == "euler" or m == 1 else p + 1
+    # per step: every path's normals, v (the areas are its last n_areas
+    # columns) and up to six per-path temporaries of one pair's band and areas;
+    # one path's raw words with the generator's words of one component, and
+    # their shifted words and uniforms
+    per_step = (n_paths * (m * width + 1 + m + n_areas + 6)
+                + (m + 1) * (p + 1) + 2 * m * width)
     check_bytes(8 * n_ref * per_step, f"{n_paths} path(s) of {n_ref} steps at p={p}")
-    z = np.empty((n_paths, m, n_ref, p + 1))
+    seed = _coordinate("seed", seed)
+    z = np.empty((n_paths, m, n_ref, width))
     for local, r in enumerate(rows):
-        for i in range(1, m + 1):
-            z[local, i - 1] = normal_stream(
-                seed, r, i, n_ref * (p + 1), DOMAIN_PATH
-            ).reshape(n_ref, p + 1)
+        words = _words(seed, (r,), range(1, m + 1), n_ref * (p + 1), DOMAIN_PATH)
+        z[local] = _normals(words.reshape(m, n_ref, p + 1)[..., :width])
+        del words  # before the next path's are drawn
     hs = np.diff(problem.t_end * (np.arange(n_ref + 1) / n_ref))
     zs = z.transpose(2, 0, 1, 3)
-    cols = [np.broadcast_to(hs[:, None, None], (n_ref, n_paths, 1)),
-            np.sqrt(hs)[:, None, None] * zs[..., 0]]
+    z0 = zs[..., 0]
+    v = np.empty((n_ref, n_paths, 1 + m + n_areas, 1))
+    v[:, :, 0, 0] = hs[:, None]
+    np.multiply(np.sqrt(hs)[:, None, None], z0, out=v[:, :, 1:1 + m, 0])
     if n_areas:
-        ito = _i00(zs[:, :, :, None], zs[:, :, None], hs[:, None, None, None], p)
-        ito = ito.reshape(n_ref, n_paths, n_areas)
-        ito[..., :: m + 1] -= 0.5 * hs[:, None, None]
-        cols.append(ito)
-    del z, zs  # free the draws, the largest array, before v is made
-    return np.concatenate(cols, axis=2)[..., None]
+        half = 0.5 * hs[:, None]
+        for i in range(m):
+            v[:, :, 1 + m + i * (m + 1), 0] = z0[..., i] * z0[..., i] * half - half
+            for j in range(i + 1, m):
+                s = _i00_band(zs[:, :, i], zs[:, :, j], p)
+                ab = z0[..., i] * z0[..., j]
+                np.multiply(s + ab, half, out=v[:, :, 1 + m + i * m + j, 0])
+                np.multiply(ab - s, half, out=v[:, :, 1 + m + j * m + i, 0])
+    return v
 
 
 def _coarsen(v: np.ndarray, f: int, h: np.ndarray, m: int) -> np.ndarray:
@@ -212,11 +234,13 @@ def convergence_study(
     """Coupled strong-error ladder against the same scheme at 16x the finest level."""
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}, pick one of {SCHEMES}")
-    levels = tuple(sorted(int(n) for n in step_counts))
+    levels = tuple(sorted(_whole("level", n) for n in step_counts))
     if len(levels) < 4 or len(set(levels)) != len(levels) or levels[0] < 1:
         raise ArgumentError(f"need >= 4 distinct positive levels, got {step_counts}")
+    n_paths = _whole("n_paths", n_paths)
     if n_paths < 1:
         raise ArgumentError(f"need n_paths >= 1, got {n_paths}")
+    p = _whole("p", p)
     if p < 0:
         raise ArgumentError(f"need p >= 0, got {p}")
     n_ref = 16 * levels[-1]

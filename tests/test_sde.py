@@ -20,7 +20,7 @@ from stratint import (
     sample_closed_form,
     two_noise,
 )
-from stratint import sampler, sde_demo
+from stratint import rng, sampler, sde_demo
 from stratint.basis import basis_integrals
 from stratint.rng import DOMAIN_PATH, normal_stream
 from stratint.sde_demo import _coarsen, _increments, _run_level
@@ -71,6 +71,13 @@ def test_integrate_validation():
         integrate(gbm(), "euler", steps=0, seed=0)
     with pytest.raises(ArgumentError):
         integrate(gbm(), "milstein", steps=8, seed=0, p=-1)
+    # counts take sample_batch's message form; a float or bool is refused
+    for kwargs, message in (({"steps": 2.0}, "steps must be an integer, got 2.0"),
+                            ({"steps": True}, "steps must be an integer, got True"),
+                            ({"steps": 8, "p": 3.0}, "p must be an integer, got 3.0"),
+                            ({"steps": 8, "p": True}, "p must be an integer, got True")):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            integrate(gbm(), "milstein", seed=0, **kwargs)
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
@@ -213,6 +220,16 @@ def test_convergence_study_validation():
         convergence_study(gbm(), "milstein", [16, 32, 64, 128], n_paths=0, seed=0)
     with pytest.raises(ArgumentError):
         convergence_study(gbm(), "milstein", [16, 32, 64, 128], n_paths=4, seed=0, p=-1)
+    # a level of 2.5 is refused, not truncated to 2
+    for ladder, kwargs, message in (
+        ((1, 2, 4, 8), {"n_paths": 2.0}, "n_paths must be an integer, got 2.0"),
+        ((1, 2, 4, 8), {"n_paths": True}, "n_paths must be an integer, got True"),
+        ((1, 2, 4, 8), {"n_paths": 2, "p": 3.0}, "p must be an integer, got 3.0"),
+        ((1, 2, 4, 8), {"n_paths": 2, "p": True}, "p must be an integer, got True"),
+        ((1, 2, 2.5, 8), {"n_paths": 2}, "level must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            convergence_study(gbm(), "euler", ladder, seed=0, **kwargs)
 
 
 def test_integrate_frozen_values():
@@ -352,15 +369,15 @@ def test_ito_areas_shift_the_diagonal_only():
 
 
 def test_euler_builds_no_areas(monkeypatch):
-    # Euler reads only [h, dW], so neither its study nor integrate calls the
-    # closed form I00
+    # Euler reads only [h, dW], so neither its study nor integrate takes the
+    # band difference of the closed form I00
     want_study = convergence_study(two_noise(), "euler", (2, 4, 8, 16), 3, seed=1)
     want_path = integrate(two_noise(), "euler", 40, seed=1)
 
     def refuse(*args):
         raise AssertionError("Euler built a Levy area")
 
-    monkeypatch.setattr(sde_demo, "_i00", refuse)
+    monkeypatch.setattr(sde_demo, "_i00_band", refuse)
     got = convergence_study(two_noise(), "euler", (2, 4, 8, 16), 3, seed=1)
     assert got.rms.tobytes() == want_study.rms.tobytes()
     assert integrate(two_noise(), "euler", 40, seed=1).tobytes() == want_path.tobytes()
@@ -434,3 +451,110 @@ def test_two_noise_matrices_equal_einsums(lead):
             got = getattr(prob, name)(x)
             assert got.shape == want(x).shape
             assert got.tobytes() == want(x).tobytes(), name
+
+
+def three_noise():
+    """3-d linear system with three non-commuting noises, so every pair i < j
+    of components, (1,3) and (2,3) among them, has its own band."""
+    a = -0.1 * np.eye(3)
+    b = 0.3 * np.random.default_rng(3).standard_normal((3, 3, 3))
+    # packed as two_noise's: drift a x, diffusion column i b[i] x, and
+    # gdg[d, i, j] = sum_c b[j, d, c] b[i, c, e] x_e
+    packed = np.concatenate([
+        a.T[:, :, None],
+        np.einsum("ide->edi", b),
+        np.einsum("jdc,ice->edij", b, b).reshape(3, 3, 9),
+    ], axis=2).reshape(3, 39)
+    return SdeProblem(dim=3, m=3,
+                      coefficients=lambda x: (x @ packed).reshape(x.shape[:-1] + (3, 13)),
+                      x0=np.array([1.0, 0.5, -0.5]), t_end=1.0)
+
+
+def _reference_increments(prob, scheme, rows, n_ref, seed, p):
+    """_increments as it was first written: every normal converted by
+    normal_stream, J the sampler._i00 grid over all (i, j), h/2 off its
+    diagonal."""
+    m = prob.m
+    zs = _draws(prob, rows, n_ref, seed, p).transpose(2, 0, 1, 3)
+    hs = np.diff(prob.t_end * (np.arange(n_ref + 1) / n_ref))
+    cols = [np.broadcast_to(hs[:, None, None], (n_ref, len(rows), 1)),
+            np.sqrt(hs)[:, None, None] * zs[..., 0]]
+    if scheme == "milstein":
+        ito = sampler._i00(zs[:, :, :, None], zs[:, :, None], hs[:, None, None, None], p)
+        ito = ito.reshape(n_ref, len(rows), m * m)
+        ito[..., :: m + 1] -= 0.5 * hs[:, None, None]
+        cols.append(ito)
+    return np.concatenate(cols, axis=2)[..., None]
+
+
+def _reference_rms(prob, scheme, levels, n_paths, seed, p):
+    """convergence_study's rms, for one block of paths, from _reference_increments."""
+    n_ref = 16 * levels[-1]
+    v = _reference_increments(prob, scheme, range(n_paths), n_ref, seed, p)
+    x_ref = _run_level(prob, v)
+    sq_err = np.zeros(len(levels))
+    for li, n in enumerate(levels):
+        h = np.diff(prob.t_end * (np.arange(n + 1) / n))
+        sq_err[li] += float(np.sum((_run_level(prob, _coarsen(v, n_ref // n, h, prob.m))
+                                    - x_ref) ** 2))
+    return np.sqrt(sq_err / n_paths)
+
+
+@pytest.mark.parametrize("make", [gbm, two_noise, three_noise])
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+def test_increments_are_those_of_full_draws_and_the_i00_grid(make, scheme):
+    # converting only the normals a scheme reads, the diagonal without bands
+    # and one band per pair change no bit of the increments or the study
+    for p in (0, 1, 10):
+        for rows, n_ref, seed in ((range(1), 1, 0), (range(2, 5), 7, 11), (range(6), 64, 4)):
+            got = _increments(make(), scheme, rows, n_ref, seed, p)
+            want = _reference_increments(make(), scheme, rows, n_ref, seed, p)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        levels, n_paths = (1, 2, 4, 8), 5
+        got = convergence_study(make(), scheme, levels, n_paths, seed=6, p=p).rms
+        assert got.tobytes() == _reference_rms(make(), scheme, levels, n_paths, 6, p).tobytes()
+
+
+@pytest.mark.parametrize("make, scheme, full", [
+    (gbm, "euler", False), (two_noise, "euler", False),
+    (gbm, "milstein", False), (two_noise, "milstein", True),
+])
+def test_studies_convert_only_the_normals_their_scheme_reads(monkeypatch, make, scheme, full):
+    # zeta_0 alone for Euler and one-noise Milstein, every zeta for the
+    # bands of two-noise Milstein
+    converted = []
+    normals = rng._normals
+
+    def counting(words):
+        converted.append(words.size)
+        return normals(words)
+
+    # wrapped wherever the draws look it up
+    monkeypatch.setattr(rng, "_normals", counting)
+    monkeypatch.setattr(sde_demo, "_normals", counting, raising=False)
+    n_paths, levels, p, m = 3, (1, 2, 4, 8), 4, make().m
+    convergence_study(make(), scheme, levels, n_paths, seed=2, p=p)
+    n_ref = 16 * levels[-1]
+    assert sum(converted) == n_paths * m * n_ref * (p + 1 if full else 1)
+
+
+@pytest.mark.parametrize("make, scheme", [(gbm, "euler"), (gbm, "milstein"),
+                                          (two_noise, "milstein")])
+def test_increments_peak_within_their_estimate(monkeypatch, make, scheme):
+    estimates, check_bytes = [], sde_demo.check_bytes
+
+    def record(need, what):
+        estimates.append(need)
+        return check_bytes(need, what)
+
+    monkeypatch.setattr(sde_demo, "check_bytes", record)
+    for rows, n_ref, p in ((range(4), 256, 10), (range(50), 64, 10), (range(2), 32, 200)):
+        _increments(make(), scheme, rows, n_ref, 3, p)  # scipy and the generator set up
+        tracemalloc.start()
+        try:
+            _increments(make(), scheme, rows, n_ref, 3, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[-1], (rows, n_ref, p)
