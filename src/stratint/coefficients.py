@@ -16,10 +16,15 @@ from .basis import (
     MAX_LEGENDRE_ORDER,
     BasisKind,
     Interval,
+    _base_gauss,
     _integration_matrix,
+    _legendre_rows,
     gauss_rule,
-    phi_matrix,
 )
+# phi_matrix is unused here but stays a module attribute, where
+# perfbench/tracer.py wraps it: it reads each traced name from the module's
+# own namespace.
+from .basis import phi_matrix  # noqa: F401
 from .errors import (
     ArgumentError,
     CacheFormatError,
@@ -43,7 +48,9 @@ MAX_MULTIPLICITY = 4
 MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
-_CACHE_VERSION = 3  # 3: trigonometric tensors come from the closed form
+# 3: trigonometric tensors come from the closed form; 4: Legendre tensors
+# come from the fewest exact nodes and an interval-free table of P_j
+_CACHE_VERSION = 4
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
 
 
@@ -100,9 +107,44 @@ def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> Non
 
 
 def _nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
-    """Gauss node count N for _tensor: inner integrands have degree < N, where the
-    integration matrix is exact, the last one degree <= 2N - 1, where the rule is."""
-    return sum(orders) + sum(w.degree for w in spec.weights) + spec.k
+    """The fewest Gauss nodes N at which _tensor is exact, up to rounding:
+    N = ceil(sum_m b_m / 2), where psi_m phi_{j_m} has at most b_m = o_m + d_m + 1
+    coefficients, d_m the degree of the weight.
+
+    Take the pivot level s where b_1 + ... + b_s first reaches sum_m b_m / 2.
+    Levels m < s are exact: their integrands have degree < b_1 + ... + b_m < N,
+    where the integration matrix is exact. The others are exact from the rule
+    inward. For m > s the rule sums g F_{m-1} at the nodes, g with
+    b_m + ... + b_k <= N coefficients (first g = psi_k phi_{j_k}), and the
+    F_{m-1} the matrix gives has degree <= N. So the sum is int g F_{m-1}; by
+    parts, int G h_{m-1}, G = int_x^1 g of degree <= N and h_{m-1} the
+    integrand of level m - 1; and that is the rule's sum of G h_{m-1}, as the
+    matrix integrates the interpolant of h_{m-1}, of degree < N, which has its
+    values at the nodes. That is the same sum one level in, with
+    g = G psi_{m-1} phi_{j_{m-1}}. At the pivot the rule sums g F_{s-1}, both
+    exact, of degree sum_m b_m - 1 <= 2N - 1.
+    """
+    return -(-(sum(orders) + sum(w.degree for w in spec.weights) + spec.k) // 2)
+
+
+# Tables larger than this are rebuilt on every call rather than kept; each
+# cache below keeps at most 16 of them.
+_KEPT_BYTES = 2**22
+
+
+def _kept(cached, nbytes: int):
+    """The lru-cached function `cached` when its result of nbytes may be kept,
+    the function itself otherwise."""
+    return cached if nbytes <= _KEPT_BYTES else cached.__wrapped__
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_table(top: int, n: int) -> np.ndarray:
+    """sqrt(2j + 1) P_j at the n Gauss nodes on [-1, 1] for j <= top, shape (top + 1, n):
+    phi_j on [0, L] at the mapped nodes, times sqrt(L)."""
+    rows = _legendre_rows(top, _base_gauss(n)[0])
+    rows *= np.sqrt(2.0 * np.arange(top + 1) + 1.0)[:, None]
+    return _read_only(rows)
 
 
 def _tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> np.ndarray:
@@ -112,24 +154,46 @@ def _tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> 
     shape (o_1 + 1, ..., o_l + 1, n); each level is one product with the spectral
     integration matrix, the outermost level is the rule itself. C depends on [t, T]
     only through T - t; nodes on [0, T - t] keep rounding of order eps * |t| out.
+    phi_j comes from _legendre_table, which holds no interval: the factors
+    1 / sqrt(L), and L / 2 of the matrix or the rule's weights, go on psi.
     """
-    iv = Interval(0.0, iv.length())
-    rule = gauss_rule(n, iv)
+    length = iv.length()
+    rule = gauss_rule(n, Interval(0.0, length))
+    top = max(orders)
+    table = _kept(_legendre_table, 8 * (top + 1) * n)(top, n)
 
-    def level_rows(level: int) -> np.ndarray:
-        """psi_level * phi_j at the nodes for every j of that level, shape (o + 1, n)."""
-        psi = spec.weights[level].value(rule.nodes, 0.0)
-        return psi * phi_matrix(BasisKind.LEGENDRE, orders[level], rule.nodes, iv)
+    def level_rows(level: int, factor: float | np.ndarray) -> np.ndarray:
+        """psi_level * phi_j * factor at the nodes for every j of that level, shape (o + 1, n)."""
+        psi = spec.weights[level].value(rule.nodes, 0.0) * (factor / math.sqrt(length))
+        return psi * table[: orders[level] + 1]
 
     f = np.ones(n)
-    for level in range(spec.k - 1):  # inside the loop: k = 1 needs no integration matrix
-        to_nodes = 0.5 * iv.length() * _integration_matrix(n).T
-        f = (f[..., None, :] * level_rows(level)) @ to_nodes
-    return f @ (level_rows(spec.k - 1) * rule.weights).T
+    if spec.k > 1:  # k = 1 needs no integration matrix
+        to_nodes = _integration_matrix(n).T
+    for level in range(spec.k - 1):
+        f = (f[..., None, :] * level_rows(level, 0.5 * length)) @ to_nodes
+    return f @ level_rows(spec.k - 1, rule.weights).T
 
 
-def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
-    """Mask of the Legendre coefficients that vanish by degree and parity alone.
+def _legendre_bytes(spec: WeightSpec, orders: tuple[int, ...], n: int) -> int:
+    """Peak bytes that a Legendre build holds at once, caches cold, from its shapes."""
+    prefix, work = 1, 0
+    for o in orders[:-1]:  # f, the psi phi rows, their product and the next f
+        work = max(work, (prefix + o + 1 + 2 * prefix * (o + 1)) * n)
+        prefix *= o + 1
+    result = prefix * (orders[-1] + 1)
+    outer = (prefix + orders[-1] + 1) * n + result
+    matrix = n * n if spec.k > 1 else 0  # held through the levels, made in 5x that
+    table = (max(orders) + 1) * n
+    # the zero mask, up to three booleans an entry, and the finite check come
+    # after f is freed: n >= (o_k + 1) / 2 puts them below the outer level
+    return 2**20 + 8 * (table + max(5 * matrix, matrix + work, matrix + outer))
+
+
+@functools.lru_cache(maxsize=16)
+def _structural_zeros(degrees: tuple[int, ...], orders: tuple[int, ...]) -> np.ndarray:
+    """Read-only mask of the Legendre coefficients that vanish by degree and parity
+    alone, for weights of these degrees.
 
     Each nested integral in z on [-1, 1] is tracked by the span lo..hi of its
     Legendre series and its parity (0 even, 1 odd, 2 mixed). P_j P_m spans
@@ -139,17 +203,22 @@ def _structural_zeros(spec: WeightSpec, orders: tuple[int, ...]) -> np.ndarray:
     integral keeps only the P_0 entry: zero when lo > 0 or the parity is odd.
     """
     lo = hi = par = np.zeros((), dtype=np.int64)
-    for level, (w, o) in enumerate(zip(spec.weights, orders)):
+    for d, o in zip(degrees[:-1], orders[:-1]):
         j = np.arange(o + 1)
         lo, hi, par = lo[..., None], hi[..., None], par[..., None]
         lo, hi = np.maximum(np.maximum(lo - j, j - hi), 0), hi + j
         par = np.where(par == 2, 2, (par + j) % 2)
-        if w.degree:
-            lo, hi, par = np.maximum(lo - w.degree, 0), hi + w.degree, np.full_like(par, 2)
-        if level < spec.k - 1:
-            par = np.where((par == 2) | ((lo == 0) & (par == 0)), 2, 1 - par)
-            lo, hi = np.maximum(lo - 1, 0), hi + 1
-    return (lo > 0) | (par == 1)
+        if d:
+            lo, hi, par = np.maximum(lo - d, 0), hi + d, np.full_like(par, 2)
+        par = np.where((par == 2) | ((lo == 0) & (par == 0)), 2, 1 - par)
+        lo, hi = np.maximum(lo - 1, 0), hi + 1
+    # the outer level, as booleans only: P_j times the span, widened by d, misses
+    # P_0 when lo - d > j or hi + d < j; with d = 0 it is odd when par + j is
+    d, j = degrees[-1], np.arange(orders[-1] + 1)
+    zero = np.greater.outer(lo - d, j) | np.less.outer(hi + d, j)
+    if not d:
+        zero |= np.equal.outer(par, (j + 1) % 2)
+    return _read_only(zero)
 
 
 @functools.lru_cache(maxsize=16)
@@ -254,14 +323,14 @@ def compute_tensor(
     orders = tuple(int(o) for o in orders)
     _validate(kind, spec, orders)
     n = _nodes(spec, orders)
-    # Legendre: the deepest level's two work arrays, the result (no larger), the N x N matrices
-    need = (8 * (3 * math.prod(o + 1 for o in orders[:-1]) * n + n * n)
-            if kind is BasisKind.LEGENDRE else _trig_bytes(spec, orders))
+    need = (_legendre_bytes(spec, orders, n) if kind is BasisKind.LEGENDRE
+            else _trig_bytes(spec, orders))
     check_bytes(need, f"orders {orders}")
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned of
         if kind is BasisKind.LEGENDRE:
             data = _tensor(spec, iv, orders, n)
-            data[_structural_zeros(spec, orders)] = 0.0
+            degrees = tuple(w.degree for w in spec.weights)
+            data[_kept(_structural_zeros, data.size)(degrees, orders)] = 0.0
         else:
             data = _trig_tensor(spec, iv.length(), orders)
     if not np.isfinite(data).all():

@@ -212,6 +212,56 @@ def trig_exact_value(exps, js, L):
     return scale * math.fsum(float(c) * math.pi ** -power for power, c in poly.items())
 
 
+# Exact Legendre coefficients. On x = u / L in [0, 1], phi_j = sqrt((2j + 1) / L)
+# P_j(2x - 1) and the weight (t - s)^e = (-L x)^e, so every nested integral is a
+# polynomial in x with rational coefficients, held as a tuple of Fractions
+# (coefficients of 1, x, x^2, ...).
+
+@functools.lru_cache(maxsize=None)
+def _shifted_legendre(j):
+    """P_j(2x - 1) as integer coefficients of 1, x, ..., x^j."""
+    return tuple((-1) ** (j + m) * math.comb(j, m) * math.comb(j + m, m) for m in range(j + 1))
+
+
+def _times_legendre(poly, j):
+    out = [Fraction(0)] * (len(poly) + j)
+    for a, c in enumerate(poly):
+        if c:
+            for b, q in enumerate(_shifted_legendre(j)):
+                out[a + b] += c * q
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_nested(exps, js):
+    """F(x) = int_0^x y^e P_j(2y - 1) F'(y) dy for the last level of js, F' the
+    level inside it (1 when there is none), innermost first."""
+    if not js:
+        return (Fraction(1),)
+    e = exps[-1]
+    g = _times_legendre(_legendre_nested(exps[:-1], js[:-1]), js[-1])
+    return (Fraction(0),) * (e + 1) + tuple(c / (e + 1 + m) for m, c in enumerate(g))
+
+
+@functools.lru_cache(maxsize=None)
+def legendre_exact(exps, js):
+    """The Legendre coefficient for weights (t - s)^exps at js, innermost first,
+    without its factor (-1)^(sum exps) L^(sum exps + k/2) prod_l sqrt(2 j_l + 1):
+    F_k(1), the outermost nested integral on [0, 1], as a Fraction, zero iff the
+    coefficient is 0."""
+    exps, js = tuple(exps), tuple(js)
+    e = exps[-1]
+    g = _times_legendre(_legendre_nested(exps[:-1], js[:-1]), js[-1])
+    return sum((c / (e + 1 + m) for m, c in enumerate(g) if c), Fraction(0))
+
+
+def legendre_exact_value(exps, js, L):
+    """legendre_exact as a float on an interval of length L, factors restored:
+    C = (-1)^(sum exps) L^(sum exps + k/2) prod_l sqrt(2 j_l + 1) F_k(1)."""
+    scale = (-1) ** sum(exps) * L ** (sum(exps) + len(js) / 2)
+    return scale * math.prod(math.sqrt(2 * j + 1) for j in js) * float(legendre_exact(exps, js))
+
+
 def slow_discretize(exps, indices, mesh, increments):
     """Left-endpoint iterated sum over strictly ordered index tuples.
 

@@ -114,6 +114,35 @@ def test_coeffs_rebuilds_a_version_1_cache(tmp_path):
         assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
 
 
+# The Legendre (1, 0) box of orders 2 on [0, 1] as version 3 stored it, from one
+# phi_matrix per level at 7 Gauss nodes; each value differs from today's 4-node
+# build in its last bits
+_VERSION_3_LEGENDRE = [
+    -0.16666666666666669, -0.14433756729740643, -0.03726779962499644,
+    2.0479023586137547e-17, -0.04999999999999998, -0.06454972243679026,
+    0.07453559924999303, 0.06454972243679032, -0.011904761904761911,
+]
+
+
+def test_coeffs_rebuilds_a_version_3_legendre_cache(tmp_path):
+    # a hit on the old engine's file would print its bytes, not the cold ones
+    kind, spec = stratint.BasisKind.LEGENDRE, stratint.WeightSpec.from_exponents((1, 0))
+    iv, orders = stratint.Interval(0.0, 1.0), (2, 2)
+    cache = os.fspath(tmp_path / "t.stcf")
+    argv = ("coeffs", "--basis", "legendre", "--exps", "1,0", "--orders", "2")
+    fresh = run(*argv).stdout
+    old = np.array(_VERSION_3_LEGENDRE).reshape(3, 3)
+    assert not np.any(old == stratint.compute_tensor(kind, spec, iv, orders).data)
+    stratint.cache_store(cache, stratint.CoeffTensor(kind, spec, iv, orders, old))
+    blob = open(cache, "rb").read()
+    with open(cache, "wb") as fh:
+        fh.write(blob[:4] + struct.pack("<I", 3) + blob[8:])
+    proc = run(*argv, "--cache", cache)
+    assert proc.stdout == fresh and proc.stderr == b""
+    assert struct.unpack_from("<I", open(cache, "rb").read(), 4) == (coefficients._CACHE_VERSION,)
+    assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
+
+
 def test_sample_reproducible_and_thread_invariant():
     args = ("sample", "--spec", "0,0:1,2", "--orders", "8", "--n", "40",
             "--seed", "11")
@@ -289,9 +318,12 @@ def test_overflow_usage_error(command):
 
 
 @pytest.mark.parametrize("n, end, digest", [
-    # SHA-256 of stdout, recorded before overflowing samples were refused
-    (1, "1.6e44", "2a7e1bdf8dc64c0962cf7d1c6cda789ff9bb02fe2d838aef83934b4a973fdc47"),
-    (8, "1.4e44", "37686f9708e6d9b9abc0af5c3d0f25250b8211c540a6ecbd5cdf15d8c8a50856"),
+    # SHA-256 of stdout, recorded before overflowing samples were refused;
+    # re-recorded when Legendre tensors came to be built at half the nodes from
+    # an interval-free P_j table: the samples moved by at most 2.1e-15 of the
+    # largest, and stay finite
+    (1, "1.6e44", "4b5736d4766ba52527a9d48e29d5ac8e19be65480e7d0f15c99c8db534b91a7f"),
+    (8, "1.4e44", "26caacc15b14a51ed2c8ecf53017171cfebb31bd44bdbca24cc194738b7c0c44"),
 ])
 def test_finite_samples_near_overflow_keep_their_bytes(n, end, digest):
     proc = run("sample", "--spec", "3,3:1,2", "--interval", "0", end, "--orders", "2",
@@ -340,15 +372,20 @@ def test_converge_frozen_bytes():
 _SAMPLE3 = ("sample", "--spec", "0:1", "--spec", "0,0:1,2", "--spec", "0,0,0:1,2,1", "--seed", "3")
 # SHA-256 of the whole stdout, recorded when every row went through csv.writer
 # one at a time; the JSON digests also pin the metadata block, version included.
+# Every digest that prints a Legendre tensor or sample was re-recorded when
+# Legendre tensors came to be built at ceil((sum o + sum d + k) / 2) nodes from
+# an interval-free P_j table: coefficients moved in their last bits, by at most
+# 1.8e-15 of the largest entry, samples by at most 1.5e-15 of the largest, and
+# verify-fastpath's printed |diff| values within 1.3e-15.
 FROZEN_STDOUT = {
     "coeffs-legendre-csv": (
         ("coeffs", "--basis", "legendre", "--exps", "1,0,2", "--orders", "16",
          "--interval", "1.25", "2.0", "--seed", "0"),
-        "7c23fc8e1d9fa7fa66cb53e16d04d32cfa74e0283f799a72fbf6f2c200e3e4bf"),
+        "b95c68b2aaa3d2c1221327fc0beaeaf19f2c7b5ea3f1679238bb71a427c24fa1"),
     "coeffs-legendre-json": (
         ("coeffs", "--basis", "legendre", "--exps", "1,0,2", "--orders", "16",
          "--interval", "1.25", "2.0", "--seed", "0", "--format", "json"),
-        "b04114d596a993314703808691c18681b3460a6525e042d68b121194d471c67f"),
+        "0052191bc57dd6c0bb0a9b20d29c84e285983c04124221903ff47d8f750485fd"),
     # re-recorded when compute_tensor came to zero the trigonometric entries
     # that vanish by frequency and degree: 1600 of the 1681 values, rounding
     # noise up to 1.1e-15 of the largest, print as 0. Re-recorded again when
@@ -362,20 +399,20 @@ FROZEN_STDOUT = {
     # through _emit, one "%" per row; the k=4 table spans two row templates
     "coeffs-legendre-o128-csv": (
         ("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "128"),
-        "59266bf5fa82c9c12ed1156fe9dbaf60c6e357e864e87b451a741c80de9402d7"),
+        "c744392396907fd5452a17e5e8df181719c02a4c377ea8b375f55259a0e3348a"),
     "coeffs-legendre-k4-csv": (
         ("coeffs", "--basis", "legendre", "--exps", "1,0,0,2", "--orders", "8",
          "--interval", "0.5", "1.75"),
-        "838ebf536732988beed15ab5dc5156ecd4d65cb5aea8710113a70f4559b0dee0"),
+        "81ad1724ce98e36cf311fb4c64743c4c62ee3d454f4f7880add481958c6e4de0"),
     # the header cells hold commas, so csv quotes them
     "sample-csv": (_SAMPLE3 + ("--n", "200"),
-                   "9b1eb325abea97c2c3cc217d2ab083837384009068c56ddfa977f0e1cead00f8"),
+                   "1aa5a2c6aee3df98c83f5493a9b358e444c1a6000081515e0c4cf7e8c87f179b"),
     "sample-no-rows-csv": (_SAMPLE3 + ("--n", "0"),
                            "7549f1a15336de09f18bb3bbb247c4a04ec220b9c8f61b77fb11cc76898cd9c4"),
     # 600 rows span three table blocks; this digest and verify-fastpath's were
     # recorded when each row was contracted from its own single table
     "sample-three-blocks-csv": (_SAMPLE3 + ("--n", "600", "--threads", "2"),
-                                "2ed273639d7d0f4dbd650e747c82c42dfc6ed11641f7dd48a4c7bbd436cefa5d"),
+                                "91dc216c295b2f107d5bec817b15132b1415871d50976393f1ed6afdd6b507df"),
     # the two sde digests were re-recorded when Milstein moved to the Ito form
     # (tests/test_sde.py::test_ito_form_matches_midpoint_form) and the coarse
     # levels came to be summed over step-major increments: the gbm rms and slope
@@ -405,7 +442,7 @@ FROZEN_STDOUT = {
     # the Stratonovich product rule: I10's |diff| went 5.55e-16 -> 5e-16,
     # I20's 8.33e-16 -> 8.88e-16 and I11's 9.44e-16 -> 8.33e-16
     "verify-fastpath": (("verify", "--suite", "fastpath", "--seed", "5"),
-                        "958c119779d9207b4db4cdaa9fbf194c65f48596af9173c9152334d9457d43c6"),
+                        "b11f5ac75a7b109f7bf916dec7a0f5fdfa8e77ab58e0dfe865cbf458c9ee3b43"),
 }
 
 

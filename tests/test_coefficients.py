@@ -37,11 +37,19 @@ from stratint import (
     phi_matrix,
     sample_truncated,
 )
-from stratint import coefficients
-from stratint.coefficients import _nodes, _structural_zeros, _tensor, _trig_bytes
+from stratint import basis, coefficients
+from stratint.coefficients import (
+    _legendre_bytes,
+    _nodes,
+    _structural_zeros,
+    _tensor,
+    _trig_bytes,
+)
 
 from oracles import (
     collocation_tensor,
+    legendre_exact,
+    legendre_exact_value,
     legendre_k1_golden,
     legendre_k2_banded,
     quad_coeff,
@@ -159,8 +167,21 @@ def test_legendre_node_rule_converged(iv, exps, order):
     got = _tensor(spec, iv, orders, n)
     ref = _tensor(spec, iv, orders, 2 * n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    got[_structural_zeros(spec, orders)] = 0.0
+    got[_structural_zeros(exps, orders)] = 0.0
     assert np.array_equal(compute_tensor(BasisKind.LEGENDRE, spec, iv, orders).data, got)
+
+
+@pytest.mark.parametrize("iv", RULE_INTERVALS)
+@pytest.mark.parametrize("exps,order", RULE_CASES)
+def test_legendre_node_rule_tight(iv, exps, order):
+    # one node fewer than the rule moves the tensor far past rounding (by 3.5e-9
+    # of the largest entry at the least, (3, 3, 3, 3)): the rule is the boundary
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    n = _nodes(spec, orders)
+    short = _tensor(spec, iv, orders, n - 1)
+    ref = _tensor(spec, iv, orders, 2 * n)
+    assert np.max(np.abs(short - ref)) > 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("iv", RULE_INTERVALS)
@@ -175,7 +196,7 @@ def test_structural_zeros_sound(iv, exps, order):
     spec = WeightSpec.from_exponents(exps)
     orders = (order,) * len(exps)
     raw = _tensor(spec, iv, orders, _nodes(spec, orders))
-    zero = _structural_zeros(spec, orders)
+    zero = _structural_zeros(exps, orders)
     assert np.max(np.abs(raw[zero]), initial=0.0) <= 1e-14 * np.max(np.abs(raw))
 
 
@@ -242,12 +263,14 @@ def test_trig_supports_of_the_sample_set():
 
 
 # Every weight exponent in {0, 1, 2} per axis at k <= 2 and p = 8, k = 3 and
-# p = 5, k = 4 and p = 3, then the trigonometric cases of the coeffs benchmark
-_EXACT_GRID = [
+# p = 5, k = 4 and p = 3, then the cases of the coeffs benchmark, trigonometric
+# here and Legendre below at p <= 8 ((0, 0) at p = 8 is in the grid already)
+_EXPONENT_GRID = [
     (exps, p)
     for k, p in ((1, 8), (2, 8), (3, 5), (4, 3))
     for exps in itertools.product(range(3), repeat=k)
-] + [((0, 0), 20), ((0, 0), 40), ((1, 0, 2), 8), ((1, 2, 0, 3), 4)]
+]
+_EXACT_GRID = _EXPONENT_GRID + [((0, 0), 20), ((0, 0), 40), ((1, 0, 2), 8), ((1, 2, 0, 3), 4)]
 # entries on _EXACT_GRID that the exact oracle proves zero but the closed form
 # does not give as 0.0: terms reach them and cancel, in the outer integral or
 # between integration levels (the frequency/degree zero rule the closed form
@@ -279,6 +302,34 @@ def test_trig_structural_zeros_against_exact_oracle():
         err = np.abs(data - exact)[~zero]
         assert np.all(err <= 1e-13 * np.abs(exact[~zero]) + 2e-15 * scale), (exps, p)
     assert misses == _TRIG_MISSES
+
+
+_LEGENDRE_EXACT_GRID = _EXPONENT_GRID + [((1, 0, 2), 8), ((0, 0, 0), 8), ((1, 2, 0, 3), 6)]
+# entries on _LEGENDRE_EXACT_GRID that the exact oracle proves zero but
+# _structural_zeros does not: they hold through cancellations the span and
+# parity rule cannot see, and the engine gives them as rounding noise
+_LEGENDRE_MISSES = 276
+
+
+def test_legendre_against_exact_oracle():
+    iv = Interval(2.5, 3.75)
+    misses = 0
+    for exps, p in _LEGENDRE_EXACT_GRID:
+        orders = (p,) * len(exps)
+        data = compute_tensor(BasisKind.LEGENDRE, WeightSpec.from_exponents(exps), iv, orders).data
+        exact = np.zeros(data.shape)
+        zero = np.zeros(data.shape, dtype=bool)
+        for js in np.ndindex(data.shape):
+            zero[js] = not legendre_exact(exps, js)
+            exact[js] = legendre_exact_value(exps, js, iv.length())
+        rule = _structural_zeros(exps, orders)
+        assert not np.any(rule & ~zero), (exps, p)  # sound: every zero it sets is exact
+        misses += np.count_nonzero(zero & ~rule)
+        # to 1e-13 relative, and 2e-15 of the largest entry, which bounds the
+        # noise of the misses too
+        err = np.abs(data - exact)
+        assert np.all(err <= 1e-13 * np.abs(exact) + 2e-15 * np.max(np.abs(exact))), (exps, p)
+    assert misses == _LEGENDRE_MISSES
 
 
 @pytest.mark.parametrize("iv", RULE_INTERVALS)
@@ -326,6 +377,31 @@ def test_trig_guard_counts_what_is_built(exps, order):
         tracemalloc.stop()
     assert peak <= _trig_bytes(spec, orders) <= 1.5 * peak
     assert kept < 4 * 2**20
+
+
+@pytest.mark.parametrize("exps,order", [((0, 0), 512), ((1, 0, 2), 128), ((0, 0, 0, 0), 40)])
+def test_legendre_guard_counts_what_is_built(exps, order):
+    # the guard's estimate is 1 to 1.5 times the traced peak of a build with
+    # its caches cold, and the caches (the P_j table, the integration matrix
+    # and the zero mask of the one build) keep under 6 MB once the tensor is
+    # dropped: 4.3 MB at (0, 0) o=512
+    spec = WeightSpec.from_exponents(exps)
+    orders = (order,) * len(exps)
+    for cached in (coefficients._legendre_table, coefficients._structural_zeros,
+                   basis._integration_matrix):
+        cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tensor = compute_tensor(BasisKind.LEGENDRE, spec, Interval(0.5, 1.75), orders)
+        peak = tracemalloc.get_traced_memory()[1]
+        del tensor
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _legendre_bytes(spec, orders, _nodes(spec, orders)) <= 1.5 * peak
+    assert kept < 6 * 2**20
 
 
 @pytest.mark.parametrize("kind", list(BasisKind))

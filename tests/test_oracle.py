@@ -679,8 +679,11 @@ def _frozen_moment_cases():
 # vanish by frequency and degree: one trigonometric value of 196 moved, by
 # 1.5e-16 relative. Re-recorded again when trigonometric tensors came to be
 # built in closed form, whose entries moved toward exact: 42 trigonometric
-# values moved, by at most 3.3e-15 relative; the Legendre values are unchanged
-FROZEN_MOMENTS = "7d639fcf1b636033ed6728e0ff16c507ba0da25b19cb0c6e9cc30bb2ccfbe306"
+# values moved, by at most 3.3e-15 relative; the Legendre values are unchanged.
+# Re-recorded again when Legendre tensors came to be built at half the nodes
+# from an interval-free P_j table: 56 of the 196 Legendre values moved, by at
+# most 6.5e-15 relative; the trigonometric values are unchanged
+FROZEN_MOMENTS = "f2d7c936678180cace2ac383fac83879231262fbf89ff6358452af66ee9737f6"
 
 
 def test_truncated_moment_frozen_bytes():

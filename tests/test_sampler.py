@@ -244,12 +244,15 @@ _FROZEN_SPECS = (
 # re-recorded when compute_tensor came to zero the entries that vanish by
 # frequency and degree, which moved the last bits, and again when trigonometric
 # tensors came to be built in closed form, whose entries moved toward exact:
-# rows moved by at most 1.6e-15 of their column's largest value
+# rows moved by at most 1.6e-15 of their column's largest value. The Legendre
+# two were re-recorded when Legendre tensors came to be built at half the nodes
+# from an interval-free P_j table: rows moved by at most 3.4e-15 of their
+# column's largest value
 FROZEN_BATCH = {
     ("legendre", 0.5, 1.75):
-        "2b845c4da888ad4f0421d4697d1d9a948152f1ddc8a16e867ac1acdb7d5f3284",
+        "8646599b836491af463e87f708e231747115a024331fbfb1a1d192142e01f740",
     ("legendre", 2.5, 3.0):
-        "bb600c3949d6e6769fc80e84cbe129409abacf29d70951262ed6766747b7fc90",
+        "ccd616bc3bec3e91d5cd49eb4091b6af01240b73705d2cdad934426f959471f4",
     ("trigonometric", 0.5, 1.75):
         "412d9e92c8a490dc7197b23527c44a8adcca71c23aeb53666197cf75b004e404",
     ("trigonometric", 2.5, 3.0):
@@ -376,9 +379,12 @@ _BENCH_SPECS = {
 # sums 194 terms instead of 815. It was re-recorded again when trigonometric
 # tensors came to be built in closed form: entries moved toward exact (I00's
 # largest error against its printed expansion went 2.4e-18 -> 2.2e-19), rows
-# by at most 1.7e-15 of their column's largest value, on the same 194 terms
+# by at most 1.7e-15 of their column's largest value, on the same 194 terms.
+# The Legendre digest was re-recorded when Legendre tensors came to be built at
+# half the nodes from an interval-free P_j table: rows moved by at most 1.8e-15
+# of their column's largest value
 FROZEN_BENCH_ROWS = {
-    BasisKind.LEGENDRE: "a0c42adb558b2f23716ed5e0a8d65160c3a4d896254b5a998f2e39194d626c13",
+    BasisKind.LEGENDRE: "21ea028702724eb8241ac59768386fac4153eaf768442b4a8c70a01139ced102",
     BasisKind.TRIGONOMETRIC: "0584218e30958dd870ec04f8c0b73e75681f8bc4e6c59b27ffcf2a542767053a",
 }
 
