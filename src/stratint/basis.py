@@ -161,19 +161,26 @@ def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
-# an entry holds n * n doubles; only Legendre tensors use it, at one n per build
+# an entry holds n * n doubles; only Legendre tensors use it, at one n per
+# build, through coefficients._kept
 @functools.lru_cache(maxsize=16)
 def _integration_matrix(n: int) -> np.ndarray:
     """S with (S @ f)[i] = int_{-1}^{x_i} f for f sampled at the n Gauss nodes x on [-1, 1].
 
     Values go to Legendre coefficients c_m = (2m + 1)/2 sum_i w_i P_m(x_i) f_i,
     then int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), with P_{-1} := -P_0 so
-    that m = 0 gives x + 1. Exact for polynomials of degree < n.
+    that m = 0 gives x + 1. Exact for polynomials of degree < n. At most three
+    n x n arrays are live: the rows of P_m, the weighted rows and S.
     """
     x, w = _base_gauss(n)
     rows = _legendre_rows(n, x)
-    below = np.vstack([-rows[:1], rows[: n - 1]])
-    s = 0.5 * (rows[1:] - below).T @ (rows[:n] * w)
+    weighted = rows[:n] * w
+    # rows 1..n become P_{m+1} - P_{m-1}, halved: numpy reads an overlapping
+    # input as it was before the write, and 0.5 scales exactly
+    rows[2:] -= rows[: n - 1]
+    rows[1] += rows[0]
+    rows[1:] *= 0.5
+    s = rows[1:].T @ weighted
     s.setflags(write=False)
     return s
 

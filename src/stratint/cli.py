@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,14 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisKind, Interval, gauss_rule, phi_matrix
-from .coefficients import CoeffTensor, cache_load, cache_store, check_bytes, compute_tensor
+from .coefficients import (
+    CoeffTensor,
+    _read_only,
+    cache_load,
+    cache_store,
+    check_bytes,
+    compute_tensor,
+)
 from .errors import ArgumentError, CacheFormatError, CapabilityError, DomainError, StaleCacheError
 from .kernel import WeightSpec
 from .oracle import enumerate_pair_partitions, truncated_moment
@@ -138,9 +146,48 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray])
             fh.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
-def _prefixed(text: str, prefix: str) -> str:
-    """text, whose lines all end in "\\n", with prefix put before each line."""
-    return prefix + text[:-1].replace("\n", "\n" + prefix) + "\n"
+# The lines of at most this many inner boxes of a coeffs CSV are kept, each
+# only when _lines_bytes puts it at most _LINES_KEPT_BYTES, so 16 MiB in all.
+# Measured: 4096 lines take 0.55-0.60 MB, kept; the 8193 lines of a last axis
+# twice a block long take 1.10 MB, and are made anew on each call
+_LINES_CACHE_SIZE = 16
+_LINES_KEPT_BYTES = 2**20
+
+
+def _lines_bytes(shape: tuple[int, ...]) -> int:
+    """The bytes that _box_lines(shape) holds, at most: two arrays, and two str
+    objects a line, with their pointers, each of the index text and at most
+    seven characters."""
+    width = sum(len(str(n - 1)) + 1 for n in shape) + len("%.17g\r\n")
+    return 2 * (128 + math.prod(shape) * (8 + 64 + width))
+
+
+@functools.lru_cache(maxsize=_LINES_CACHE_SIZE)
+def _box_lines(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV lines of a box of this shape, in C order, as two object arrays of
+    str: each line's index text "j_1,...,j_m," then "%.17g\\r\\n", and then "0\\r\\n"."""
+    index = [""]
+    for n in shape:
+        index = [f"{i}{j}," for i in index for j in range(n)]
+    index = np.array(index, dtype=object)
+    return _read_only(index + "%.17g\r\n"), _read_only(index + "0\r\n")
+
+
+def _block_lines(blocks: np.ndarray, formats: np.ndarray,
+                 zeros: np.ndarray) -> Iterator[tuple[list[str], tuple[float, ...]]]:
+    """Each row of blocks as its lines and the values they format.
+
+    A +0.0 entry's line reads "0", as "%.17g" prints it, and takes no value;
+    any other entry's line, -0.0, nan and inf included, holds "%.17g" and
+    takes the entry.
+    """
+    formatted = (blocks != 0) | np.signbit(blocks)
+    values = blocks[formatted].tolist()
+    ends = np.cumsum(np.count_nonzero(formatted, axis=1)).tolist()
+    start = 0
+    for lines, end in zip(np.where(formatted, formats, zeros).tolist(), ends):
+        yield lines, tuple(values[start:end])
+        start = end
 
 
 def _write_box(fh: TextIO, data: np.ndarray) -> None:
@@ -148,21 +195,24 @@ def _write_box(fh: TextIO, data: np.ndarray) -> None:
 
     The lines are those _emit writes for the index columns and the values. The
     innermost axes whose box holds at most _EMIT_BLOCK entries (the last axis
-    at least) give a row template, their index text with one "%.17g" per
-    entry, built once; each block of entries is that template, behind the
-    indices of the outer axes, % the block's values.
+    at least) make the inner box, whose lines _box_lines gives. Each block of
+    entries, one inner box, is one write: its lines from _block_lines, each
+    behind the indices of the outer axes, % its values other than +0.0.
     """
     shape = data.shape
     inner = 1
     while inner < len(shape) and math.prod(shape[-inner - 1:]) <= _EMIT_BLOCK:
         inner += 1
-    template = "%.17g\r\n"
-    for n in reversed(shape[-inner:]):
-        template = "".join([_prefixed(template, f"{j},") for j in range(n)])
-    blocks = data.reshape(-1, math.prod(shape[-inner:]))
-    for outer, block in zip(np.ndindex(shape[:-inner]), blocks):
+    box = shape[-inner:]
+    lines = _box_lines if _lines_bytes(box) <= _LINES_KEPT_BYTES else _box_lines.__wrapped__
+    formats, zeros = lines(box)
+    blocks = data.reshape(-1, math.prod(box))
+    step = max(1, _EMIT_BLOCK // blocks.shape[1])  # blocks sorted into lines at once
+    rows = itertools.chain.from_iterable(_block_lines(blocks[lo:lo + step], formats, zeros)
+                                         for lo in range(0, len(blocks), step))
+    for outer, (text, values) in zip(np.ndindex(shape[:-inner]), rows):
         prefix = "".join([f"{i}," for i in outer])
-        fh.write(_prefixed(template, prefix) % tuple(block.tolist()))
+        fh.write((prefix + prefix.join(text)) % values)
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:

@@ -169,7 +169,7 @@ def _tensor(spec: WeightSpec, iv: Interval, orders: tuple[int, ...], n: int) -> 
 
     f = np.ones(n)
     if spec.k > 1:  # k = 1 needs no integration matrix
-        to_nodes = _integration_matrix(n).T
+        to_nodes = _kept(_integration_matrix, 8 * n * n)(n).T
     for level in range(spec.k - 1):
         f = (f[..., None, :] * level_rows(level, 0.5 * length)) @ to_nodes
     return f @ level_rows(spec.k - 1, rule.weights).T
@@ -183,11 +183,11 @@ def _legendre_bytes(spec: WeightSpec, orders: tuple[int, ...], n: int) -> int:
         prefix *= o + 1
     result = prefix * (orders[-1] + 1)
     outer = (prefix + orders[-1] + 1) * n + result
-    matrix = n * n if spec.k > 1 else 0  # held through the levels, made in 5x that
+    matrix = n * n if spec.k > 1 else 0  # held through the levels, made in 3x that
     table = (max(orders) + 1) * n
     # the zero mask, up to three booleans an entry, and the finite check come
     # after f is freed: n >= (o_k + 1) / 2 puts them below the outer level
-    return 2**20 + 8 * (table + max(5 * matrix, matrix + work, matrix + outer))
+    return 2**20 + 8 * (table + max(3 * matrix, matrix + work, matrix + outer))
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,6 +1,7 @@
 """Basis functions, intervals, and Gauss rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from stratint import (
     CapabilityError,
     DomainError,
     Interval,
+    WeightSpec,
     basis_integrals,
+    compute_tensor,
     eval_phi,
     gauss_rule,
     phi_matrix,
 )
+from stratint import coefficients
 from stratint.basis import _base_gauss, _integration_matrix, _legendre_rows
 
 from oracles import phi_independent
@@ -172,6 +176,33 @@ def test_integration_matrix_cache_is_bounded():
         assert _integration_matrix.cache_info().currsize <= bound
     assert _integration_matrix(3).tobytes() == first
     assert first == _integration_matrix.__wrapped__(3).tobytes()
+
+
+def test_integration_matrix_holds_three_squares():
+    # the differences and the halving are made in place: a cold build at
+    # n = 1024 peaked at five n x n arrays, and now holds three, the rows of
+    # P_m, the weighted rows and the matrix
+    n = 1024
+    _base_gauss(n)
+    tracemalloc.start()
+    try:
+        _integration_matrix.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.01 * 8 * n * n
+
+
+def test_integration_matrix_kept_only_when_small(monkeypatch):
+    # a Legendre build keeps the matrix through coefficients._kept: one over
+    # its byte bound is built for the call and dropped
+    spec, iv = WeightSpec.from_exponents((0, 0)), Interval(0.0, 1.0)
+    n = 21  # the nodes of a (0, 0) build at order 20
+    for bound, kept in ((8 * n * n, 1), (8 * n * n - 1, 0)):
+        monkeypatch.setattr(coefficients, "_KEPT_BYTES", bound)
+        _integration_matrix.cache_clear()
+        compute_tensor(BasisKind.LEGENDRE, spec, iv, (20, 20))
+        assert _integration_matrix.cache_info().currsize == kept
 
 
 @given(

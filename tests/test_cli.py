@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratint
 from stratint import cli, coefficients
@@ -501,6 +503,8 @@ def _rowwise_coeffs(data):
     ("legendre", "0,0", "64"),  # one past: a template of one row of the last axis
     ("trigonometric", "1", str(cli._EMIT_BLOCK + 7)),  # one axis longer than a block
     ("trigonometric", "0,0,0", "3,17,2"),
+    # mostly +0.0: 16384 of 16641, 5829 of 9261 and 1600 of 1681 entries
+    ("legendre", "0,0", "128"), ("legendre", "0,0,0", "20"), ("trigonometric", "0,0", "40"),
 ])
 def test_coeffs_csv_matches_rowwise_writer(tmp_path, basis, exps, orders):
     out = tmp_path / "coeffs.csv"
@@ -524,10 +528,88 @@ def test_write_box_matches_rowwise_writer(monkeypatch, shape, block):
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 0.1]
     data.flat[:len(special)] = special[:data.size]
     data.flat[-1] = special[-4 % len(special)]
+    # +0.0 prints as "0" without "%.17g": boxes of +0.0 alone, of -0.0 alone,
+    # with a single nonzero, with one -0.0 among +0.0, and with nan and inf
+    mid = data.size // 2
+    zeros = np.zeros(shape)
+    one, negative, nonfinite = zeros.copy(), zeros.copy(), zeros.copy()
+    one.flat[mid] = 0.1
+    negative.flat[mid] = -0.0
+    nonfinite.flat[[0, mid, -1]] = [np.nan, -np.inf, np.inf]
+    for box in (data, zeros, -zeros, one, negative, nonfinite):
+        assert _write_box_text(box) == _rowwise_coeffs(box)
+
+
+def _write_box_text(data):
+    """The coeffs CSV of a tensor's data as the CLI writes it."""
     fh = io.StringIO(newline="")
-    csv.writer(fh).writerow([f"j_{l + 1}" for l in range(len(shape))] + ["value"])
+    csv.writer(fh).writerow([f"j_{l + 1}" for l in range(data.ndim)] + ["value"])
     cli._write_box(fh, data)
-    assert fh.getvalue().encode() == _rowwise_coeffs(data)
+    return fh.getvalue().encode()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+       block=st.integers(1, 400), positive=st.floats(0.0, 1.0), negative=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_box_matches_rowwise_writer_on_zeros(shape, block, positive, negative, seed):
+    # any mix of +0.0, -0.0 and other values, in blocks of any size
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    u = rng.uniform(size=shape)
+    data[u < positive] = 0.0
+    data[(u >= positive) & (u < positive + negative)] = -0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_EMIT_BLOCK", block)
+        assert _write_box_text(data) == _rowwise_coeffs(data)
+
+
+@pytest.mark.parametrize("basis, exps, orders", [
+    ("legendre", (0, 0), 128), ("legendre", (0, 0, 0), 20), ("trigonometric", (0, 0), 40),
+])
+def test_write_box_formats_no_plus_zero(basis, exps, orders):
+    # +0.0 entries never reach "%": the lines of each block hold one "%.17g"
+    # for each value passed, and those are its entries other than +0.0
+    data = stratint.compute_tensor(stratint.BasisKind(basis), stratint.WeightSpec.from_exponents(
+        exps), stratint.Interval(0.25, 1.5), (orders,) * len(exps)).data
+    plus_zero = (data == 0) & ~np.signbit(data)
+    assert plus_zero.mean() > 0.6
+    blocks = data.reshape(-1, data.shape[-1])
+    formats, zeros = cli._box_lines(data.shape[-1:])
+    rows = list(cli._block_lines(blocks, formats, zeros))
+    assert len(rows) == len(blocks)
+    for (lines, values), block, skip in zip(rows, blocks, plus_zero.reshape(blocks.shape)):
+        assert values == tuple(block[~skip].tolist())
+        assert [line.endswith(",0\r\n") for line in lines] == skip.tolist()
+        assert "".join(lines).count("%") == len(values)
+
+
+def _lines_held(shape):
+    """The bytes that the two arrays of _box_lines(shape) and their str hold."""
+    return sum(sys.getsizeof(a) + sum(map(sys.getsizeof, a)) for a in cli._box_lines(shape))
+
+
+def test_box_lines_cache_bound_by_bytes(monkeypatch):
+    # the lines of at most _LINES_CACHE_SIZE inner boxes are kept, each of at
+    # most _LINES_KEPT_BYTES; a box of 4096 lines is kept whatever its axes,
+    # and the 8193 lines of a trigonometric k = 1 table at 2 * _EMIT_BLOCK are not
+    cli._box_lines.cache_clear()
+    shapes = [(n,) for n in range(1, cli._LINES_CACHE_SIZE + 9)]
+    shapes += [(4096,), (1, 4096), (1, 1, 1, 4096), (64, 64), (8, 8, 8, 8)]
+    for shape in shapes:
+        cli._write_box(io.StringIO(newline=""), np.zeros(shape))
+        assert cli._box_lines.cache_info().currsize <= cli._LINES_CACHE_SIZE
+    for shape in shapes:
+        held = _lines_held(shape)
+        assert held <= cli._lines_bytes(shape) <= cli._LINES_KEPT_BYTES
+        assert cli._lines_bytes(shape) <= 1.4 * held
+    cli._box_lines.cache_clear()
+    fh = io.StringIO(newline="")
+    monkeypatch.setattr(cli, "_output", lambda args: contextlib.nullcontext(fh))
+    orders = str(2 * cli._EMIT_BLOCK)
+    assert cli.main(["coeffs", "--basis", "trigonometric", "--exps", "1", "--orders", orders]) == 0
+    assert cli._lines_bytes((2 * cli._EMIT_BLOCK + 1,)) > cli._LINES_KEPT_BYTES
+    assert cli._box_lines.cache_info().currsize == 0
 
 
 class _Writes(io.StringIO):
