@@ -11,14 +11,16 @@ import json
 import math
 import os
 import sys
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
 from . import __version__
 from .basis import BasisKind, Interval, gauss_rule, phi_matrix
 from .coefficients import (
+    _TEXT_CHUNK,
     CoeffTensor,
+    _open_text,
     _read_only,
     cache_load,
     cache_store,
@@ -215,7 +217,43 @@ def _write_box(fh: TextIO, data: np.ndarray) -> None:
         fh.write((prefix + prefix.join(text)) % values)
 
 
+def _write_csv(fh: TextIO, names: list[str], data: np.ndarray) -> None:
+    """The coeffs CSV: its header, then the lines of _write_box."""
+    csv.writer(fh).writerow(names)
+    _write_box(fh, data)
+
+
+def _copy_text(src: BinaryIO, fh: TextIO) -> None:
+    """Copy the ASCII text left in src to fh, _TEXT_CHUNK bytes a write: as
+    bytes to fh's binary buffer when it has one, else as str."""
+    sink = getattr(fh, "buffer", None)
+    if sink is not None:
+        fh.flush()  # text fh holds goes out first
+    while chunk := src.read(_TEXT_CHUNK):
+        if sink is not None:
+            sink.write(chunk)
+        else:
+            fh.write(chunk.decode("ascii"))
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file: os.path.samefile when both exist,
+    never when just one does, else their os.path.realpath."""
+    here = os.path.exists(a), os.path.exists(b)
+    if all(here):
+        return os.path.samefile(a, b)
+    return not any(here) and os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
+    """Print a tensor as CSV or JSON.
+
+    With --cache, a hit loads the tensor and, for CSV, copies the text the
+    file holds beside it. A miss builds the tensor and stores it, for CSV
+    with its text, and then prints as a hit does. A file that holds no text,
+    stored for JSON or by cache_store without one, prints the loaded tensor
+    and is left as it is.
+    """
     kind = BasisKind(args.basis)
     exps = _parse_ints(args.exps)
     spec = WeightSpec.from_exponents(exps)
@@ -223,10 +261,17 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     orders = _parse_int_list(args.orders)
     if len(orders) == 1 and spec.k > 1:
         orders = orders * spec.k
+    if args.cache and args.out and _same_file(args.cache, args.out):
+        raise ArgumentError("--out and --cache name the same file")
+    names = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
+    as_csv = args.format == "csv"
     tensor: CoeffTensor | None = None
+    text: BinaryIO | None = None  # the cache file, open at the CSV text it holds
     if args.cache and os.path.exists(args.cache):
         try:
             tensor = cache_load(args.cache, kind, spec, iv, orders)
+            if as_csv:
+                text = _open_text(args.cache, tensor)
         except (StaleCacheError, CacheFormatError):
             tensor = None
         except OSError as exc:
@@ -234,22 +279,28 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if tensor is None:
         tensor = compute_tensor(kind, spec, iv, orders)
         if args.cache:
+            render = functools.partial(_write_csv, names=names, data=tensor.data)
             try:
-                cache_store(args.cache, tensor)
+                cache_store(args.cache, tensor, render if as_csv else None)
+                if as_csv:
+                    text = _open_text(args.cache, tensor)
+            except CacheFormatError:  # replaced since it was stored: print the tensor
+                pass
             except OSError as exc:
                 raise ArgumentError(
                     f"cannot write --cache {args.cache!r}: {exc.strerror}"
                 ) from None
-    names = [f"j_{l + 1}" for l in range(spec.k)] + ["value"]
-    if args.format == "json":
+    if not as_csv:
         shape = tensor.data.shape
         # the smallest unsigned type keeps the index columns no larger than the data
         index = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(spec.k, -1)
         _emit(args, names, [*index, tensor.data.ravel()])
         return 0
-    with _output(args) as fh:
-        csv.writer(fh).writerow(names)
-        _write_box(fh, tensor.data)
+    with text if text is not None else contextlib.nullcontext(), _output(args) as fh:
+        if text is not None:
+            _copy_text(text, fh)
+        else:
+            _write_csv(fh, names, tensor.data)
     return 0
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import BinaryIO, Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -49,9 +51,14 @@ MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
 # 3: trigonometric tensors come from the closed form; 4: Legendre tensors
-# come from the fewest exact nodes and an interval-free table of P_j
-_CACHE_VERSION = 4
+# come from the fewest exact nodes and an interval-free table of P_j; 5: the
+# payload is followed by the CSV text that `coeffs` prints, which a hit
+# copies. So any change to the bytes of that CSV must bump the version too,
+# or a hit would print the old bytes.
+_CACHE_VERSION = 5
 _BASIS_TAG = {BasisKind.LEGENDRE: 0, BasisKind.TRIGONOMETRIC: 1}
+# a cached text is checked, and then copied out, this many bytes at a time
+_TEXT_CHUNK = 2**16
 
 
 class Support(NamedTuple):
@@ -339,25 +346,43 @@ def compute_tensor(
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 
-def cache_store(path: str, tensor: CoeffTensor) -> None:
-    """Write a tensor to `path` atomically in the versioned binary layout."""
+def _header(tensor: CoeffTensor) -> bytes:
+    """The bytes of tensor's cache file before its float64 payload."""
     k = tensor.spec.k
-    blob = bytearray()
-    blob += _CACHE_MAGIC
+    blob = bytearray(_CACHE_MAGIC)
     blob += struct.pack("<IBB", _CACHE_VERSION, _BASIS_TAG[tensor.kind], k)
     blob += struct.pack(f"<{k}I", *tensor.orders)
     blob += struct.pack("<dd", tensor.iv.t, tensor.iv.T)
     for w in tensor.spec.weights:
         blob += struct.pack("<I", len(w.coeffs))
         blob += struct.pack(f"<{len(w.coeffs)}d", *w.coeffs)
-    flat = np.ascontiguousarray(tensor.data, dtype="<f8")
-    blob += struct.pack("<Q", flat.size)
-    blob += flat.tobytes()
+    blob += struct.pack("<Q", tensor.data.size)
+    return bytes(blob)
+
+
+def cache_store(path: str, tensor: CoeffTensor,
+                text: Callable[[TextIO], None] | None = None) -> None:
+    """Write a tensor to `path` atomically in the versioned binary layout.
+
+    The float64 payload is followed by the byte length of a text and the
+    text: what text(fh) writes to fh, an ASCII stream into the file, when
+    text is given, and no text (length 0) otherwise.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".stcf.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(blob))
+            fh.write(_header(tensor))
+            fh.write(memoryview(np.ascontiguousarray(tensor.data, dtype="<f8")).cast("B"))
+            fh.write(bytes(8))
+            if text is not None:
+                start = fh.tell()
+                stream = io.TextIOWrapper(fh, encoding="ascii", newline="", write_through=True)
+                text(stream)
+                stream.detach()
+                end = fh.tell()
+                fh.seek(start - 8)
+                fh.write(struct.pack("<Q", end - start))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -370,43 +395,51 @@ def cache_load(
 ) -> CoeffTensor:
     """Read a cached tensor and check it matches the requested parameters.
 
-    Raises CacheFormatError for a file that is not a whole cache, or whose
-    payload holds a value that is not finite, and StaleCacheError for one
-    built with other parameters.
+    Reads the header and the payload, and not the text after them. Raises
+    CacheFormatError for a file that is not a whole cache, or whose payload
+    holds a value that is not finite, and StaleCacheError for one built with
+    other parameters.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {raw[:4]!r}")
-    offset = 4
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(fmt: str) -> tuple:
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(raw):
-            raise CacheFormatError(f"{path}: truncated at byte {offset}")
-        out = struct.unpack_from(fmt, raw, offset)
-        offset += size
-        return out
+        def take(fmt: str) -> tuple:
+            nonlocal offset
+            n = struct.calcsize(fmt)
+            raw = fh.read(n)
+            if len(raw) < n:
+                raise CacheFormatError(f"{path}: truncated at byte {offset}")
+            offset += len(raw)
+            return struct.unpack(fmt, raw)
 
-    version, tag, k = take("<IBB")
-    if version != _CACHE_VERSION:
-        raise CacheFormatError(f"{path}: version {version}, expected {_CACHE_VERSION}")
-    stored_orders = take(f"<{k}I")
-    stored_t, stored_T = take("<dd")
-    stored_weights = []
-    for _ in range(k):
-        (ncoeff,) = take("<I")
-        stored_weights.append(take(f"<{ncoeff}d"))
-    (count,) = take("<Q")
-    expected = 1
-    for o in stored_orders:
-        expected *= o + 1
-    if count != expected:
-        raise CacheFormatError(f"{path}: element count {count} does not match orders")
-    if offset + 8 * count != len(raw):
-        raise CacheFormatError(f"{path}: payload length mismatch")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        magic = fh.read(4)
+        if magic != _CACHE_MAGIC:
+            raise CacheFormatError(f"{path}: bad magic {magic!r}")
+        offset = 4
+        version, tag, k = take("<IBB")
+        if version != _CACHE_VERSION:
+            raise CacheFormatError(f"{path}: version {version}, expected {_CACHE_VERSION}")
+        if k > MAX_MULTIPLICITY:  # no tensor has more axes, nor numpy as many as 255
+            raise CacheFormatError(f"{path}: multiplicity {k}")
+        stored_orders = take(f"<{k}I")
+        stored_t, stored_T = take("<dd")
+        stored_weights = []
+        for _ in range(k):
+            (ncoeff,) = take("<I")
+            stored_weights.append(take(f"<{ncoeff}d"))
+        (count,) = take("<Q")
+        shape = tuple(o + 1 for o in stored_orders)
+        if count != math.prod(shape):
+            raise CacheFormatError(f"{path}: element count {count} does not match orders")
+        if offset + 8 * count + 8 > size:
+            raise CacheFormatError(f"{path}: payload length mismatch")
+        data = np.empty(shape, dtype="<f8")
+        if fh.readinto(memoryview(data).cast("B")) != 8 * count:
+            raise CacheFormatError(f"{path}: payload length mismatch")
+        offset += 8 * count
+        (length,) = take("<Q")
+        if offset + length != size:
+            raise CacheFormatError(f"{path}: text length {length} does not match the file")
     if not np.isfinite(data).all():  # compute_tensor stores no such tensor
         raise CacheFormatError(f"{path}: payload holds a value that is not finite")
 
@@ -422,7 +455,32 @@ def cache_load(
     stored = (tag, k, tuple(stored_orders), stored_t, stored_T, tuple(stored_weights))
     if stored != wanted:
         raise StaleCacheError(f"{path}: cached parameters {stored} differ from request {wanted}")
-    return CoeffTensor(
-        kind=kind, spec=spec, iv=iv, orders=orders,
-        data=data.reshape(tuple(o + 1 for o in orders)).copy(),
-    )
+    return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
+
+
+def _open_text(path: str, tensor: CoeffTensor) -> BinaryIO | None:
+    """The cache file at path, opened at the text stored beside tensor, which
+    runs to the end of the file; None when the file holds no text.
+
+    Raises CacheFormatError, with the file closed, when the file's header is
+    not tensor's, its length is not that of the text, or the text is not
+    ASCII; so a caller sees a whole text before it copies any of it.
+    """
+    header = _header(tensor)
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "rb"))
+        if fh.read(len(header)) != header:
+            raise CacheFormatError(f"{path}: header is not that of the tensor")
+        fh.seek(8 * tensor.data.size, os.SEEK_CUR)
+        raw = fh.read(8)
+        start, length = fh.tell(), int.from_bytes(raw, "little")
+        if len(raw) < 8 or start + length != os.fstat(fh.fileno()).st_size:
+            raise CacheFormatError(f"{path}: text length does not match the file")
+        for _ in range(0, length, _TEXT_CHUNK):
+            if not fh.read(_TEXT_CHUNK).isascii():
+                raise CacheFormatError(f"{path}: text is not ASCII")
+        if not length:
+            return None
+        fh.seek(start)
+        stack.pop_all()  # the caller closes it
+        return fh

@@ -712,6 +712,7 @@ def sample_batch(
     n = _whole("n", n)
     if n < 0:
         raise ArgumentError(f"need n >= 0, got {n}")
+    threads = _whole("threads", threads)
     if threads < 1:
         raise ArgumentError(f"need threads >= 1, got {threads}")
     basis, iv = ispecs[0].basis, ispecs[0].iv

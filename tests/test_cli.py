@@ -67,16 +67,22 @@ def test_coeffs_cache_reuse(tmp_path):
     cache = os.fspath(tmp_path / "t.stcf")
     first = run("coeffs", "--basis", "trigonometric", "--exps", "0,0",
                 "--orders", "8,8", "--cache", cache).stdout
-    stamp = os.stat(cache).st_mtime_ns
+    stamp, blob = os.stat(cache), open(cache, "rb").read()
     second = run("coeffs", "--basis", "trigonometric", "--exps", "0,0",
                  "--orders", "8,8", "--cache", cache).stdout
-    assert first == second
-    assert os.stat(cache).st_mtime_ns == stamp  # untouched on a hit
+    out = os.fspath(tmp_path / "o.csv")
+    run("coeffs", "--basis", "trigonometric", "--exps", "0,0",
+        "--orders", "8,8", "--cache", cache, "--out", out)
+    assert first == second == open(out, "rb").read()
+    # untouched on a hit, to stdout or to --out
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
+    assert open(cache, "rb").read() == blob
     # changed parameters replace the stale file instead of failing
     third = run("coeffs", "--basis", "trigonometric", "--exps", "0,0",
                 "--orders", "9,9", "--cache", cache)
     assert third.returncode == 0
-    assert os.stat(cache).st_mtime_ns != stamp
+    assert os.stat(cache).st_mtime_ns != stamp.st_mtime_ns
 
 
 def test_coeffs_rebuilds_a_cache_with_a_non_finite_payload(tmp_path):
@@ -86,8 +92,9 @@ def test_coeffs_rebuilds_a_cache_with_a_non_finite_payload(tmp_path):
     fresh = run(*argv).stdout
     assert run(*argv, "--cache", cache).stdout == fresh
     blob = open(cache, "rb").read()
+    last = len(blob) - len(fresh) - 16  # the payload's last float64, before the text length
     with open(cache, "wb") as fh:
-        fh.write(blob[:-8] + struct.pack("<d", float("nan")))
+        fh.write(blob[:last] + struct.pack("<d", float("nan")) + blob[last + 8:])
     proc = run(*argv, "--cache", cache)
     assert proc.stdout == fresh and proc.stderr == b""
     assert open(cache, "rb").read() == blob  # the rebuilt tensor replaced the file
@@ -143,6 +150,80 @@ def test_coeffs_rebuilds_a_version_3_legendre_cache(tmp_path):
     assert proc.stdout == fresh and proc.stderr == b""
     assert struct.unpack_from("<I", open(cache, "rb").read(), 4) == (coefficients._CACHE_VERSION,)
     assert run(*argv, "--cache", cache).stdout == fresh  # and the rebuilt file is a hit
+
+
+# the o=128 text spans three copy chunks, so a damaged last chunk is found
+# only when every chunk is checked before the first is printed
+@pytest.mark.parametrize("damage", ["truncated", "over-long", "not ASCII"])
+def test_coeffs_rebuilds_a_cache_with_a_damaged_text(tmp_path, damage):
+    cache = os.fspath(tmp_path / "t.stcf")
+    argv = ("coeffs", "--basis", "legendre", "--exps", "0,0", "--orders", "128")
+    fresh = run(*argv).stdout
+    assert len(fresh) > 2 * coefficients._TEXT_CHUNK
+    assert run(*argv, "--cache", cache).stdout == fresh
+    blob = open(cache, "rb").read()
+    assert blob.endswith(fresh)
+    damaged = {"truncated": blob[:-1], "over-long": blob + b"0\r\n",
+               "not ASCII": blob[:-4] + b"\xe9" + blob[-3:]}[damage]
+    with open(cache, "wb") as fh:
+        fh.write(damaged)
+    proc = run(*argv, "--cache", cache)
+    assert proc.stdout == fresh and proc.stderr == b""
+    assert open(cache, "rb").read() == blob  # rebuilt
+
+
+def test_coeffs_csv_hit_on_a_file_without_text(tmp_path):
+    # a JSON miss, and cache_store without a text, store no CSV: a CSV hit on
+    # such a file prints the loaded tensor and leaves the file as it is
+    argv = ("coeffs", "--basis", "trigonometric", "--exps", "1,0", "--orders", "6",
+            "--interval", "0.5", "1.75")
+    fresh, fresh_json = run(*argv).stdout, run(*argv, "--format", "json").stdout
+    from_json = os.fspath(tmp_path / "json.stcf")
+    flag = b'"cache": ' + json.dumps(from_json).encode()  # the JSON lists the flags
+    assert run(*argv, "--format", "json", "--cache", from_json).stdout == fresh_json.replace(
+        b'"cache": null', flag)
+    from_library = os.fspath(tmp_path / "library.stcf")
+    spec = stratint.WeightSpec.from_exponents((1, 0))
+    stratint.cache_store(from_library, stratint.compute_tensor(
+        stratint.BasisKind.TRIGONOMETRIC, spec, stratint.Interval(0.5, 1.75), (6, 6)))
+    for cache in (from_json, from_library):
+        before, blob = os.stat(cache), open(cache, "rb").read()
+        for _ in range(2):
+            proc = run(*argv, "--cache", cache)
+            assert proc.stdout == fresh and proc.stderr == b""
+        after = os.stat(cache)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert open(cache, "rb").read() == blob
+
+
+def test_coeffs_out_and_cache_same_file(tmp_path, monkeypatch, capsys):
+    # it exited 0, rebuilt the tensor on each call and replaced the cache
+    # with the CSV
+    monkeypatch.chdir(tmp_path)
+    argv = ["coeffs", "--basis", "legendre", "--exps", "0", "--orders", "2"]
+    for _ in range(2):
+        proc = run(*argv, "--cache", "same.x", "--out", "same.x", check=False)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == b"error: --out and --cache name the same file\n"
+        assert not os.path.exists("same.x")
+    assert cli.main(argv + ["--cache", "c.stcf"]) == 0
+    capsys.readouterr()
+    blob = open("c.stcf", "rb").read()
+    os.symlink("c.stcf", "link")
+    os.mkdir("sub")
+    for out in ("./c.stcf", "link", "sub/../c.stcf", os.fspath(tmp_path / "c.stcf")):
+        for cache, target in (("c.stcf", out), (out, "c.stcf")):
+            assert cli.main(argv + ["--cache", cache, "--out", target]) == 2
+            assert capsys.readouterr().err == "error: --out and --cache name the same file\n"
+    for cache, out in (("new.stcf", "./new.stcf"), ("sub/../new.stcf", "new.stcf")):
+        assert cli.main(argv + ["--cache", cache, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --out and --cache name the same file\n"
+    assert open("c.stcf", "rb").read() == blob
+    assert sorted(os.listdir(".")) == ["c.stcf", "link", "sub"]
+    # distinct files, one of them new, are no error
+    assert cli.main(argv + ["--cache", "c.stcf", "--out", "o.csv"]) == 0
+    assert cli.main(argv + ["--cache", "n.stcf", "--out", "o.csv"]) == 0
+    assert open("o.csv", "rb").read() == run(*argv).stdout
 
 
 def test_sample_reproducible_and_thread_invariant():
@@ -454,6 +535,28 @@ def test_frozen_stdout_bytes(name):
     assert hashlib.sha256(run(*argv).stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", sorted(n for n in FROZEN_STDOUT if n.startswith("coeffs-")))
+def test_frozen_coeffs_bytes_through_the_cache(tmp_path, name):
+    # a cold call stores, a warm one copies; either prints the recorded bytes,
+    # to stdout and to --out, whichever of them stored the file. The JSON
+    # metadata lists the flags, so there the --cache path stands where the
+    # recorded bytes hold null
+    argv, digest = FROZEN_STDOUT[name]
+    cache, out = os.fspath(tmp_path / "t.stcf"), os.fspath(tmp_path / "o")
+    flag = b'"cache": ' + json.dumps(cache).encode()
+
+    def printed(to_out):
+        stdout = run(*argv, "--cache", cache, *(("--out", out) if to_out else ())).stdout
+        text = open(out, "rb").read() if to_out else stdout
+        assert (flag in text) == ("json" in argv)
+        return hashlib.sha256(text.replace(flag, b'"cache": null')).hexdigest()
+
+    for to_out in (False, True):  # the cold call to stdout, then to --out
+        assert printed(to_out) == digest
+        assert printed(not to_out) == digest
+        os.unlink(cache)
+
+
 def _rowwise(args, names, rows):
     """What the CLI wrote when it passed one row at a time to csv.writer."""
     fh = io.StringIO(newline="")
@@ -613,14 +716,16 @@ def test_box_lines_cache_bound_by_bytes(monkeypatch):
 
 
 class _Writes(io.StringIO):
-    """A text stream that records the number of lines of every write."""
+    """A text stream that records the number of lines and characters of every write."""
 
     def __init__(self):
         super().__init__(newline="")
         self.lines = []
+        self.sizes = []
 
     def write(self, text):
         self.lines.append(text.count("\n"))
+        self.sizes.append(len(text))
         return super().write(text)
 
 
@@ -630,17 +735,41 @@ class _Writes(io.StringIO):
     ("trigonometric", "1,0,0,2", "8", 9),
     ("trigonometric", "1", str(2 * cli._EMIT_BLOCK), 2 * cli._EMIT_BLOCK + 1),
 ])
-def test_coeffs_csv_writes_at_most_a_block(monkeypatch, basis, exps, orders, last):
+def test_coeffs_csv_writes_at_most_a_block(monkeypatch, tmp_path, basis, exps, orders, last):
     # a large table is never held as text whole: no write holds more rows
     # than a block, or than the last axis when that is longer
     fh = _Writes()
     monkeypatch.setattr(cli, "_output", lambda args: contextlib.nullcontext(fh))
-    assert cli.main(["coeffs", "--basis", basis, "--exps", exps, "--orders", orders]) == 0
+    argv = ["coeffs", "--basis", basis, "--exps", exps, "--orders", orders]
+    assert cli.main(argv) == 0
     k = len(exps.split(","))
     assert sum(fh.lines) == 1 + (int(orders) + 1) ** k
     assert fh.lines[0] == 1  # the header
     assert max(fh.lines[1:]) <= max(cli._EMIT_BLOCK, last)
     assert min(fh.lines[1:]) == max(fh.lines[1:])
+    # with --cache, the cold call renders those blocks into the file and both
+    # calls copy its text out, no chunk larger than the copy's
+    text, lines = fh.getvalue(), fh.lines
+    rendered = []  # the lines of each write into the cache file
+    write_csv = cli._write_csv
+
+    class _Counted:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def write(self, text):
+            rendered.append(text.count("\n"))
+            return self.stream.write(text)
+
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda stream, names, data: write_csv(_Counted(stream), names, data))
+    for _ in ("cold", "warm"):
+        fh = _Writes()
+        assert cli.main(argv + ["--cache", os.fspath(tmp_path / "t.stcf")]) == 0
+        assert fh.getvalue() == text
+        assert max(fh.sizes) == min(len(text), coefficients._TEXT_CHUNK)
+        assert len(fh.sizes) == -(-len(text) // coefficients._TEXT_CHUNK)
+    assert rendered == lines  # rendered once, as without a cache
 
 
 def _json_dump_emit(args, names, columns):

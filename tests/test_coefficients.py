@@ -527,9 +527,80 @@ def test_cache_with_non_finite_payload_is_corrupt(tmp_path, bad):
     path = os.fspath(tmp_path / "c.stcf")
     cache_store(path, compute_tensor(BasisKind.LEGENDRE, spec, iv, (2, 2)))
     blob = Path(path).read_bytes()
-    Path(path).write_bytes(blob[:-8] + struct.pack("<d", bad))
+    # the payload's last float64, before the text length (0: no text)
+    last = len(blob) - 16
+    Path(path).write_bytes(blob[:last] + struct.pack("<d", bad) + blob[last + 8:])
     with pytest.raises(CacheFormatError, match="not finite"):
         cache_load(path, BasisKind.LEGENDRE, spec, iv, (2, 2))
+
+
+def test_cache_with_too_many_axes_is_corrupt(tmp_path):
+    # a whole file of 255 axes of order 0: more axes than numpy arrays hold
+    k = 255
+    blob = coefficients._CACHE_MAGIC + struct.pack("<IBB", coefficients._CACHE_VERSION, 0, k)
+    blob += struct.pack(f"<{k}I", *[0] * k) + struct.pack("<dd", 0.0, 1.0)
+    blob += struct.pack("<Id", 1, 1.0) * k + struct.pack("<QdQ", 1, 0.5, 0)
+    path = tmp_path / "c.stcf"
+    path.write_bytes(blob)
+    with pytest.raises(CacheFormatError, match="multiplicity 255"):
+        cache_load(os.fspath(path), BasisKind.LEGENDRE, WeightSpec.from_exponents((0,)),
+                   Interval(0.0, 1.0), (0,))
+
+
+def _store_with_text(path, tensor, text):
+    cache_store(path, tensor, lambda fh: fh.write(text))
+
+
+def test_cache_text_round_trip_and_length(tmp_path):
+    # the text follows the payload, behind its byte length; a file whose
+    # length is not that of the text is not a whole cache
+    iv, spec = Interval(0.0, 1.0), WeightSpec.from_exponents((1, 0))
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (3, 2))
+    path = os.fspath(tmp_path / "c.stcf")
+    text = "j_1,j_2,value\r\n" * 5000  # more than one chunk
+    _store_with_text(path, tensor, text)
+    blob = Path(path).read_bytes()
+    assert blob.endswith(struct.pack("<Q", len(text)) + text.encode())
+    back = cache_load(path, BasisKind.LEGENDRE, spec, iv, (3, 2))
+    assert np.array_equal(back.data, tensor.data)
+    with coefficients._open_text(path, back) as fh:
+        assert fh.read() == text.encode()
+    cache_store(path, tensor)
+    assert coefficients._open_text(path, tensor) is None  # no text
+    for damaged in (blob[:-1], blob + b"\n"):
+        Path(path).write_bytes(damaged)
+        with pytest.raises(CacheFormatError, match="text length"):
+            cache_load(path, BasisKind.LEGENDRE, spec, iv, (3, 2))
+        with pytest.raises(CacheFormatError, match="text length"):
+            coefficients._open_text(path, tensor)
+    Path(path).write_bytes(blob[:-2] + b"\x80\n")
+    cache_load(path, BasisKind.LEGENDRE, spec, iv, (3, 2))  # which reads no text
+    with pytest.raises(CacheFormatError, match="not ASCII"):
+        coefficients._open_text(path, tensor)
+    other = compute_tensor(BasisKind.LEGENDRE, spec, Interval(0.0, 2.0), (3, 2))
+    Path(path).write_bytes(blob)
+    with pytest.raises(CacheFormatError, match="header"):
+        coefficients._open_text(path, other)
+
+
+def test_cache_load_reads_no_text(tmp_path):
+    # a load holds the tensor, its np.isfinite mask (an eighth of its bytes)
+    # and a read buffer, and not the multi-MB text stored beside it
+    iv, spec = Interval(0.0, 1.0), WeightSpec.from_exponents((0, 0))
+    tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (128, 128))
+    path = os.fspath(tmp_path / "c.stcf")
+    _store_with_text(path, tensor, "0,0,0\r\n" * 2**20)
+    assert os.path.getsize(path) > 7 * 2**20
+    cache_load(path, BasisKind.LEGENDRE, spec, iv, (128, 128))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = cache_load(path, BasisKind.LEGENDRE, spec, iv, (128, 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, tensor.data)
+    assert peak <= tensor.data.nbytes * 9 // 8 + 2**14
 
 
 @given(

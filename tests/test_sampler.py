@@ -657,6 +657,9 @@ def test_sampling_error_messages():
     for bad in (1.0, True, "3", None):
         _raises(f"n must be an integer, got {bad!r}", sample_batch, [ispec], [tensor], 2, o3, 1, bad)
         _raises(f"m must be an integer, got {bad!r}", sample_batch, [ispec], [tensor], bad, o3, 1, 1)
+    for bad in ("2", None, 2.5, True):
+        _raises(f"threads must be an integer, got {bad!r}", sample_batch,
+                [ispec], [tensor], 2, o3, 1, 1, bad)
     elsewhere = IntegralSpec(spec=tensor.spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=IV2)
     _raises("all specs in a batch must share basis and interval", sample_batch,
             [ispec, elsewhere], [tensor, moved], 2, o3, 1, 1)

@@ -117,3 +117,30 @@ def test_traced_sample_batch_counts_tables_and_contractions(tracer_module, n, co
     assert values["sampler.contractions"] == contractions
     assert values["sampler.terms"] == (5 + 25 if contractions else 0)
     assert np.all(spans["end"] >= spans["start"])
+
+
+def test_traced_coeffs_counts_stores_and_hits(tracer_module, tmp_path):
+    # the coverage check of the coeffs workload needs cache hits and stores:
+    # the tracer counts a returned cache_load as a hit and a cache_store as a
+    # miss, both wrapped where cli looks them up
+    cache, out = str(tmp_path / "t.stcf"), str(tmp_path / "o.csv")
+    argv = ["coeffs", "--basis", "legendre", "--exps", "1,0", "--orders", "5",
+            "--cache", cache, "--out", out]
+    printed = []
+    tracer = tracer_module.Tracer(stratint)
+    tracer.install()
+    try:
+        for _ in ("cold", "warm", "warm"):
+            assert stratint.cli.main(argv) == 0
+            printed.append(Path(out).read_bytes())
+    finally:
+        tracer.uninstall()
+    values, error, spans = tracer_module.analyse(tracer)
+    assert values["coefficients.stores"] == 1
+    assert values["coefficients.loads"] == 2
+    assert values["coefficients.cache_hits"] == 2
+    assert values["coefficients.cache_misses"] == 1
+    assert values["coefficients.builds"] == 1
+    assert values["cli.calls"] == 3
+    assert printed[0] == printed[1] == printed[2]
+    assert np.all(spans["end"] >= spans["start"])
