@@ -12,115 +12,17 @@ if "numpy" not in _sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, "1")
 
-from .basis import (
-    MAX_LEGENDRE_ORDER,
-    BasisKind,
-    Interval,
-    QuadratureRule,
-    basis_integrals,
-    eval_phi,
-    gauss_rule,
-    phi_matrix,
-)
-from .coefficients import (
-    MAX_MULTIPLICITY,
-    CoeffTensor,
-    cache_load,
-    cache_store,
-    compute_tensor,
-)
-from .errors import (
-    ArgumentError,
-    CacheFormatError,
-    CapabilityError,
-    DomainError,
-    StaleCacheError,
-)
-from .kernel import WeightPoly, WeightSpec, eval_K, eval_K_star, monomial_weight
-from .oracle import (
-    MeshPath,
-    PairPartition,
-    coarsen_path,
-    discretize_ito,
-    draw_path,
-    enumerate_pair_partitions,
-    strat_reference,
-    table_from_path,
-    truncated_moment,
-)
-from .rng import DOMAIN_PATH, DOMAIN_TABLE, normal_stream
-from .sampler import (
-    CLOSED_FORM_EXPONENTS,
-    CLOSED_FORM_NAMES,
-    GaussianTable,
-    IntegralSpec,
-    TruncationOrders,
-    draw_table,
-    sample_batch,
-    sample_closed_form,
-    sample_truncated,
-)
-from .sde_demo import (
-    SCHEMES,
-    ConvergenceResult,
-    SdeProblem,
-    convergence_study,
-    gbm,
-    integrate,
-    two_noise,
-)
+from . import basis, coefficients, errors, kernel, oracle, rng, sampler, sde_demo
+from .basis import *  # noqa: F403
+from .coefficients import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .kernel import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .sampler import *  # noqa: F403
+from .sde_demo import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "MAX_LEGENDRE_ORDER",
-    "MAX_MULTIPLICITY",
-    "BasisKind",
-    "Interval",
-    "QuadratureRule",
-    "basis_integrals",
-    "eval_phi",
-    "gauss_rule",
-    "phi_matrix",
-    "CoeffTensor",
-    "cache_load",
-    "cache_store",
-    "compute_tensor",
-    "ArgumentError",
-    "CacheFormatError",
-    "CapabilityError",
-    "DomainError",
-    "StaleCacheError",
-    "WeightPoly",
-    "WeightSpec",
-    "eval_K",
-    "eval_K_star",
-    "monomial_weight",
-    "MeshPath",
-    "PairPartition",
-    "coarsen_path",
-    "discretize_ito",
-    "draw_path",
-    "enumerate_pair_partitions",
-    "strat_reference",
-    "table_from_path",
-    "truncated_moment",
-    "DOMAIN_PATH",
-    "DOMAIN_TABLE",
-    "normal_stream",
-    "CLOSED_FORM_EXPONENTS",
-    "CLOSED_FORM_NAMES",
-    "GaussianTable",
-    "IntegralSpec",
-    "TruncationOrders",
-    "draw_table",
-    "sample_batch",
-    "sample_closed_form",
-    "sample_truncated",
-    "SCHEMES",
-    "ConvergenceResult",
-    "SdeProblem",
-    "convergence_study",
-    "gbm",
-    "integrate",
-    "two_noise",
-]
+__all__ = ["__version__"]
+for _module in (basis, coefficients, errors, kernel, oracle, rng, sampler, sde_demo):
+    __all__ += _module.__all__
+del _module

@@ -16,7 +16,7 @@ from .coefficients import CoeffTensor
 from .errors import ArgumentError, CapabilityError
 from .kernel import WeightPoly, WeightSpec
 from .rng import DOMAIN_PATH, normal_stream
-from .sampler import GaussianTable, IntegralSpec, TruncationOrders, _same
+from .sampler import GaussianTable, IntegralSpec, TruncationOrders, _provenance_error, _same
 
 __all__ = [
     "MeshPath",
@@ -238,8 +238,7 @@ def truncated_moment(
     if total_k > _MAX_TOTAL_K:
         raise CapabilityError(f"total multiplicity {total_k} > {_MAX_TOTAL_K} not supported")
     for ispec, tensor, o in zip(ispecs, tensors, orders):
-        if (tensor.kind is not basis or not _same(tensor.spec, ispec.spec)
-                or not _same(tensor.iv, iv)):
+        if _provenance_error(ispec, tensor, basis, iv):
             raise ArgumentError("tensor does not match its spec")
         if len(o.p) != ispec.spec.k or (o.p != tensor.orders
                                         and any(p > q for p, q in zip(o.p, tensor.orders))):

@@ -182,47 +182,45 @@ class _Plan(NamedTuple):
     dt: np.ndarray
 
 
-class _Layout(NamedTuple):
-    """What a plan needs of the tables it reads, which a GaussianTable also has."""
-
-    m: int
-    max_j: int
-    basis: BasisKind
-    iv: Interval
-
-
-# the sampler's plans, oldest out first, keyed by (tensors, orders, indices,
-# width, m), a key that _plan and _cached_plan each build; a key holds its
-# tensors, whose data never change. The cache
-# keeps at most _PLAN_CACHE_SIZE plans, and at most _PLAN_CACHE_BYTES of their
-# nbytes unless the newest alone holds more (a tensor in several keys counts
-# in each). The `sample` benchmark workload asks for 12 keys, 58 kB in all:
-# 6 Legendre and 4 trigonometric one-spec plans and one joint plan of each basis
+# the sampler's plans, oldest out first, keyed by _plan_key; a key holds its
+# tensors, whose data never change. The cache keeps at most _PLAN_CACHE_SIZE
+# plans, and at most _PLAN_CACHE_BYTES of their nbytes unless the newest alone
+# holds more (a tensor in several keys counts in each). The `sample` benchmark
+# workload asks for 12 keys, 58 kB in all: 6 Legendre and 4 trigonometric
+# one-spec plans and one joint plan of each basis
 _PLANS: dict[tuple, _Plan] = {}
 _PLAN_CACHE_SIZE = 16
 _PLAN_CACHE_BYTES = 64 * 2**20  # eight Legendre (1,0,2) o=64 plans, 7.5 MB each
 _PLANS_LOCK = threading.Lock()
 
 
+def _plan_key(tensors: list[CoeffTensor], ps: tuple[tuple[int, ...], ...],
+              ispecs: list[IntegralSpec], max_j: int, m: int) -> tuple:
+    """The _PLANS key of the plan of the specs' tensors at orders ps in tables
+    of m components and indices up to max_j."""
+    return (tuple(tensors), ps, tuple(s.indices for s in ispecs), max_j, m)
+
+
 def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
-          orders: list[TruncationOrders], table: GaussianTable | _Layout) -> _Plan:
-    """The plan of the specs' support terms in rows of the table, each axis
-    padded to the largest k.
+          orders: list[TruncationOrders], m: int, max_j: int, basis: BasisKind,
+          iv: Interval) -> _Plan:
+    """The plan of the specs' support terms in rows of the tables of m
+    components, indices 0..max_j, basis and iv, each axis padded to the
+    largest k.
 
     Every check but provenance depends on the key alone, so a cached plan
     re-checks provenance only; a new one passes every check first.
     """
-    width = table.max_j + 1
-    key = (tuple(tensors), tuple(o.p for o in orders), tuple(s.indices for s in ispecs),
-           width, table.m)
+    key = _plan_key(tensors, tuple(o.p for o in orders), ispecs, max_j, m)
     for ispec, tensor in zip(ispecs, tensors):
-        if error := _provenance_error(ispec, tensor, table.basis, table.iv):
+        if error := _provenance_error(ispec, tensor, basis, iv):
             raise ArgumentError(error)
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
     k = max(s.spec.k for s in ispecs)
-    slot = (table.m + 1) * width
+    width = max_j + 1
+    slot = (m + 1) * width
     axes, coeffs, bounds, end = [], [], [], 0
     for ispec, tensor, o in zip(ispecs, tensors, orders):
         p = o.p
@@ -230,10 +228,10 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
             raise ArgumentError(f"need {ispec.spec.k} truncation orders, got {len(p)}")
         if p != tensor.orders and any(q > t for q, t in zip(p, tensor.orders)):
             raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
-        if max(p) > table.max_j:
-            raise ArgumentError(f"table holds indices up to {table.max_j}, need {max(p)}")
-        if max(ispec.indices) > table.m:
-            raise ArgumentError(f"table has {table.m} components, need {max(ispec.indices)}")
+        if max(p) > max_j:
+            raise ArgumentError(f"table holds indices up to {max_j}, need {max(p)}")
+        if max(ispec.indices) > m:
+            raise ArgumentError(f"table has {m} components, need {max(ispec.indices)}")
         support = tensor.support(p)
         pad = np.full(len(support.coeffs), slot, dtype=np.intp)
         axes.append(tuple(i * width + a for i, a in zip(ispec.indices, support.axes))
@@ -243,11 +241,11 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
         end += len(support.coeffs)
     gather = tuple(_read_only(np.concatenate(a)) for a in zip(*axes))
     coeffs = _read_only(np.concatenate(coeffs))
-    dt = _read_only(basis_integrals(table.basis, table.iv, table.max_j))
+    dt = _read_only(basis_integrals(basis, iv, max_j))
     held = {id(t): t.data.nbytes for t in tensors}
     nbytes = sum(g.nbytes for g in gather) + coeffs.nbytes + dt.nbytes + sum(held.values())
     plan = _Plan(gather, coeffs, tuple(bounds), any(s.spec.k < k for s in ispecs), nbytes,
-                 table.basis, table.iv, table.max_j, dt)
+                 basis, iv, max_j, dt)
     with _PLANS_LOCK:
         total = sum(p.nbytes for p in _PLANS.values())
         while _PLANS and (len(_PLANS) >= _PLAN_CACHE_SIZE
@@ -317,7 +315,7 @@ def sample_truncated(
     sampler's plan cache (_plan). Raises DomainError when a value overflows
     double precision.
     """
-    plan = _plan([ispec], [tensor], [orders], table)
+    plan = _plan([ispec], [tensor], [orders], table.m, table.max_j, table.basis, table.iv)
     values = table.values if table.values.ndim == 3 else table.values[None]
     step = max(1, _CONTRACT_TERMS // max(1, len(plan.coeffs)))
     sums = np.empty(len(values))
@@ -657,7 +655,7 @@ def _cached_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor], m: int,
                  threads: int) -> _Plan | None:
     """The cached plan of a valid call of 1 to _CERTIFY_ROWS - 1 rows, or None.
 
-    The plan is looked up by _plan's key, built from the arguments. The key
+    The plan is looked up by its _plan_key, built from the arguments. The key
     pins every check but those of n, threads and each spec's provenance,
     made here, and those of m and the seed, which the draw makes; a call
     that fails a check here, or whose plan is not cached, gets None and
@@ -668,9 +666,7 @@ def _cached_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor], m: int,
         return None
     ps = ((orders.p,) * len(ispecs) if isinstance(orders, TruncationOrders)
           else tuple(o.p for o in orders))
-    key = (tuple(tensors), ps, tuple(s.indices for s in ispecs),
-           max(map(max, ps), default=-1) + 1, m)
-    plan = _PLANS.get(key)
+    plan = _PLANS.get(_plan_key(tensors, ps, ispecs, max(map(max, ps), default=-1), m))
     if plan is None or any(_provenance_error(s, t, plan.basis, plan.iv)
                            for s, t in zip(ispecs, tensors)):
         return None
@@ -728,7 +724,7 @@ def sample_batch(
         hi = min(lo + _BATCH_CHUNK, n)
         if hi - lo < _CERTIFY_ROWS:
             z = _draw(m, max_j, seed, range(lo, hi))
-            plan = _plan(ispecs, tensors, per_spec, _Layout(m, max_j, basis, iv))
+            plan = _plan(ispecs, tensors, per_spec, m, max_j, basis, iv)
             _joint_sums(plan, ispecs, z, out[lo:hi])
             continue
         block = draw_table(m, max_j, basis, iv, seed, stream=range(lo, hi))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import truncation_law
 
 import stratint
 from stratint import cli, coefficients
@@ -842,6 +843,26 @@ def test_converge_blocks_keep_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK", 7)
     assert cli.main(argv + ["--out", str(blocks)]) == 0
     assert blocks.read_bytes() == whole.read_bytes()
+
+
+def test_converge_matches_the_truncation_law(tmp_path):
+    # I00's mean-square truncation error is (L^2 / 4)(1 / (2p + 1) - 1 / (2P + 1));
+    # the seeds are independent, so their spread gives the Monte Carlo band
+    ladder, p_ref, seeds = (1, 2, 4), 16, range(8)
+    mse = []
+    for seed in seeds:
+        out = tmp_path / f"converge{seed}.csv"
+        argv = ["converge", "--name", "I00", "--indices", "1,2", "--interval", "0", "1",
+                "--p-ref", str(p_ref), "--p-ladder", ",".join(map(str, ladder)),
+                "--n", "300", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        lines = out.read_text().split()
+        assert lines[0] == "p,mse" and [int(l.split(",")[0]) for l in lines[1:]] == list(ladder)
+        mse.append([float(l.split(",")[1]) for l in lines[1:]])
+    mse = np.asarray(mse)
+    se = mse.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+    law = truncation_law(1.0, np.asarray(ladder, dtype=float), p_ref)
+    assert np.all(np.abs(mse.mean(axis=0) - law) < 5.0 * se), (mse.mean(axis=0), law, se)
 
 
 def test_sde_rows():

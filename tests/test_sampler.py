@@ -552,8 +552,7 @@ def test_plan_gathers_from_flat_table_rows():
     ispecs = [IntegralSpec(spec=s, indices=i, basis=BasisKind.LEGENDRE, iv=iv)
               for s, i in zip(specs, ((1, 0, 2), (2,)))]
     orders = [TruncationOrders((3, 0, 5)), TruncationOrders((6,))]
-    table = draw_table(2, 8, BasisKind.LEGENDRE, iv, seed=1)
-    plan = sampler._plan(ispecs, tensors, orders, table)
+    plan = sampler._plan(ispecs, tensors, orders, 2, 8, BasisKind.LEGENDRE, iv)
     deep, flat = tensors[0].support((3, 0, 5)).axes, tensors[1].support((6,)).axes
     size = len(deep[0])
     assert [g.dtype for g in plan.gather] == [np.intp] * 3
@@ -563,8 +562,9 @@ def test_plan_gathers_from_flat_table_rows():
         assert np.array_equal(plan.gather[l], np.concatenate((9 * i + deep[l], pad)))
     assert plan.bounds == ((0, size), (size, len(plan.coeffs))) and plan.padded
     assert not any(a.flags.writeable for a in (*plan.gather, plan.coeffs))
-    short = draw_table(2, 5, BasisKind.LEGENDRE, iv, seed=1)  # a row holds j <= 5 only
-    _raises("table holds indices up to 5, need 6", sampler._plan, ispecs, tensors, orders, short)
+    # tables whose rows hold j <= 5 only
+    _raises("table holds indices up to 5, need 6", sampler._plan, ispecs, tensors, orders,
+            2, 5, BasisKind.LEGENDRE, iv)
 
 
 def test_sample_traffic_fits_the_plan_cache(monkeypatch):
