@@ -16,7 +16,6 @@ __all__ = [
     "BasisKind",
     "Interval",
     "QuadratureRule",
-    "eval_phi",
     "phi_matrix",
     "gauss_rule",
     "basis_integrals",
@@ -78,15 +77,6 @@ def _legendre_rows(max_j: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_{n-1} and P_n at the points x for n >= 1: rows n-1 and n of
-    _legendre_rows(n, x), bit for bit, holding two rows instead of n + 1."""
-    prev, cur = np.ones_like(x), x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
-    return prev, cur
-
-
 def _check_order(kind: BasisKind, j: int) -> None:
     if j < 0:
         raise ArgumentError(f"basis index must be >= 0, got {j}")
@@ -121,27 +111,19 @@ def phi_matrix(kind: BasisKind, max_j: int, x: np.ndarray, iv: Interval) -> np.n
     return out
 
 
-def eval_phi(kind: BasisKind, j: int, x: float, iv: Interval) -> float:
-    """Value of the j-th orthonormal basis function at a point of [t, T]."""
-    _check_order(kind, j)
-    if x < iv.t or x > iv.T:
-        raise DomainError(f"x={x} outside [{iv.t}, {iv.T}]")
-    return float(phi_matrix(kind, j, np.array([x]), iv)[j, 0])
-
-
 @functools.lru_cache(maxsize=None)
 def _base_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] by Newton iteration on P_n roots."""
     k = np.arange(1, n + 1)
     x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        p_prev, p_n = _legendre_pair(n, x)
+        p_prev, p_n = _legendre_rows(n, x)[n - 1 :]
         dpn = n * (x * p_n - p_prev) / (x * x - 1.0)
         dx = p_n / dpn
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p_prev, p_n = _legendre_pair(n, x)
+    p_prev, p_n = _legendre_rows(n, x)[n - 1 :]
     dpn = n * (x * p_n - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)

@@ -328,6 +328,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     iv = Interval(args.interval[0], args.interval[1])
     indices = _parse_ints(args.indices) if args.indices else ((1,) if k == 1 else (1, 2))
     ladder = _parse_int_list(args.p_ladder)
+    if args.p_ref < 0:
+        raise ArgumentError(f"--p-ref must be >= 0, got {args.p_ref}")
+    if not all(0 <= p <= args.p_ref for p in ladder):
+        raise ArgumentError(f"--p-ladder entries must lie in 0..{args.p_ref} (--p-ref), "
+                            f"got {args.p_ladder}")
     m = max(indices)
     max_j = 2 * args.p_ref if basis is BasisKind.TRIGONOMETRIC else args.p_ref
     # a block's table, and its draw's words, uniforms and normals

@@ -85,7 +85,14 @@ def eval_K(spec: WeightSpec, times: tuple[float, ...], t: float) -> float:
 
 
 def eval_K_star(spec: WeightSpec, times: tuple[float, ...], t: float) -> float:
-    """Symmetrized kernel: the product with factor 1/2 at each tied pair t_l = t_{l+1}."""
+    """Symmetrized kernel: the product with factor 1/2 at each tied pair t_l = t_{l+1}.
+
+    Square partial sums of the expansion (p_1 = ... = p_k) converge to it off
+    ties and where ties are isolated pairs only. Where r >= 3 consecutive
+    times tie they converge elsewhere: at a full tie to psi_1 ... psi_k / k!
+    (exactly 1/k! for constant weights), where this kernel gives the product
+    times 2^-(k-1).
+    """
     if len(times) != spec.k:
         raise ArgumentError(f"need {spec.k} time points, got {len(times)}")
     prev = t

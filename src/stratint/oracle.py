@@ -1,65 +1,31 @@
-"""Independent references: mesh discretization, midpoint corrections, exact moments."""
+"""Exact moments of truncated expansions: pair partitions and Isserlis' rule."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
-from .basis import BasisKind, Interval, basis_integrals, gauss_rule, phi_matrix
+from .basis import basis_integrals
 from .coefficients import CoeffTensor
 from .errors import ArgumentError, CapabilityError
-from .kernel import WeightPoly, WeightSpec
-from .rng import DOMAIN_PATH, normal_stream
-from .sampler import GaussianTable, IntegralSpec, TruncationOrders, _provenance_error, _same
+from .sampler import IntegralSpec, TruncationOrders, _provenance_error, _same
+
+# normal_stream, phi_matrix and gauss_rule are unused here but stay module
+# attributes, where perfbench/tracer.py wraps them: it reads each traced name
+# from the module's own namespace.
+from .basis import gauss_rule, phi_matrix  # noqa: F401
+from .rng import normal_stream  # noqa: F401
 
 __all__ = [
-    "MeshPath",
     "PairPartition",
-    "draw_path",
-    "coarsen_path",
-    "table_from_path",
-    "discretize_ito",
-    "strat_reference",
     "enumerate_pair_partitions",
     "truncated_moment",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class MeshPath:
-    """Uniformish mesh t = tau_0 < ... < tau_N = T with increments; row 0 is dtau."""
-
-    mesh: np.ndarray
-    increments: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mesh.ndim != 1 or self.mesh.size < 2:
-            raise ArgumentError("mesh needs at least two points")
-        if not np.all(np.diff(self.mesh) > 0):
-            raise ArgumentError("mesh must be strictly increasing")
-        if self.increments.shape != (self.increments.shape[0], self.mesh.size - 1):
-            raise ArgumentError("increments must have one column per mesh step")
-        if not np.array_equal(self.increments[0], np.diff(self.mesh)):
-            raise ArgumentError("increment row 0 must equal mesh differences exactly")
-        self.mesh.setflags(write=False)
-        self.increments.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.increments.shape[0] - 1
-
-    @property
-    def steps(self) -> int:
-        return self.mesh.size - 1
-
-    def interval(self) -> Interval:
-        return Interval(float(self.mesh[0]), float(self.mesh[-1]))
 
 
 @dataclass(frozen=True)
@@ -68,103 +34,6 @@ class PairPartition:
 
     pairs: tuple[tuple[int, int], ...]
     singles: tuple[int, ...]
-
-
-def draw_path(m: int, n_steps: int, iv: Interval, seed: int, stream: int = 0) -> MeshPath:
-    """Wiener increments of m components on a uniform n_steps mesh over [t, T]."""
-    if m < 1:
-        raise ArgumentError(f"need m >= 1 components, got {m}")
-    if n_steps < 1:
-        raise ArgumentError(f"need n_steps >= 1, got {n_steps}")
-    mesh = iv.t + iv.length() * (np.arange(n_steps + 1) / n_steps)
-    mesh[0], mesh[-1] = iv.t, iv.T
-    dtau = np.diff(mesh)
-    increments = np.empty((m + 1, n_steps))
-    increments[0] = dtau
-    root = np.sqrt(dtau)
-    for i in range(1, m + 1):
-        increments[i] = root * normal_stream(seed, stream, i, n_steps, DOMAIN_PATH)
-    return MeshPath(mesh=mesh, increments=increments)
-
-
-def coarsen_path(path: MeshPath, factor: int) -> MeshPath:
-    """Merge groups of `factor` consecutive steps; Wiener rows sum bit-exactly."""
-    if factor < 1 or path.steps % factor != 0:
-        raise ArgumentError(f"factor {factor} must divide the {path.steps} steps")
-    mesh = path.mesh[::factor].copy()
-    cuts = np.arange(0, path.steps, factor)
-    increments = np.add.reduceat(path.increments, cuts, axis=1)
-    # Row 0 must stay exactly the mesh differences, not their rounded sums.
-    increments[0] = np.diff(mesh)
-    return MeshPath(mesh=mesh, increments=increments)
-
-
-def table_from_path(
-    path: MeshPath, max_j: int, basis: BasisKind, phi: np.ndarray | None = None
-) -> GaussianTable:
-    """Couple a table to a path: zeta_j = sum_l phi_j(tau_l) dw_l, left endpoints.
-
-    Pass phi = phi_matrix(basis, max_j, path.mesh[:-1], iv) to amortize the
-    basis evaluation across many paths on a shared mesh.
-    """
-    iv = path.interval()
-    if phi is None:
-        phi = phi_matrix(basis, max_j, path.mesh[:-1], iv)
-    if phi.shape != (max_j + 1, path.steps):
-        raise ArgumentError(f"phi must have shape {(max_j + 1, path.steps)}, got {phi.shape}")
-    values = np.empty((path.m + 1, max_j + 1))
-    values[0] = basis_integrals(basis, iv, max_j)
-    values[1:] = path.increments[1:] @ phi.T
-    return GaussianTable(m=path.m, max_j=max_j, values=values, basis=basis, iv=iv, seed=0)
-
-
-def _check_path(ispec: IntegralSpec, path: MeshPath) -> None:
-    if path.mesh[0] != ispec.iv.t or path.mesh[-1] != ispec.iv.T:
-        raise ArgumentError(
-            f"path covers [{path.mesh[0]}, {path.mesh[-1]}], spec wants [{ispec.iv.t}, {ispec.iv.T}]"
-        )
-    if max(ispec.indices) > path.m:
-        raise ArgumentError(f"path has {path.m} components, need {max(ispec.indices)}")
-
-
-def discretize_ito(ispec: IntegralSpec, path: MeshPath) -> float:
-    """Prelimit nested sum over strictly increasing mesh indices, left endpoints."""
-    _check_path(ispec, path)
-    t = ispec.iv.t
-    left = path.mesh[:-1]
-    acc = None
-    for psi, i_l in zip(ispec.spec.weights, ispec.indices):
-        layer = np.asarray(psi.value(left, t)) * path.increments[i_l]
-        if acc is not None:
-            # Exclusive prefix sum enforces j_{l-1} < j_l across levels.
-            prefix = np.empty_like(acc)
-            prefix[0] = 0.0
-            np.cumsum(acc[:-1], out=prefix[1:])
-            layer = layer * prefix
-        acc = layer
-    return float(np.sum(acc))
-
-
-def strat_reference(ispec: IntegralSpec, path: MeshPath) -> float:
-    """Ito discretization plus, per adjacent pair i_l == i_{l+1} != 0, half the
-    reference with that pair merged into one dt level of weight psi_l psi_{l+1}."""
-    return _strat(ispec, path, 0)
-
-
-def _strat(ispec: IntegralSpec, path: MeshPath, start: int) -> float:
-    # Merging only pairs from `start` on counts each set once (Kloeden & Platen 5.2).
-    w, idx, iv = ispec.spec.weights, ispec.indices, ispec.iv
-    if start and len(w) == 1:  # a merged pair alone: exact Gauss rule
-        rule = gauss_rule(w[0].degree // 2 + 1, iv)
-        return rule.integrate(np.asarray(w[0].value(rule.nodes, iv.t)))
-    total = discretize_ito(ispec, path)
-    for l in range(start, len(w) - 1):
-        if idx[l] == idx[l + 1] != 0:
-            psi = WeightPoly(tuple(float(c) for c in nppoly.polymul(w[l].coeffs, w[l + 1].coeffs)))
-            merged = WeightSpec((*w[:l], psi, *w[l + 2 :]))
-            reduced = replace(ispec, spec=merged, indices=(*idx[:l], 0, *idx[l + 2 :]))
-            total += 0.5 * _strat(reduced, path, l + 1)
-    return total
 
 
 def enumerate_pair_partitions(k: int, r: int) -> list[PairPartition]:

@@ -23,22 +23,19 @@ from stratint import (
     IntegralSpec,
     TruncationOrders,
     WeightSpec,
-    coarsen_path,
     compute_tensor,
     convergence_study,
-    draw_path,
     draw_table,
     enumerate_pair_partitions,
     gbm,
     phi_matrix,
     sample_closed_form,
     sample_truncated,
-    strat_reference,
-    table_from_path,
     truncated_moment,
 )
 from stratint.rng import DOMAIN_TABLE, normal_stream
 
+from mesh import coarsen_path, draw_path, strat_reference, table_from_path
 from oracles import (
     i00_prefix,
     legendre_k1_golden,
@@ -190,17 +187,18 @@ def test_criterion_5_pathwise_convergence():
         phi = phi_matrix(BasisKind.LEGENDRE, p, probe.mesh[:-1], iv)
         sq = {("off", f): 0.0 for f in factors}
         sq.update({("same", f): 0.0 for f in factors})
-        for r in range(n_paths):
-            path = draw_path(2, n_fine, iv, seed=SEED, stream=r)
-            table = table_from_path(path, p, BasisKind.LEGENDRE, phi=phi)
+        chunk = 250  # paths per batch: 12 MB of fine increments
+        for lo in range(0, n_paths, chunk):
+            paths = draw_path(2, n_fine, iv, seed=SEED, stream=range(lo, lo + chunk))
+            table = table_from_path(paths, p, BasisKind.LEGENDRE, phi=phi)
             s_off = sample_truncated(off, tensor, table, orders)
             s_same = sample_truncated(same, tensor, table, orders)
             for f in factors:
-                coarse = coarsen_path(path, f) if f > 1 else path
+                coarse = coarsen_path(paths, f) if f > 1 else paths
                 d_off = strat_reference(off, coarse) - s_off
                 d_same = strat_reference(same, coarse) - s_same
-                sq[("off", f)] += d_off * d_off
-                sq[("same", f)] += d_same * d_same
+                sq[("off", f)] += float(d_off @ d_off)
+                sq[("same", f)] += float(d_same @ d_same)
         for case in ("off", "same"):
             rms = [math.sqrt(sq[(case, f)] / n_paths) for f in factors]
             # factors shrink, meshes refine: every level beats its predecessor

@@ -17,7 +17,6 @@ from stratint import (
     WeightSpec,
     basis_integrals,
     compute_tensor,
-    eval_phi,
     gauss_rule,
     phi_matrix,
 )
@@ -51,10 +50,11 @@ def test_phi_matches_independent_evaluation(kind, iv):
         assert np.max(np.abs(rows[j] - ref)) < 1e-12
 
 
-def test_eval_phi_scalar():
+def test_phi_matrix_at_one_point():
     iv = Interval(0.0, 2.0)
-    v = eval_phi(BasisKind.LEGENDRE, 0, 1.3, iv)
-    assert v == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    v = phi_matrix(BasisKind.LEGENDRE, 0, np.array([1.3]), iv)
+    assert v.shape == (1, 1)
+    assert v[0, 0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", list(BasisKind))
@@ -86,7 +86,7 @@ def test_phi_domain_checked():
     with pytest.raises(DomainError):
         phi_matrix(BasisKind.LEGENDRE, 3, np.array([-0.1, 0.5]), iv)
     with pytest.raises(DomainError):
-        eval_phi(BasisKind.TRIGONOMETRIC, 1, 1.0001, iv)
+        phi_matrix(BasisKind.TRIGONOMETRIC, 1, np.array([1.0001]), iv)
 
 
 def test_order_limits():
@@ -148,7 +148,8 @@ def _full_row_gauss(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 150, 1000])
 def test_gauss_rule_equals_full_row_newton(n):
-    # Newton reads only P_{n-1} and P_n, so two rolling rows give the same bits
+    # Newton reads only P_{n-1} and P_n of the rows: a transcription of the
+    # iteration here pins the nodes' and weights' bits
     x, w = _base_gauss(n)
     want_x, want_w = _full_row_gauss(n)
     assert x.tobytes() == want_x.tobytes()
@@ -217,6 +218,6 @@ def test_affine_covariance(j, u, t, length):
     unit = Interval(0.0, 1.0)
     iv = Interval(t, t + length)
     for kind in BasisKind:
-        a = eval_phi(kind, j, u, unit)
-        b = eval_phi(kind, j, t + length * u, iv)
+        a = phi_matrix(kind, j, np.array([u]), unit)[j, 0]
+        b = phi_matrix(kind, j, np.array([t + length * u]), iv)[j, 0]
         assert b == pytest.approx(a / math.sqrt(length), rel=1e-10, abs=1e-10)

@@ -345,6 +345,25 @@ def test_converge_needs_rows(n):
     assert proc.stderr.startswith(b"error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # these were refused only by the sampler, with messages that named its
+    # internals: "need max_j >= 0" and "table holds indices up to 4, need 8"
+    (["--p-ref", "-1"], "--p-ref"),
+    (["--p-ladder", "8", "--p-ref", "4"], "--p-ladder"),
+    (["--p-ladder=1,-1", "--p-ref", "4"], "--p-ladder"),
+    (["--name", "I1t", "--p-ladder", "2,5", "--p-ref", "4"], "--p-ladder"),
+])
+def test_converge_orders_checked_before_any_draw(argv, flag, capsys, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a table")
+    monkeypatch.setattr(cli, "draw_table", draw)
+    assert cli.main(["converge", "--n", "3", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert "Traceback" not in err
+
+
 def test_sde_negative_p_usage_error():
     proc = run("sde", "--p", "-1", "--n", "2", "--ladder", "2,4,8,16", check=False)
     assert proc.returncode == 2

@@ -29,7 +29,6 @@ from stratint import (
     cache_store,
     compute_tensor,
     convergence_study,
-    draw_path,
     draw_table,
     eval_K_star,
     gauss_rule,
@@ -46,6 +45,7 @@ from stratint.coefficients import (
     _trig_bytes,
 )
 
+from mesh import draw_path
 from oracles import (
     collocation_tensor,
     legendre_exact,
@@ -433,19 +433,58 @@ def test_parseval_box_sum(iv):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+# the order and tolerance per weight exponents: at p = 64 and 24 the worst gap
+# off full ties is 1.8e-2 for (0, 0, 0), 2.3e-3 for (1, 0, 2) and 2.6e-2 for
+# (0, 0, 0, 0), over both bases
+_POINTWISE = {(0, 0): (256, 5e-3), (1, 2): (256, 5e-3), (0, 0, 0): (64, 2.5e-2),
+              (1, 0, 2): (64, 4e-3), (0, 0, 0, 0): (24, 4e-2)}
+# per multiplicity, points off ties, with tied pairs, and with every time tied
+_POINTWISE_TIMES = {
+    2: ((0.3, 0.7), (0.7, 0.3), (0.5, 0.5), (0.2, 0.2)),
+    3: ((0.2, 0.5, 0.8), (0.8, 0.5, 0.2), (0.5, 0.2, 0.8), (0.3, 0.3, 0.7), (0.3, 0.7, 0.7),
+        (0.5, 0.5, 0.5)),
+    4: ((0.1, 0.4, 0.6, 0.9), (0.9, 0.6, 0.4, 0.1), (0.2, 0.2, 0.7, 0.7), (0.1, 0.4, 0.4, 0.9),
+        (0.5, 0.5, 0.5, 0.5)),
+}
+
+
+def _square_sum(c, phi):
+    """sum C_{j1..jk} phi_j1(t1) ... phi_jk(tk) over the box of c, for phi
+    from phi_matrix at t1..tk."""
+    value = c
+    for l in reversed(range(c.ndim)):
+        value = value @ phi[:, l]
+    return float(value)
+
+
 @pytest.mark.parametrize("kind", list(BasisKind))
-@pytest.mark.parametrize("exps", [(0, 0), (1, 2)])
+@pytest.mark.parametrize("exps", list(_POINTWISE))
 def test_square_partial_sums_converge_pointwise(kind, exps):
-    # the paper's claim: the square sums of C_{j1 j2} phi_j1(t1) phi_j2(t2)
-    # converge to K*, with the factor 1/2 on the diagonal
-    iv, p = Interval(0.0, 1.0), 256
+    # the paper's claim for square sums (p_1 = ... = p_k): off ties and at
+    # tied pairs they converge to K*, which halves the product at each tied
+    # pair; where all k times tie, to psi_1 ... psi_k / k!, which is K* only
+    # for k = 2. A full tie does not move when the axes are permuted, so the
+    # sum is 1/k! of the square sum of the kernel summed over permutations,
+    # and that is the product of the weights there.
+    iv = Interval(0.0, 1.0)
     spec = WeightSpec.from_exponents(exps)
-    c = compute_tensor(kind, spec, iv, (p, p)).data
-    for times in ((0.3, 0.7), (0.7, 0.3), (0.5, 0.5), (0.2, 0.2)):
-        phi = phi_matrix(kind, p, np.array(times), iv)
-        got = float(phi[:, 0] @ c @ phi[:, 1])
-        # worst gap 1.1e-3 for Legendre, 4.0e-3 for trigonometric
-        assert got == pytest.approx(eval_K_star(spec, times, iv.t), abs=5e-3), times
+    p, tol = _POINTWISE[exps]
+    c = compute_tensor(kind, spec, iv, (p,) * len(exps)).data
+    for times in _POINTWISE_TIMES[len(exps)]:
+        got = _square_sum(c, phi_matrix(kind, p, np.array(times), iv))
+        if len(set(times)) > 1:
+            assert got == pytest.approx(eval_K_star(spec, times, iv.t), abs=tol), times
+            continue
+        full = math.prod(psi.value(times[0], iv.t) for psi in spec.weights)
+        want = full / math.factorial(len(exps))
+        if any(exps):
+            assert got == pytest.approx(want, abs=tol), times
+            continue
+        # constant weights: exactly 1/k! at every order, so 1/6 and 1/24
+        # where K* is 1/4 and 1/8
+        small = compute_tensor(kind, spec, iv, (3,) * len(exps)).data
+        for value in (got, _square_sum(small, phi_matrix(kind, 3, np.array(times), iv))):
+            assert value == pytest.approx(want, abs=1e-14), times
 
 
 def test_validation_errors():

@@ -1,4 +1,4 @@
-"""Discretization oracle, pair partitions, and exact moments."""
+"""Mesh discretization oracle (tests/mesh.py), pair partitions, and exact moments."""
 
 import ast
 import dataclasses
@@ -21,23 +21,25 @@ from stratint import (
     CapabilityError,
     Interval,
     IntegralSpec,
-    MeshPath,
     TruncationOrders,
     WeightSpec,
-    coarsen_path,
     compute_tensor,
-    discretize_ito,
-    draw_path,
     draw_table,
     enumerate_pair_partitions,
     oracle,
     phi_matrix,
     sample_truncated,
-    strat_reference,
-    table_from_path,
     truncated_moment,
 )
 
+from mesh import (
+    MeshPath,
+    coarsen_path,
+    discretize_ito,
+    draw_path,
+    strat_reference,
+    table_from_path,
+)
 from oracles import isserlis_moment, slow_discretize, truncation_law
 
 IV = Interval(0.0, 1.0)

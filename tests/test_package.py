@@ -17,12 +17,11 @@ SUBMODULES = (basis, coefficients, errors, kernel, oracle, rng, sampler, sde_dem
 PUBLIC = {
     "__version__",
     "MAX_LEGENDRE_ORDER", "BasisKind", "Interval", "QuadratureRule", "basis_integrals",
-    "eval_phi", "gauss_rule", "phi_matrix",
+    "gauss_rule", "phi_matrix",
     "MAX_MULTIPLICITY", "CoeffTensor", "cache_load", "cache_store", "compute_tensor",
     "ArgumentError", "CacheFormatError", "CapabilityError", "DomainError", "StaleCacheError",
     "WeightPoly", "WeightSpec", "eval_K", "eval_K_star", "monomial_weight",
-    "MeshPath", "PairPartition", "coarsen_path", "discretize_ito", "draw_path",
-    "enumerate_pair_partitions", "strat_reference", "table_from_path", "truncated_moment",
+    "PairPartition", "enumerate_pair_partitions", "truncated_moment",
     "DOMAIN_PATH", "DOMAIN_TABLE", "normal_stream",
     "CLOSED_FORM_EXPONENTS", "CLOSED_FORM_NAMES", "GaussianTable", "IntegralSpec",
     "TruncationOrders", "draw_table", "sample_batch", "sample_closed_form", "sample_truncated",
@@ -34,7 +33,7 @@ PUBLIC = {
 def test_all_is_version_plus_each_submodules_all():
     want = ["__version__"] + [name for module in SUBMODULES for name in module.__all__]
     assert stratint.__all__ == want
-    assert len(set(want)) == len(want) == 52
+    assert len(set(want)) == len(want) == 45
 
 
 @pytest.mark.parametrize("module", SUBMODULES, ids=lambda m: m.__name__)
@@ -69,3 +68,23 @@ print(json.dumps(seen))
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == ["1"]
+
+
+def test_test_helpers_stay_out_of_the_package():
+    # the mesh oracle is test code (tests/mesh.py) and eval_phi is gone; with
+    # them went the package's one use of numpy.polynomial
+    body = """
+import json, sys
+import stratint
+from stratint import oracle
+gone = ("MeshPath", "draw_path", "coarsen_path", "table_from_path", "discretize_ito",
+        "strat_reference", "eval_phi")
+print(json.dumps([[n for n in gone if hasattr(stratint, n) or hasattr(oracle, n)],
+                  [m for m in sys.modules if m.startswith("numpy.polynomial")]]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", body], capture_output=True, env=env,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
