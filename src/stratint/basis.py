@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, DomainError
+from .errors import ArgumentError, CapabilityError, DomainError, _whole
 
 __all__ = [
     "MAX_LEGENDRE_ORDER",
@@ -77,13 +77,21 @@ def _legendre_rows(max_j: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_order(kind: BasisKind, j: int) -> None:
-    if j < 0:
-        raise ArgumentError(f"basis index must be >= 0, got {j}")
-    if kind is BasisKind.LEGENDRE and j > MAX_LEGENDRE_ORDER:
+def _check_kind(name: str, kind: object) -> None:
+    """ArgumentError unless kind is a BasisKind member: a string is refused too."""
+    if not isinstance(kind, BasisKind):
+        raise ArgumentError(f"{name} must be a BasisKind member, got {kind!r}")
+
+
+def _check_order(kind: BasisKind, max_j: int) -> int:
+    """max_j as an int, after the checks of kind and max_j."""
+    _check_kind("kind", kind)
+    max_j = _whole("max_j", max_j, 0)
+    if kind is BasisKind.LEGENDRE and max_j > MAX_LEGENDRE_ORDER:
         raise CapabilityError(
-            f"Legendre recurrence supported up to order {MAX_LEGENDRE_ORDER}, got {j}"
+            f"Legendre recurrence supported up to order {MAX_LEGENDRE_ORDER}, got {max_j}"
         )
+    return max_j
 
 
 def phi_matrix(kind: BasisKind, max_j: int, x: np.ndarray, iv: Interval) -> np.ndarray:
@@ -91,7 +99,7 @@ def phi_matrix(kind: BasisKind, max_j: int, x: np.ndarray, iv: Interval) -> np.n
 
     The points must lie inside [t, T]; callers feed exact quadrature nodes.
     """
-    _check_order(kind, max_j)
+    max_j = _check_order(kind, max_j)
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < iv.t or x.max() > iv.T):
         raise DomainError(f"evaluation points outside [{iv.t}, {iv.T}]")
@@ -135,8 +143,7 @@ def _base_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes mapped to [t, T]; exact to degree 2n - 1."""
-    if n < 1:
-        raise ArgumentError(f"need at least one node, got n={n}")
+    n = _whole("n", n, 1)
     x, w = _base_gauss(n)
     half = 0.5 * iv.length()
     mid = 0.5 * (iv.t + iv.T)
@@ -172,7 +179,7 @@ def basis_integrals(kind: BasisKind, iv: Interval, max_j: int) -> np.ndarray:
 
     phi_0 = 1/sqrt(T - t) is constant and every other phi_j is orthogonal to it.
     """
-    _check_order(kind, max_j)
+    max_j = _check_order(kind, max_j)
     out = np.zeros(max_j + 1)
     out[0] = math.sqrt(iv.length())
     return out

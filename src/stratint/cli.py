@@ -20,6 +20,7 @@ from .basis import BasisKind, Interval, gauss_rule, phi_matrix
 from .coefficients import (
     _TEXT_CHUNK,
     CoeffTensor,
+    _kept,
     _open_text,
     _read_only,
     cache_load,
@@ -27,7 +28,8 @@ from .coefficients import (
     check_bytes,
     compute_tensor,
 )
-from .errors import ArgumentError, CacheFormatError, CapabilityError, DomainError, StaleCacheError
+from .errors import (ArgumentError, CacheFormatError, CapabilityError, DomainError,
+                     StaleCacheError, _whole)
 from .kernel import WeightSpec
 from .oracle import enumerate_pair_partitions, truncated_moment
 from .sampler import (
@@ -148,14 +150,6 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[np.ndarray])
             fh.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
-# The lines of at most this many inner boxes of a coeffs CSV are kept, each
-# only when _lines_bytes puts it at most _LINES_KEPT_BYTES, so 16 MiB in all.
-# Measured: 4096 lines take 0.55-0.60 MB, kept; the 8193 lines of a last axis
-# twice a block long take 1.10 MB, and are made anew on each call
-_LINES_CACHE_SIZE = 16
-_LINES_KEPT_BYTES = 2**20
-
-
 def _lines_bytes(shape: tuple[int, ...]) -> int:
     """The bytes that _box_lines(shape) holds, at most: two arrays, and two str
     objects a line, with their pointers, each of the index text and at most
@@ -164,7 +158,9 @@ def _lines_bytes(shape: tuple[int, ...]) -> int:
     return 2 * (128 + math.prod(shape) * (8 + 64 + width))
 
 
-@functools.lru_cache(maxsize=_LINES_CACHE_SIZE)
+# kept or not by coefficients._kept. Measured: 4096 lines take 0.55-0.60 MB
+# and 8193 lines 1.10 MB, kept; 32769 lines take 4.4 MB, and are made anew
+@functools.lru_cache(maxsize=16)
 def _box_lines(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The CSV lines of a box of this shape, in C order, as two object arrays of
     str: each line's index text "j_1,...,j_m," then "%.17g\\r\\n", and then "0\\r\\n"."""
@@ -206,8 +202,7 @@ def _write_box(fh: TextIO, data: np.ndarray) -> None:
     while inner < len(shape) and math.prod(shape[-inner - 1:]) <= _EMIT_BLOCK:
         inner += 1
     box = shape[-inner:]
-    lines = _box_lines if _lines_bytes(box) <= _LINES_KEPT_BYTES else _box_lines.__wrapped__
-    formats, zeros = lines(box)
+    formats, zeros = _kept(_box_lines, _lines_bytes(box))(box)
     blocks = data.reshape(-1, math.prod(box))
     step = max(1, _EMIT_BLOCK // blocks.shape[1])  # blocks sorted into lines at once
     rows = itertools.chain.from_iterable(_block_lines(blocks[lo:lo + step], formats, zeros)
@@ -580,8 +575,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        if args.threads < 1:  # a no-op, but the same flag is refused alike by every subcommand
-            raise ArgumentError(f"need threads >= 1, got {args.threads}")
+        # a no-op, but the same flag is refused alike by every subcommand
+        _whole("threads", args.threads, 1)
         return args.func(args)
     except (ArgumentError, DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .basis import (
     BasisKind,
     Interval,
     _base_gauss,
+    _check_kind,
     _integration_matrix,
     _legendre_rows,
     gauss_rule,
@@ -33,6 +34,7 @@ from .errors import (
     CapabilityError,
     DomainError,
     StaleCacheError,
+    _whole,
 )
 from .kernel import WeightPoly, WeightSpec
 
@@ -95,11 +97,20 @@ class CoeffTensor:
 
     def support(self, p: tuple[int, ...]) -> Support:
         """Nonzero entries of the box data[:p_1 + 1, ..., :p_k + 1], with np.intp axes."""
-        if len(p) != len(self.orders) or any(not 0 <= q <= o for q, o in zip(p, self.orders)):
-            raise ArgumentError(f"box {p} is not inside tensor orders {self.orders}")
+        p = tuple(_whole("p", q, 0) for q in p)
+        _check_box(p, self.orders)
         box = self.data[tuple(slice(0, q + 1) for q in p)]
         nonzero = np.nonzero(box)
         return Support(nonzero, box[nonzero])
+
+
+def _check_box(p: tuple[int, ...], orders: tuple[int, ...]) -> None:
+    """ArgumentError unless the truncation orders p, each >= 0, are one per
+    axis of a tensor of these orders and inside them."""
+    if len(p) != len(orders):
+        raise ArgumentError(f"need {len(orders)} truncation orders, got {len(p)}")
+    if p != orders and any(q > o for q, o in zip(p, orders)):
+        raise ArgumentError(f"orders {p} exceed tensor orders {orders}")
 
 
 def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> None:
@@ -107,8 +118,6 @@ def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> Non
         raise CapabilityError(f"multiplicity {spec.k} not supported, max is {MAX_MULTIPLICITY}")
     if len(orders) != spec.k:
         raise ArgumentError(f"need {spec.k} orders, got {len(orders)}")
-    if any(o < 0 for o in orders):
-        raise ArgumentError(f"orders must be >= 0, got {orders}")
     if kind is BasisKind.LEGENDRE and max(orders) > MAX_LEGENDRE_ORDER:
         raise CapabilityError(f"Legendre orders supported up to {MAX_LEGENDRE_ORDER}, got {orders}")
 
@@ -134,8 +143,9 @@ def _nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
     return -(-(sum(orders) + sum(w.degree for w in spec.weights) + spec.k) // 2)
 
 
-# Tables larger than this are rebuilt on every call rather than kept; each
-# cache below keeps at most 16 of them.
+# The package's one keep-or-rebuild rule for derived tables: one larger than
+# this is rebuilt on every call rather than kept, and each cache that _kept
+# serves keeps at most 16 of them.
 _KEPT_BYTES = 2**22
 
 
@@ -297,10 +307,10 @@ def _trig_tensor(spec: WeightSpec, length: float, orders: tuple[int, ...]) -> np
             break
         z = _times_phi(z, o, nu_len + r, 2.0, 1).reshape(nu_len + r, (o + 1) * prefix, a_len)
         z[0] *= 0.5  # nu = 0 keeps one of its two halves
-        z = z @ _primitives(nu_len + r, a_len)
+        z = z @ _kept(_primitives, 16 * (nu_len + r) * a_len * (a_len + 1))(nu_len + r, a_len)
         z[0, :, 0] -= z[1:, :, 0].real.sum(axis=0)
-    prims = _primitives if (nu_len + r) * a_len**2 <= 2**14 else _primitives.__wrapped__
-    ends = prims(nu_len + r, a_len)[:, None, :, 1:].sum(axis=-1)  # a large one is not kept
+    prims = _kept(_primitives, 16 * (nu_len + r) * a_len * (a_len + 1))(nu_len + r, a_len)
+    ends = prims[:, None, :, 1:].sum(axis=-1)
     table = _times_phi(ends * length ** (spec.k / 2), o, nu_len, 1.0, -1)[:, :, 0]
     # L^(k/2) int_0^1 x^a e(nu x) phi_j, conjugated: real pairs dot z's to Re(z . table)
     table = np.conj(table.transpose(1, 0, 2), order="C").view(np.float64).reshape(o + 1, -1)
@@ -327,7 +337,8 @@ def compute_tensor(
     Raises DomainError when a coefficient is not finite: the interval is too
     long, or the weights too large, for double precision.
     """
-    orders = tuple(int(o) for o in orders)
+    _check_kind("kind", kind)
+    orders = tuple(_whole("orders", o, 0) for o in orders)
     _validate(kind, spec, orders)
     n = _nodes(spec, orders)
     need = (_legendre_bytes(spec, orders, n) if kind is BasisKind.LEGENDRE
@@ -400,6 +411,8 @@ def cache_load(
     holds a value that is not finite, and StaleCacheError for one built with
     other parameters.
     """
+    _check_kind("kind", kind)
+    orders = tuple(_whole("orders", o, 0) for o in orders)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -443,7 +456,6 @@ def cache_load(
     if not np.isfinite(data).all():  # compute_tensor stores no such tensor
         raise CacheFormatError(f"{path}: payload holds a value that is not finite")
 
-    orders = tuple(int(o) for o in orders)
     wanted = (
         _BASIS_TAG[kind],
         spec.k,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _whole
 
 __all__ = [
     "WeightPoly",
@@ -44,8 +44,7 @@ class WeightPoly:
 
 def monomial_weight(exponent: int) -> WeightPoly:
     """Weight psi(s) = (t - s)^exponent, i.e. (-u)^exponent in u = s - t."""
-    if exponent < 0:
-        raise ArgumentError(f"exponent must be >= 0, got {exponent}")
+    exponent = _whole("exponent", exponent, 0)
     coeffs = [0.0] * exponent + [float((-1) ** exponent)]
     return WeightPoly(tuple(coeffs))
 

@@ -11,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import basis_integrals
-from .coefficients import CoeffTensor
-from .errors import ArgumentError, CapabilityError
+from .coefficients import CoeffTensor, _check_box
+from .errors import ArgumentError, CapabilityError, _whole
 from .sampler import IntegralSpec, TruncationOrders, _provenance_error, _same
 
 # normal_stream, phi_matrix and gauss_rule are unused here but stay module
@@ -42,7 +42,8 @@ def enumerate_pair_partitions(k: int, r: int) -> list[PairPartition]:
     Each (k, r) up to k = _MAX_TOTAL_K is enumerated once per process; every
     call returns a fresh list of the same (frozen) partitions.
     """
-    if k < 0 or r < 0 or 2 * r > k:
+    k, r = _whole("k", k, 0), _whole("r", r, 0)
+    if 2 * r > k:
         raise ArgumentError(f"need 0 <= 2r <= k, got k={k}, r={r}")
     if k <= _MAX_TOTAL_K:
         return list(_pair_partitions(k, r))
@@ -109,9 +110,7 @@ def truncated_moment(
     for ispec, tensor, o in zip(ispecs, tensors, orders):
         if _provenance_error(ispec, tensor, basis, iv):
             raise ArgumentError("tensor does not match its spec")
-        if len(o.p) != ispec.spec.k or (o.p != tensor.orders
-                                        and any(p > q for p, q in zip(o.p, tensor.orders))):
-            raise ArgumentError(f"orders {o.p} exceed tensor orders {tensor.orders}")
+        _check_box(o.p, tensor.orders)
 
     plan = _moment_plan(tuple(s.indices for s in ispecs), tuple(o.p for o in orders))
     if plan is None:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _whole
 
 __all__ = [
     "DOMAIN_TABLE",
@@ -42,10 +41,7 @@ _ndtri = None
 
 
 def _coordinate(name: str, value: object) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+    value = _whole(name, value)
     if not 0 <= value < 2**64:
         raise ArgumentError(f"{name} must be in [0, 2**64), got {value}")
     return value
@@ -102,12 +98,7 @@ def normal_stream(
     many variates other calls consumed, and each (stream, component) row of
     a batch equals the single draw of its coordinates.
     """
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ArgumentError(f"count must be an integer, got {count!r}") from None
-    if count < 0:
-        raise ArgumentError(f"count must be >= 0, got {count}")
+    count = _whole("count", count, 0)
     seed = _coordinate("seed", seed)
     streams, batched = _coordinates("stream", stream)
     components, per_component = _coordinates("component", component)

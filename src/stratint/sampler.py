@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -12,9 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisKind, Interval, basis_integrals
-from .coefficients import CoeffTensor, _read_only
-from .errors import ArgumentError, DomainError
+from .basis import BasisKind, Interval, _check_kind, basis_integrals
+from .coefficients import CoeffTensor, _check_box, _read_only
+from .errors import ArgumentError, DomainError, _whole
 from .kernel import WeightSpec
 from .rng import DOMAIN_TABLE, normal_stream
 
@@ -72,12 +71,10 @@ class IntegralSpec:
     iv: Interval
 
     def __post_init__(self) -> None:
+        _check_kind("basis", self.basis)
+        object.__setattr__(self, "indices", tuple(_whole("indices", i, 0) for i in self.indices))
         if len(self.indices) != self.spec.k:
-            raise ArgumentError(
-                f"need {self.spec.k} component indices, got {len(self.indices)}"
-            )
-        if min(self.indices) < 0:
-            raise ArgumentError(f"component indices must be >= 0, got {self.indices}")
+            raise ArgumentError(f"need {self.spec.k} component indices, got {len(self.indices)}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,14 @@ class TruncationOrders:
     p: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(self.p))  # part of a plan's cache key
-        if not self.p or min(self.p) < 0:
-            raise ArgumentError(f"truncation orders must be >= 0, got {self.p}")
+        # a tuple of ints: part of a plan's cache key
+        object.__setattr__(self, "p", tuple(_whole("p", q, 0) for q in self.p))
+        if not self.p:
+            raise ArgumentError("need at least one truncation order, got ()")
 
     @staticmethod
     def uniform(k: int, p: int) -> "TruncationOrders":
-        return TruncationOrders((p,) * k)
+        return TruncationOrders((p,) * _whole("k", k, 1))
 
 
 def _draw(m: int, max_j: int, seed: int, stream: int | Sequence[int]) -> np.ndarray:
@@ -133,6 +131,8 @@ def draw_table(
     A sequence or range of streams gives a batch of shape (n, m + 1, max_j + 1)
     whose row r is the table of stream[r].
     """
+    m, max_j = _whole("m", m), _whole("max_j", max_j)
+    _check_kind("basis", basis)
     z = _draw(m, max_j, seed, stream)
     values = _table_rows(basis_integrals(basis, iv, max_j), z, False)
     return GaussianTable(m=m, max_j=max_j, values=values.reshape(*z.shape[:-2], m + 1, max_j + 1),
@@ -224,10 +224,7 @@ def _plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor],
     axes, coeffs, bounds, end = [], [], [], 0
     for ispec, tensor, o in zip(ispecs, tensors, orders):
         p = o.p
-        if len(p) != ispec.spec.k:
-            raise ArgumentError(f"need {ispec.spec.k} truncation orders, got {len(p)}")
-        if p != tensor.orders and any(q > t for q, t in zip(p, tensor.orders)):
-            raise ArgumentError(f"orders {p} exceed tensor orders {tensor.orders}")
+        _check_box(p, tensor.orders)
         if max(p) > max_j:
             raise ArgumentError(f"table holds indices up to {max_j}, need {max(p)}")
         if max(ispec.indices) > m:
@@ -604,8 +601,7 @@ def sample_closed_form(
         raise ArgumentError(f"unknown closed form {name!r}")
     basis, exps, evaluate = _CLOSED_FORMS[name]
     k = len(exps)
-    if p < 0:
-        raise ArgumentError(f"truncation order must be >= 0, got {p}")
+    p = _whole("p", p, 0)
     if table.basis is not basis:
         raise ArgumentError(f"{name} needs the {basis.value} basis, table has {table.basis.value}")
     if table.iv != iv:
@@ -615,6 +611,7 @@ def sample_closed_form(
         raise ArgumentError(f"table holds indices up to {table.max_j}, need {needed}")
     if indices is None:
         indices = (1,) if k == 1 else (1, 2)
+    indices = tuple(_whole("indices", i) for i in indices)
     if len(indices) != k:
         raise ArgumentError(f"{name} needs {k} component indices, got {len(indices)}")
     if any(not 1 <= i <= table.m for i in indices):
@@ -638,16 +635,6 @@ def _normalize_orders(
     if len(orders) != len(ispecs):
         raise ArgumentError(f"need {len(ispecs)} truncation orders, got {len(orders)}")
     return list(orders)
-
-
-def _whole(name: str, value: object) -> int:
-    """value as an int, or ArgumentError for anything but an integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _cached_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor], m: int,
@@ -705,12 +692,8 @@ def sample_batch(
         raise ArgumentError("need at least one integral spec")
     if len(tensors) != len(ispecs):
         raise ArgumentError(f"need {len(ispecs)} tensors, got {len(tensors)}")
-    n = _whole("n", n)
-    if n < 0:
-        raise ArgumentError(f"need n >= 0, got {n}")
-    threads = _whole("threads", threads)
-    if threads < 1:
-        raise ArgumentError(f"need threads >= 1, got {threads}")
+    n = _whole("n", n, 0)
+    threads = _whole("threads", threads, 1)
     basis, iv = ispecs[0].basis, ispecs[0].iv
     if any(s.basis is not basis or not _same(s.iv, iv) for s in ispecs):
         raise ArgumentError("all specs in a batch must share basis and interval")

@@ -9,13 +9,13 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import check_bytes
-from .errors import ArgumentError
+from .errors import ArgumentError, _whole
 from .rng import DOMAIN_PATH, _coordinate, _normals, _words
 # normal_stream, draw_table and sample_closed_form are unused here but stay
 # module attributes, where perfbench/tracer.py wraps them: it reads each
 # traced name from the module's own namespace.
 from .rng import normal_stream  # noqa: F401
-from .sampler import _i00_band, _whole, draw_table, sample_closed_form  # noqa: F401
+from .sampler import _i00_band, draw_table, sample_closed_form  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -50,8 +50,8 @@ class SdeProblem:
     t_end: float
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.m < 1:
-            raise ArgumentError(f"need dim >= 1 and m >= 1, got dim={self.dim}, m={self.m}")
+        object.__setattr__(self, "dim", _whole("dim", self.dim, 1))
+        object.__setattr__(self, "m", _whole("m", self.m, 1))
         if np.shape(self.x0) != (self.dim,):
             raise ArgumentError(f"x0 must have shape ({self.dim},), got {np.shape(self.x0)}")
         if not np.isfinite(self.x0).all():
@@ -121,12 +121,8 @@ def integrate(
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}, pick one of {SCHEMES}")
-    steps = _whole("steps", steps)
-    if steps < 1:
-        raise ArgumentError(f"need steps >= 1, got {steps}")
-    p = _whole("p", p)
-    if p < 0:
-        raise ArgumentError(f"need p >= 0, got {p}")
+    steps = _whole("steps", steps, 1)
+    p = _whole("p", p, 0)
     return _run_level(problem, _increments(problem, scheme, range(1), steps, seed, p))[0]
 
 
@@ -237,12 +233,8 @@ def convergence_study(
     levels = tuple(sorted(_whole("level", n) for n in step_counts))
     if len(levels) < 4 or len(set(levels)) != len(levels) or levels[0] < 1:
         raise ArgumentError(f"need >= 4 distinct positive levels, got {step_counts}")
-    n_paths = _whole("n_paths", n_paths)
-    if n_paths < 1:
-        raise ArgumentError(f"need n_paths >= 1, got {n_paths}")
-    p = _whole("p", p)
-    if p < 0:
-        raise ArgumentError(f"need p >= 0, got {p}")
+    n_paths = _whole("n_paths", n_paths, 1)
+    p = _whole("p", p, 0)
     n_ref = 16 * levels[-1]
     if any(n_ref % n != 0 for n in levels):
         raise ArgumentError(f"every level must divide the reference count {n_ref}")

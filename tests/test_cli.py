@@ -713,25 +713,27 @@ def _lines_held(shape):
 
 
 def test_box_lines_cache_bound_by_bytes(monkeypatch):
-    # the lines of at most _LINES_CACHE_SIZE inner boxes are kept, each of at
-    # most _LINES_KEPT_BYTES; a box of 4096 lines is kept whatever its axes,
-    # and the 8193 lines of a trigonometric k = 1 table at 2 * _EMIT_BLOCK are not
+    # the lines of at most 16 inner boxes are kept, each of at most
+    # coefficients._KEPT_BYTES; a box of 4096 lines is kept whatever its axes,
+    # and the 32769 lines of a trigonometric k = 1 table at 8 * _EMIT_BLOCK are not
     cli._box_lines.cache_clear()
-    shapes = [(n,) for n in range(1, cli._LINES_CACHE_SIZE + 9)]
+    size = cli._box_lines.cache_info().maxsize
+    assert size == 16
+    shapes = [(n,) for n in range(1, size + 9)]
     shapes += [(4096,), (1, 4096), (1, 1, 1, 4096), (64, 64), (8, 8, 8, 8)]
     for shape in shapes:
         cli._write_box(io.StringIO(newline=""), np.zeros(shape))
-        assert cli._box_lines.cache_info().currsize <= cli._LINES_CACHE_SIZE
+        assert cli._box_lines.cache_info().currsize <= size
     for shape in shapes:
         held = _lines_held(shape)
-        assert held <= cli._lines_bytes(shape) <= cli._LINES_KEPT_BYTES
+        assert held <= cli._lines_bytes(shape) <= coefficients._KEPT_BYTES
         assert cli._lines_bytes(shape) <= 1.4 * held
     cli._box_lines.cache_clear()
     fh = io.StringIO(newline="")
     monkeypatch.setattr(cli, "_output", lambda args: contextlib.nullcontext(fh))
-    orders = str(2 * cli._EMIT_BLOCK)
+    orders = str(8 * cli._EMIT_BLOCK)
     assert cli.main(["coeffs", "--basis", "trigonometric", "--exps", "1", "--orders", orders]) == 0
-    assert cli._lines_bytes((2 * cli._EMIT_BLOCK + 1,)) > cli._LINES_KEPT_BYTES
+    assert cli._lines_bytes((8 * cli._EMIT_BLOCK + 1,)) > coefficients._KEPT_BYTES
     assert cli._box_lines.cache_info().currsize == 0
 
 

@@ -1,5 +1,7 @@
 """The package's public surface: `stratint.__all__` and what importing it does."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -88,3 +90,23 @@ print(json.dumps([[n for n in gone if hasattr(stratint, n) or hasattr(oracle, n)
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+
+
+def _index_calls(path):
+    """The lines of path that call operator.index or import it from operator."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                and isinstance(node.value, ast.Name) and node.value.id == "operator")
+            or (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(alias.name == "index" for alias in node.names))]
+
+
+def test_errors_holds_the_one_integer_check():
+    # errors._whole is the package's one integer check: no other module calls
+    # operator.index, so none can grow a second check that accepts other values
+    paths = sorted(glob.glob(os.path.join(SRC, "stratint", "*.py")))
+    found = {os.path.basename(p): _index_calls(p) for p in paths}
+    assert found.pop("errors.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
