@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, DomainError, _whole
+from .errors import ArgumentError, CapabilityError, DomainError, _real, _whole, check_bytes
 
 __all__ = [
     "MAX_LEGENDRE_ORDER",
@@ -35,14 +35,14 @@ class BasisKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration interval [t, T] with T > t."""
+    """Integration interval [t, T] with T > t, both endpoints finite floats."""
 
     t: float
     T: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.T)):
-            raise ArgumentError(f"need finite endpoints, got [{self.t}, {self.T}]")
+        object.__setattr__(self, "t", _real("t", self.t))
+        object.__setattr__(self, "T", _real("T", self.T))
         if not self.T > self.t:
             raise ArgumentError(f"need T > t, got [{self.t}, {self.T}]")
 
@@ -144,6 +144,7 @@ def _base_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_rule(n: int, iv: Interval) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes mapped to [t, T]; exact to degree 2n - 1."""
     n = _whole("n", n, 1)
+    check_bytes(8 * (n + 1) * n, f"n = {n} Gauss nodes")  # _base_gauss's rows of P_j
     x, w = _base_gauss(n)
     half = 0.5 * iv.length()
     mid = 0.5 * (iv.t + iv.T)

@@ -25,11 +25,10 @@ from .coefficients import (
     _read_only,
     cache_load,
     cache_store,
-    check_bytes,
     compute_tensor,
 )
 from .errors import (ArgumentError, CacheFormatError, CapabilityError, DomainError,
-                     StaleCacheError, _whole)
+                     StaleCacheError, _whole, check_bytes)
 from .kernel import WeightSpec
 from .oracle import enumerate_pair_partitions, truncated_moment
 from .sampler import (
@@ -279,7 +278,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
                 cache_store(args.cache, tensor, render if as_csv else None)
                 if as_csv:
                     text = _open_text(args.cache, tensor)
-            except CacheFormatError:  # replaced since it was stored: print the tensor
+            except (StaleCacheError, CacheFormatError):  # replaced since: print the tensor
                 pass
             except OSError as exc:
                 raise ArgumentError(
@@ -317,14 +316,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ArgumentError(f"--n must be >= 1, got {args.n}")
+    _whole("--n", args.n, 1)
     basis, k = CLOSED_FORM_NAMES[args.name]
     iv = Interval(args.interval[0], args.interval[1])
     indices = _parse_ints(args.indices) if args.indices else ((1,) if k == 1 else (1, 2))
     ladder = _parse_int_list(args.p_ladder)
-    if args.p_ref < 0:
-        raise ArgumentError(f"--p-ref must be >= 0, got {args.p_ref}")
+    _whole("--p-ref", args.p_ref, 0)
     if not all(0 <= p <= args.p_ref for p in ladder):
         raise ArgumentError(f"--p-ladder entries must lie in 0..{args.p_ref} (--p-ref), "
                             f"got {args.p_ladder}")

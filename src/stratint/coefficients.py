@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     StaleCacheError,
     _whole,
+    check_bytes,
 )
 from .kernel import WeightPoly, WeightSpec
 
@@ -47,9 +48,6 @@ __all__ = [
 ]
 
 MAX_MULTIPLICITY = 4
-# The package's one memory bound: the rough peak of one tensor build, or of
-# the working arrays of one block of rows or paths; check_bytes refuses more.
-MAX_TENSOR_BYTES = 2 * 2**30
 
 _CACHE_MAGIC = b"STCF"
 # 3: trigonometric tensors come from the closed form; 4: Legendre tensors
@@ -113,13 +111,17 @@ def _check_box(p: tuple[int, ...], orders: tuple[int, ...]) -> None:
         raise ArgumentError(f"orders {p} exceed tensor orders {orders}")
 
 
-def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> None:
+def _validate(kind: BasisKind, spec: WeightSpec, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """orders as a tuple of ints, after the checks of a request for a tensor."""
+    _check_kind("kind", kind)
+    orders = tuple(_whole("orders", o, 0) for o in orders)
     if spec.k > MAX_MULTIPLICITY:
         raise CapabilityError(f"multiplicity {spec.k} not supported, max is {MAX_MULTIPLICITY}")
     if len(orders) != spec.k:
         raise ArgumentError(f"need {spec.k} orders, got {len(orders)}")
     if kind is BasisKind.LEGENDRE and max(orders) > MAX_LEGENDRE_ORDER:
         raise CapabilityError(f"Legendre orders supported up to {MAX_LEGENDRE_ORDER}, got {orders}")
+    return orders
 
 
 def _nodes(spec: WeightSpec, orders: tuple[int, ...]) -> int:
@@ -320,13 +322,6 @@ def _trig_tensor(spec: WeightSpec, length: float, orders: tuple[int, ...]) -> np
     return np.ascontiguousarray(data.transpose(*range(spec.k - 2, -1, -1), spec.k - 1))
 
 
-def check_bytes(need: int, what: str) -> None:
-    """Raise CapabilityError, before anything is allocated, when `what` needs
-    more than MAX_TENSOR_BYTES bytes."""
-    if need > MAX_TENSOR_BYTES:
-        raise CapabilityError(f"{what} need over {MAX_TENSOR_BYTES >> 30} GiB")
-
-
 def compute_tensor(
     kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
@@ -337,9 +332,7 @@ def compute_tensor(
     Raises DomainError when a coefficient is not finite: the interval is too
     long, or the weights too large, for double precision.
     """
-    _check_kind("kind", kind)
-    orders = tuple(_whole("orders", o, 0) for o in orders)
-    _validate(kind, spec, orders)
+    orders = _validate(kind, spec, orders)
     n = _nodes(spec, orders)
     need = (_legendre_bytes(spec, orders, n) if kind is BasisKind.LEGENDRE
             else _trig_bytes(spec, orders))
@@ -357,17 +350,16 @@ def compute_tensor(
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 
-def _header(tensor: CoeffTensor) -> bytes:
-    """The bytes of tensor's cache file before its float64 payload."""
-    k = tensor.spec.k
+def _header(kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]) -> bytes:
+    """The bytes before the float64 payload of the cache file of the tensor of
+    these parameters: the cache's one codec. A load compares them with the
+    file's byte for byte, so a -0.0 where the file holds +0.0 misses."""
     blob = bytearray(_CACHE_MAGIC)
-    blob += struct.pack("<IBB", _CACHE_VERSION, _BASIS_TAG[tensor.kind], k)
-    blob += struct.pack(f"<{k}I", *tensor.orders)
-    blob += struct.pack("<dd", tensor.iv.t, tensor.iv.T)
-    for w in tensor.spec.weights:
-        blob += struct.pack("<I", len(w.coeffs))
-        blob += struct.pack(f"<{len(w.coeffs)}d", *w.coeffs)
-    blob += struct.pack("<Q", tensor.data.size)
+    blob += struct.pack(f"<IBB{spec.k}Idd", _CACHE_VERSION, _BASIS_TAG[kind], spec.k,
+                        *orders, iv.t, iv.T)
+    for w in spec.weights:
+        blob += struct.pack(f"<I{len(w.coeffs)}d", len(w.coeffs), *w.coeffs)
+    blob += struct.pack("<Q", math.prod(o + 1 for o in orders))
     return bytes(blob)
 
 
@@ -383,7 +375,7 @@ def cache_store(path: str, tensor: CoeffTensor,
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".stcf.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_header(tensor))
+            fh.write(_header(tensor.kind, tensor.spec, tensor.iv, tensor.orders))
             fh.write(memoryview(np.ascontiguousarray(tensor.data, dtype="<f8")).cast("B"))
             fh.write(bytes(8))
             if text is not None:
@@ -401,6 +393,38 @@ def cache_store(path: str, tensor: CoeffTensor,
         raise
 
 
+def _open(path: str, kind: BasisKind, spec: WeightSpec, iv: Interval,
+          orders: tuple[int, ...]) -> tuple[BinaryIO, int]:
+    """The cache file at path, opened at its payload, and the byte length of
+    the text after it, when the file holds the tensor of these parameters.
+    Raises, with the file closed, CacheFormatError when the file is not a
+    whole cache of this layout, and StaleCacheError when it is a cache of
+    other parameters."""
+    header = _header(kind, spec, iv, orders)
+    payload = 8 * math.prod(o + 1 for o in orders)
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "rb"))
+        head = fh.read(len(header))
+        if head != header:
+            if header.startswith(head):
+                raise CacheFormatError(f"{path}: truncated at byte {len(head)}")
+            if head[:8] != header[:8]:
+                raise CacheFormatError(f"{path}: magic {head[:4]!r} and version "
+                                       f"{int.from_bytes(head[4:8], 'little')}, expected "
+                                       f"{_CACHE_MAGIC!r} and version {_CACHE_VERSION}")
+            if len(head) > 9 and head[9] > MAX_MULTIPLICITY:  # no tensor has more axes
+                raise CacheFormatError(f"{path}: multiplicity {head[9]}")
+            raise StaleCacheError(f"{path}: header differs from that of the request: "
+                                  f"{kind.value}, {spec}, {iv}, orders {orders}")
+        fh.seek(payload, os.SEEK_CUR)
+        length = int.from_bytes(fh.read(8), "little")
+        if len(header) + payload + 8 + length != os.fstat(fh.fileno()).st_size:
+            raise CacheFormatError(f"{path}: text length {length} does not match the file")
+        fh.seek(len(header))
+        stack.pop_all()  # the caller closes it
+        return fh, length
+
+
 def cache_load(
     path: str, kind: BasisKind, spec: WeightSpec, iv: Interval, orders: tuple[int, ...]
 ) -> CoeffTensor:
@@ -411,83 +435,26 @@ def cache_load(
     holds a value that is not finite, and StaleCacheError for one built with
     other parameters.
     """
-    _check_kind("kind", kind)
-    orders = tuple(_whole("orders", o, 0) for o in orders)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(fmt: str) -> tuple:
-            nonlocal offset
-            n = struct.calcsize(fmt)
-            raw = fh.read(n)
-            if len(raw) < n:
-                raise CacheFormatError(f"{path}: truncated at byte {offset}")
-            offset += len(raw)
-            return struct.unpack(fmt, raw)
-
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise CacheFormatError(f"{path}: bad magic {magic!r}")
-        offset = 4
-        version, tag, k = take("<IBB")
-        if version != _CACHE_VERSION:
-            raise CacheFormatError(f"{path}: version {version}, expected {_CACHE_VERSION}")
-        if k > MAX_MULTIPLICITY:  # no tensor has more axes, nor numpy as many as 255
-            raise CacheFormatError(f"{path}: multiplicity {k}")
-        stored_orders = take(f"<{k}I")
-        stored_t, stored_T = take("<dd")
-        stored_weights = []
-        for _ in range(k):
-            (ncoeff,) = take("<I")
-            stored_weights.append(take(f"<{ncoeff}d"))
-        (count,) = take("<Q")
-        shape = tuple(o + 1 for o in stored_orders)
-        if count != math.prod(shape):
-            raise CacheFormatError(f"{path}: element count {count} does not match orders")
-        if offset + 8 * count + 8 > size:
-            raise CacheFormatError(f"{path}: payload length mismatch")
+    orders = _validate(kind, spec, orders)
+    shape = tuple(o + 1 for o in orders)
+    check_bytes(8 * math.prod(shape), f"orders {orders}")
+    with _open(path, kind, spec, iv, orders)[0] as fh:
         data = np.empty(shape, dtype="<f8")
-        if fh.readinto(memoryview(data).cast("B")) != 8 * count:
-            raise CacheFormatError(f"{path}: payload length mismatch")
-        offset += 8 * count
-        (length,) = take("<Q")
-        if offset + length != size:
-            raise CacheFormatError(f"{path}: text length {length} does not match the file")
+        fh.readinto(memoryview(data).cast("B"))
     if not np.isfinite(data).all():  # compute_tensor stores no such tensor
         raise CacheFormatError(f"{path}: payload holds a value that is not finite")
-
-    wanted = (
-        _BASIS_TAG[kind],
-        spec.k,
-        orders,
-        iv.t,
-        iv.T,
-        tuple(w.coeffs for w in spec.weights),
-    )
-    stored = (tag, k, tuple(stored_orders), stored_t, stored_T, tuple(stored_weights))
-    if stored != wanted:
-        raise StaleCacheError(f"{path}: cached parameters {stored} differ from request {wanted}")
     return CoeffTensor(kind=kind, spec=spec, iv=iv, orders=orders, data=data)
 
 
 def _open_text(path: str, tensor: CoeffTensor) -> BinaryIO | None:
     """The cache file at path, opened at the text stored beside tensor, which
-    runs to the end of the file; None when the file holds no text.
-
-    Raises CacheFormatError, with the file closed, when the file's header is
-    not tensor's, its length is not that of the text, or the text is not
-    ASCII; so a caller sees a whole text before it copies any of it.
-    """
-    header = _header(tensor)
+    runs to the end of the file; None when the file holds no text. Raises,
+    with the file closed, what _open raises, and CacheFormatError when the
+    text is not ASCII; so a caller sees a whole text before it copies any."""
+    fh, length = _open(path, tensor.kind, tensor.spec, tensor.iv, tensor.orders)
     with contextlib.ExitStack() as stack:
-        fh = stack.enter_context(open(path, "rb"))
-        if fh.read(len(header)) != header:
-            raise CacheFormatError(f"{path}: header is not that of the tensor")
-        fh.seek(8 * tensor.data.size, os.SEEK_CUR)
-        raw = fh.read(8)
-        start, length = fh.tell(), int.from_bytes(raw, "little")
-        if len(raw) < 8 or start + length != os.fstat(fh.fileno()).st_size:
-            raise CacheFormatError(f"{path}: text length does not match the file")
+        stack.enter_context(fh)
+        start = fh.seek(8 * tensor.data.size + 8, os.SEEK_CUR)
         for _ in range(0, length, _TEXT_CHUNK):
             if not fh.read(_TEXT_CHUNK).isascii():
                 raise CacheFormatError(f"{path}: text is not ASCII")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, _whole
+from .errors import ArgumentError, _real, _whole
 
 __all__ = [
     "WeightPoly",
@@ -19,11 +19,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightPoly:
-    """Polynomial weight in u = s - t, stored as coefficients of 1, u, u^2, ..."""
+    """Polynomial weight in u = s - t, stored as finite float coefficients of 1, u, u^2, ..."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(_real("coeffs", c) for c in self.coeffs))
         if not self.coeffs:
             raise ArgumentError("weight polynomial needs at least one coefficient")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
@@ -45,8 +46,7 @@ class WeightPoly:
 def monomial_weight(exponent: int) -> WeightPoly:
     """Weight psi(s) = (t - s)^exponent, i.e. (-u)^exponent in u = s - t."""
     exponent = _whole("exponent", exponent, 0)
-    coeffs = [0.0] * exponent + [float((-1) ** exponent)]
-    return WeightPoly(tuple(coeffs))
+    return WeightPoly((0.0,) * exponent + ((-1) ** exponent,))
 
 
 @dataclass(frozen=True)

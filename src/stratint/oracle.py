@@ -13,7 +13,7 @@ import numpy as np
 from .basis import basis_integrals
 from .coefficients import CoeffTensor, _check_box
 from .errors import ArgumentError, CapabilityError, _whole
-from .sampler import IntegralSpec, TruncationOrders, _provenance_error, _same
+from .sampler import IntegralSpec, TruncationOrders, _normalize_orders, _provenance_error, _same
 
 # normal_stream, phi_matrix and gauss_rule are unused here but stay module
 # attributes, where perfbench/tracer.py wraps them: it reads each traced name
@@ -98,8 +98,9 @@ def truncated_moment(
         if not all(single):
             raise ArgumentError("pass one spec, tensor and orders, or a list of each")
         ispecs, tensors, orders = [ispecs], [tensors], [orders]
-    ispecs, tensors, orders = list(ispecs), list(tensors), list(orders)
-    if len(ispecs) not in (1, 2) or len(tensors) != len(ispecs) or len(orders) != len(ispecs):
+    ispecs, tensors = list(ispecs), list(tensors)
+    orders = _normalize_orders(ispecs, orders)
+    if len(ispecs) not in (1, 2) or len(tensors) != len(ispecs):
         raise ArgumentError("need one or two specs with matching tensors and orders")
     basis, iv = ispecs[0].basis, ispecs[0].iv
     if any(s.basis is not basis for s in ispecs) or not all(_same(s.iv, iv) for s in ispecs):

@@ -312,6 +312,8 @@ def sample_truncated(
     sampler's plan cache (_plan). Raises DomainError when a value overflows
     double precision.
     """
+    if not isinstance(orders, TruncationOrders):
+        raise ArgumentError(f"orders must be a TruncationOrders, got {orders!r}")
     plan = _plan([ispec], [tensor], [orders], table.m, table.max_j, table.basis, table.iv)
     values = table.values if table.values.ndim == 3 else table.values[None]
     step = max(1, _CONTRACT_TERMS // max(1, len(plan.coeffs)))
@@ -630,8 +632,12 @@ def sample_closed_form(
 def _normalize_orders(
     ispecs: list[IntegralSpec], orders: TruncationOrders | list[TruncationOrders]
 ) -> list[TruncationOrders]:
+    """One TruncationOrders per spec, from one or a list or tuple of one per spec."""
     if isinstance(orders, TruncationOrders):
-        orders = [orders] * len(ispecs)
+        return [orders] * len(ispecs)
+    if not (isinstance(orders, (list, tuple))
+            and all(isinstance(o, TruncationOrders) for o in orders)):
+        raise ArgumentError(f"orders must be a TruncationOrders or a list of them, got {orders!r}")
     if len(orders) != len(ispecs):
         raise ArgumentError(f"need {len(ispecs)} truncation orders, got {len(orders)}")
     return list(orders)
@@ -643,16 +649,18 @@ def _cached_plan(ispecs: list[IntegralSpec], tensors: list[CoeffTensor], m: int,
     """The cached plan of a valid call of 1 to _CERTIFY_ROWS - 1 rows, or None.
 
     The plan is looked up by its _plan_key, built from the arguments. The key
-    pins every check but those of n, threads and each spec's provenance,
-    made here, and those of m and the seed, which the draw makes; a call
-    that fails a check here, or whose plan is not cached, gets None and
-    goes through every check in order.
+    pins every check but those of n, threads, orders and each spec's
+    provenance, made here, and those of m and the seed, which the draw makes;
+    a call that fails a check here, or whose plan is not cached, gets None
+    and goes through every check in order.
     """
     if not (type(n) is int and 0 < n < _CERTIFY_ROWS and type(m) is int
             and type(threads) is int and threads > 0):
         return None
-    ps = ((orders.p,) * len(ispecs) if isinstance(orders, TruncationOrders)
-          else tuple(o.p for o in orders))
+    try:
+        ps = tuple(o.p for o in _normalize_orders(ispecs, orders))
+    except ArgumentError:
+        return None
     plan = _PLANS.get(_plan_key(tensors, ps, ispecs, max(map(max, ps), default=-1), m))
     if plan is None or any(_provenance_error(s, t, plan.basis, plan.iv)
                            for s, t in zip(ispecs, tensors)):

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .coefficients import check_bytes
-from .errors import ArgumentError, _whole
+from .errors import ArgumentError, _real, _whole, check_bytes
 from .rng import DOMAIN_PATH, _coordinate, _normals, _words
 # normal_stream, draw_table and sample_closed_form are unused here but stay
 # module attributes, where perfbench/tracer.py wraps them: it reads each
@@ -56,8 +54,9 @@ class SdeProblem:
             raise ArgumentError(f"x0 must have shape ({self.dim},), got {np.shape(self.x0)}")
         if not np.isfinite(self.x0).all():
             raise ArgumentError(f"x0 must be finite, got {self.x0}")
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ArgumentError(f"need a finite t_end > 0, got {self.t_end}")
+        object.__setattr__(self, "t_end", _real("t_end", self.t_end))
+        if not self.t_end > 0:
+            raise ArgumentError(f"need t_end > 0, got {self.t_end}")
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return self.coefficients(x)[..., 0]

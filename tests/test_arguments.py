@@ -1,11 +1,17 @@
-"""Every public integer and basis argument is checked where it comes in.
+"""Every public integer, real number, orders and basis argument is checked
+where it comes in.
 
 An integer argument is a Python or numpy integer: a bool, float, str or None
 is refused with an ArgumentError that names the argument, and so is a value
-below the argument's least. A basis is a BasisKind member, never its string.
+below the argument's least. A real number argument is a finite real number,
+kept as a float: a bool, str, None, complex, nan or inf is refused. Truncation
+orders are a TruncationOrders, or a list of them where one is allowed, never
+a plain tuple. A basis is a BasisKind member, never its string.
 """
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +19,12 @@ import pytest
 from stratint import (
     ArgumentError,
     BasisKind,
+    CapabilityError,
     IntegralSpec,
     Interval,
     SdeProblem,
     TruncationOrders,
+    WeightPoly,
     WeightSpec,
     basis_integrals,
     cache_load,
@@ -33,7 +41,10 @@ from stratint import (
     phi_matrix,
     sample_batch,
     sample_closed_form,
+    sample_truncated,
+    truncated_moment,
 )
+from stratint import sampler
 
 LEG = BasisKind.LEGENDRE
 IV = Interval(0.0, 1.0)
@@ -52,6 +63,8 @@ def _problem(**changes):
 
 INTEGERS = (True, 2.0, "2", None, -1)
 BASES = INTEGERS + ("legendre",)
+REALS = (True, "1", None, 1j, math.nan, -math.inf)
+ORDERS_OTHER = ((2, 3), [(2, 3)], None, "23")
 
 # (function and argument, the name its message gives, a call with the value
 # put in, the values tried); `path` is a cache file of TENSOR. The values past
@@ -124,6 +137,18 @@ CASES = [
      lambda v, path: convergence_study(GBM, "euler", (1, 2, 4, 8), 2, 1, p=v), INTEGERS),
     ("SdeProblem.dim", "dim", lambda v, path: _problem(dim=v), INTEGERS),
     ("SdeProblem.m", "m", lambda v, path: _problem(m=v), INTEGERS),
+    ("SdeProblem.t_end", "t_end", lambda v, path: _problem(t_end=v), REALS),
+    ("Interval.t", "t", lambda v, path: Interval(v, 1.0), REALS),
+    ("Interval.T", "T", lambda v, path: Interval(0.0, v), REALS),
+    ("WeightPoly.coeffs", "coeffs", lambda v, path: WeightPoly((v, 1.0)), REALS),
+    ("sample_truncated.orders", "orders",
+     lambda v, path: sample_truncated(ISPEC, TENSOR, TABLE, v), ORDERS_OTHER + ([ORDERS],)),
+    ("sample_batch.orders", "orders",
+     lambda v, path: sample_batch([ISPEC], [TENSOR], 2, v, 1, 1), ORDERS_OTHER),
+    ("sample_batch.orders-rows", "orders",
+     lambda v, path: sample_batch([ISPEC], [TENSOR], 2, v, 1, 9), ORDERS_OTHER),
+    ("truncated_moment.orders", "orders",
+     lambda v, path: truncated_moment([ISPEC], [TENSOR], v), ORDERS_OTHER),
 ]
 
 
@@ -186,3 +211,41 @@ def test_a_list_of_indices_is_kept_as_a_tuple():
     assert ispec.indices == (1, 2)
     want = sample_batch([ISPEC], [TENSOR], 2, ORDERS, 5, 3)
     assert sample_batch([ispec], [TENSOR], 2, ORDERS, 5, 3).tobytes() == want.tobytes()
+
+
+def test_real_numbers_are_floats():
+    iv = Interval(0, np.float32(1))
+    assert iv == IV and type(iv.t) is type(iv.T) is float
+    weight = WeightPoly([np.int64(1), np.float64(-0.5)])
+    assert weight.coeffs == (1.0, -0.5) and {type(c) for c in weight.coeffs} == {float}
+    assert type(_problem(t_end=np.float64(2.0)).t_end) is float
+    with pytest.raises(ArgumentError, match="^T must be a finite real number"):
+        Interval(0.0, 10**400)  # an int past the float range
+    spec = WeightSpec((weight, WeightPoly((1,))))
+    want = compute_tensor(LEG, WeightSpec((WeightPoly((1.0, -0.5)), WeightPoly((1.0,)))),
+                          IV, (2, 3))
+    assert compute_tensor(LEG, spec, iv, (2, 3)).data.tobytes() == want.data.tobytes()
+
+
+def test_orders_are_refused_before_any_draw(monkeypatch):
+    sample_batch([ISPEC], [TENSOR], 2, ORDERS, 1, 1)  # its plan is cached
+    draws = []
+    monkeypatch.setattr(sampler, "normal_stream", lambda *args: draws.append(args))
+    for orders in ORDERS_OTHER:
+        for n in (1, 9):
+            with pytest.raises(ArgumentError, match="orders"):
+                sample_batch([ISPEC], [TENSOR], 2, orders, 1, n)
+        assert sampler._cached_plan([ISPEC], [TENSOR], 2, orders, 1, 1) is None
+    assert draws == []
+
+
+def test_gauss_rule_past_the_memory_bound_is_refused_first():
+    gauss_rule(4, IV)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="n = 20000 Gauss nodes need over 2 GiB"):
+            gauss_rule(20000, IV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

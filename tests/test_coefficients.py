@@ -1,5 +1,6 @@
 """Coefficient tensors: golden expansions, quadrature oracle, caching."""
 
+import base64
 import dataclasses
 import gc
 import itertools
@@ -19,11 +20,13 @@ from stratint import (
     BasisKind,
     CacheFormatError,
     CapabilityError,
+    CoeffTensor,
     DomainError,
     IntegralSpec,
     Interval,
     StaleCacheError,
     TruncationOrders,
+    WeightPoly,
     WeightSpec,
     cache_load,
     cache_store,
@@ -618,7 +621,7 @@ def test_cache_text_round_trip_and_length(tmp_path):
         coefficients._open_text(path, tensor)
     other = compute_tensor(BasisKind.LEGENDRE, spec, Interval(0.0, 2.0), (3, 2))
     Path(path).write_bytes(blob)
-    with pytest.raises(CacheFormatError, match="header"):
+    with pytest.raises(StaleCacheError, match="header"):  # a whole file of another tensor
         coefficients._open_text(path, other)
 
 
@@ -640,6 +643,111 @@ def test_cache_load_reads_no_text(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.data, tensor.data)
     assert peak <= tensor.data.nbytes * 9 // 8 + 2**14
+
+
+# Two layout-5 cache files with their CSV text, written by `coeffs --cache` of
+# the version whose cache_load parsed the header field by field:
+# (basis, weight coefficients, t, T, orders, file)
+_STORED = [
+    (BasisKind.TRIGONOMETRIC, ((0.0, -1.0), (1.0,)), 0.5, 1.25, (2, 1), (
+        "U1RDRgUAAAABAgIAAAABAAAAAAAAAAAA4D8AAAAAAAD0PwIAAAAAAAAAAAAAAAAAAAAAAPC/AQAA"
+        "AAAAAAAAAPA/BgAAAAAAAAAAAAAAAAC4v3MZe1eoNLA/AAAAAAAAAAAFWM36p+KVv5ZsDSI8oqQ/"
+        "lQGDexbrpr+OAAAAAAAAAGpfMSxqXzIsdmFsdWUNCjAsMCwtMC4wOTM3NQ0KMCwxLDAuMDYzMzAz"
+        "NDkwOTc5Nzk2NTI2DQoxLDAsMA0KMSwxLC0wLjAyMTM3MjQzNzE3NDU1NTYzMQ0KMiwwLDAuMDQw"
+        "MzAwMjU0MDE3NjMxMzA3DQoyLDEsLTAuMDQ0NzYyMzI3NzQ0NTk1NTc3DQo="
+    )),
+    (BasisKind.LEGENDRE, ((1.0,), (0.0, 0.0, 1.0), (0.0, -1.0)), -0.5, 0.75, (1, 2, 1), (
+        "U1RDRgUAAAAAAwEAAAACAAAAAQAAAAAAAAAAAOC/AAAAAAAA6D8BAAAAAAAAAAAA8D8DAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAPA/AgAAAAAAAAAAAAAAAAAAAAAA8L8MAAAAAAAAADCoPlePHb2/"
+        "rpMdyLECwr86CgBLH7uyvyPDM2ikc7u/MQzDMAzDnT9pZiD02y6RPxRg7H7Ssq8/6WTyzSJ4sT92"
+        "vII0A/eTP6tsviXrvJ4/MHOkcrdUo7+d53me55miv2MBAAAAAAAAal8xLGpfMixqXzMsdmFsdWUN"
+        "CjAsMCwwLC0wLjExMzczMjI5ODY2MDI2NzU3DQowLDAsMSwtMC4xNDA3MDcyMjgzODY1NTc5Nw0K"
+        "MCwxLDAsLTAuMDczMTY3NzU4NzYxMDEwMTQzDQowLDEsMSwtMC4xMDcyMzMzMTAxNjUzOTUxDQow"
+        "LDIsMCwwLjAyOTA2NDM2MDExOTA0NzYyDQowLDIsMSwwLjAxNjc4MDMxNjEzODU1NjM4Mg0KMSww"
+        "LDAsMC4wNjE5MTExODA0OTAwODU1MQ0KMSwwLDEsMC4wNjgyMzkzNzkxOTYxNjA1MzUNCjEsMSww"
+        "LDAuMDE5NDk2OTY1NDg0NjE3Mjg5DQoxLDEsMSwwLjAzMDAxNzU0MjA1NTc5OTAyMw0KMSwyLDAs"
+        "LTAuMDM3NzU1NzExMzExNzUxODE2DQoxLDIsMSwtMC4wMzYzMzA0NTAxNDg4MDk1MTQNCg=="
+    )),
+]
+
+
+def _request(kind, coeffs, t, T, orders):
+    return kind, WeightSpec(tuple(WeightPoly(c) for c in coeffs)), Interval(t, T), orders
+
+
+def _changed(kind, coeffs, t, T, orders):
+    """Each request that differs from these parameters in one of them: the
+    basis, one order, t, T, one weight coefficient (a +0.0 also to -0.0), or k."""
+    other = (BasisKind.LEGENDRE if kind is BasisKind.TRIGONOMETRIC
+             else BasisKind.TRIGONOMETRIC)
+    yield other, coeffs, t, T, orders
+    for l in range(len(orders)):
+        yield kind, coeffs, t, T, orders[:l] + (orders[l] + 1,) + orders[l + 1:]
+    yield kind, coeffs, t - 0.25, T, orders
+    yield kind, coeffs, t, T + 0.25, orders
+    for l, w in enumerate(coeffs):
+        for i, c in enumerate(w):
+            for new in (c + 0.5, *([-0.0] if c == 0.0 else [])):
+                weight = w[:i] + (new,) + w[i + 1:]
+                yield kind, coeffs[:l] + (weight,) + coeffs[l + 1:], t, T, orders
+    yield kind, coeffs[:-1], t, T, orders[:-1]
+    yield kind, coeffs + ((1.0,),), t, T, orders + (0,)
+
+
+def _stored_file(tmp_path, stored):
+    *params, encoded = stored
+    path = os.fspath(tmp_path / "c.stcf")
+    blob = base64.b64decode("".join(encoded))
+    Path(path).write_bytes(blob)
+    return path, blob, params
+
+
+@pytest.mark.parametrize("stored", _STORED, ids=["k2", "k3"])
+def test_cache_written_before_loads_and_is_written_again(tmp_path, stored):
+    path, blob, params = _stored_file(tmp_path, stored)
+    kind, spec, iv, orders = _request(*params)
+    back = cache_load(path, kind, spec, iv, orders)
+    assert back.data.tobytes() == compute_tensor(kind, spec, iv, orders).data.tobytes()
+    with coefficients._open_text(path, back) as fh:
+        text = fh.read()
+    assert blob.endswith(struct.pack("<Q", len(text)) + text)
+    again = os.fspath(tmp_path / "again.stcf")
+    cache_store(again, back, lambda fh: fh.write(text.decode("ascii")))
+    assert Path(again).read_bytes() == blob
+
+
+@pytest.mark.parametrize("stored", _STORED, ids=["k2", "k3"])
+def test_cache_truncated_anywhere_is_corrupt(tmp_path, stored):
+    path, blob, params = _stored_file(tmp_path, stored)
+    request = _request(*params)
+    tensor = cache_load(path, *request)
+    header = len(coefficients._header(*request))
+    for end in range(len(blob)):
+        Path(path).write_bytes(blob[:end])
+        message = f"truncated at byte {end}" if end < header else "text length"
+        with pytest.raises(CacheFormatError, match=message):
+            cache_load(path, *request)
+        with pytest.raises(CacheFormatError, match=message):
+            coefficients._open_text(path, tensor)
+
+
+@pytest.mark.parametrize("stored", _STORED, ids=["k2", "k3"])
+def test_cache_stale_on_each_single_parameter(tmp_path, stored):
+    path, _, params = _stored_file(tmp_path, stored)
+    for changed in _changed(*params):
+        kind, spec, iv, orders = _request(*changed)
+        with pytest.raises(StaleCacheError, match="differs from that of the request"):
+            cache_load(path, kind, spec, iv, orders)
+        tensor = CoeffTensor(kind, spec, iv, orders, np.zeros(tuple(o + 1 for o in orders)))
+        with pytest.raises(StaleCacheError):
+            coefficients._open_text(path, tensor)
+
+
+def test_cache_of_another_version_is_corrupt(tmp_path):
+    path, blob, params = _stored_file(tmp_path, _STORED[0])
+    Path(path).write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
+    with pytest.raises(CacheFormatError, match="and version 4, expected"):
+        cache_load(path, *_request(*params))
 
 
 @given(

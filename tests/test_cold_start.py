@@ -65,25 +65,34 @@ print(json.dumps({"before": before, "after": loaded(), "z": z.tobytes().hex()}))
     assert z.tobytes() == _reference(7, 3, 2, 64).tobytes()
 
 
-def test_first_draw_inside_thread_pool_keeps_bytes():
-    # the first draw of the process happens inside sample_batch(threads=2)
+def test_first_draws_on_two_threads_keep_bytes():
+    # the first draws of the process start together on two threads behind a
+    # barrier, so both may reach the import of scipy.special in rng._normals
     got = _child("""
-from stratint import BasisKind, Interval, IntegralSpec, TruncationOrders, WeightSpec
-from stratint import compute_tensor, sample_batch
-from stratint.sampler import _BATCH_CHUNK
-iv = Interval(0.5, 1.25)
-spec = WeightSpec.from_exponents((0, 1))
-ispec = IntegralSpec(spec=spec, indices=(1, 2), basis=BasisKind.LEGENDRE, iv=iv)
-tensor = compute_tensor(BasisKind.LEGENDRE, spec, iv, (6, 6))
-args = ([ispec], [tensor], 2, [TruncationOrders.uniform(2, 6)], 11, 2 * _BATCH_CHUNK + 1)
+import threading
+import stratint
+barrier = threading.Barrier(2, timeout=60)
+out = {}
+
+def draw(stream):
+    barrier.wait()
+    out[stream] = stratint.normal_stream(11, stream, 2, 4096).tobytes()
+
 before = loaded()
 sys.setswitchinterval(1e-6)  # switch threads often while the first one imports
-two = sample_batch(*args, threads=2)
+threads = [threading.Thread(target=draw, args=(s,)) for s in (0, 1)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
 sys.setswitchinterval(0.005)
-one = sample_batch(*args, threads=1)
-print(json.dumps({"before": before, "chunks": -(-args[-1] // _BATCH_CHUNK),
-                  "same": two.tobytes() == one.tobytes()}))
+assert not any(t.is_alive() for t in threads)
+after = loaded()
+sequential = [stratint.normal_stream(11, s, 2, 4096).tobytes() for s in (0, 1)]
+print(json.dumps({"before": before, "after": after, "drawn": sorted(out),
+                  "same": [out[s] == sequential[s] for s in (0, 1)]}))
 """)
     assert not got["before"]
-    assert got["chunks"] >= 2
-    assert got["same"]
+    assert got["after"]
+    assert got["drawn"] == [0, 1]
+    assert got["same"] == [True, True]
